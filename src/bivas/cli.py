@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as bio
 from .designs import GroupedDesign
-from .exceptions import BivasError
+from .exceptions import BivasError, InvalidCount, InvalidThreshold
 from .grid import GridFit, aggregate, make_pi_grid, predict, run_grid, select
 from .group_fit import EmOptions
 from .metrics import auc, coef_mse, fdr_power, group_auc
@@ -25,12 +25,30 @@ from .simulate import SimConfig, gen_multitask, simulate_dataset
 def _default_threads() -> int:
     env = os.environ.get("BIVAS_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            threads = int(env)
+        except ValueError:
+            raise InvalidCount(
+                f"BIVAS_THREADS must be an integer >= 1, got {env!r}") from None
+        if threads < 1:
+            raise InvalidCount(f"BIVAS_THREADS must be >= 1, got {threads}")
+        return threads
     return os.cpu_count() or 1
 
 
-def _em_options(args) -> EmOptions:
-    return EmOptions(max_iter=args.max_iter, rel_tol=args.tol)
+def _fit_settings(args) -> tuple[int, EmOptions]:
+    """Check the fit flags before any data is read or written.
+
+    Returns the thread count and the EM options.
+    """
+    if not 0.0 < args.fdr < 1.0:
+        raise InvalidThreshold(f"--fdr must be in (0, 1), got {args.fdr}")
+    if args.max_iter < 1:
+        raise InvalidCount(f"--max-iter must be >= 1, got {args.max_iter}")
+    if not args.tol > 0.0:
+        raise BivasError(f"--tol must be > 0, got {args.tol}")
+    threads = args.threads if args.threads is not None else _default_threads()
+    return threads, EmOptions(max_iter=args.max_iter, rel_tol=args.tol)
 
 
 def _add_fit_flags(sub):
@@ -64,11 +82,11 @@ def _write_fit_artifacts(outdir, gridfit: GridFit, design, args,
 
 
 def cmd_fit(args) -> int:
+    threads, em_options = _fit_settings(args)
     design = bio.load_design(args.data, args.groups, response=args.response,
                              standardize=args.standardize)
-    threads = args.threads if args.threads is not None else _default_threads()
     grid = make_pi_grid(design.K, args.grid_size)
-    gridfit = run_grid(design, grid, _em_options(args), threads=threads,
+    gridfit = run_grid(design, grid, em_options, threads=threads,
                        seed=args.seed)
     options = {
         "grid_size": args.grid_size, "fdr": args.fdr, "tol": args.tol,
@@ -80,10 +98,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_multifit(args) -> int:
+    threads, em_options = _fit_settings(args)
     data = bio.load_multitask(args.task_data, response=args.response)
-    threads = args.threads if args.threads is not None else _default_threads()
     grid = make_pi_grid(data.K, args.grid_size)
-    gridfit = run_grid(data, grid, _em_options(args), threads=threads,
+    gridfit = run_grid(data, grid, em_options, threads=threads,
                        seed=args.seed)
     options = {
         "grid_size": args.grid_size, "fdr": args.fdr, "tol": args.tol,

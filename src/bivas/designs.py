@@ -3,13 +3,15 @@
 The two data containers (:class:`GroupedDesign`, :class:`MultiTaskData`) are
 immutable after construction and safe to share across threads.  They cache
 everything the fitting engines read repeatedly: per-column squared norms,
-per-group column blocks in Fortran order, and a Cholesky factor of Z'Z.
+per-group column blocks in Fortran order, the Gram blocks of each group's
+column tiles (see :class:`GramTile`), and a Cholesky factor of Z'Z.
 :class:`VariationalState` is the single mutable object; one EM run owns one
 state exclusively.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -65,6 +67,33 @@ def _check_z_rank(Z):
     return cho_factor(gram) if gram.size else None
 
 
+class GramTile(NamedTuple):
+    """A contiguous run of one group's members and its Gram block.
+
+    ``cols`` is an (n, m_t) view of the group's column block and ``gram``
+    is ``cols' cols`` (C order, so its rows are contiguous).  A tile has at
+    most n columns, so its Gram block never holds more numbers than the
+    columns it covers.
+    """
+
+    members: np.ndarray   # (m_t,) global column indices
+    cols: np.ndarray      # (n, m_t)
+    gram: np.ndarray      # (m_t, m_t)
+
+
+def _gram_tiles(members, cols, n):
+    """Split a group into ceil(m / n) contiguous tiles of balanced sizes."""
+    m = members.shape[0]
+    count = -(-m // n)
+    edges = [i * m // count for i in range(count + 1)]
+    tiles = []
+    for a, b in zip(edges, edges[1:]):
+        block = cols[:, a:b]
+        tiles.append(GramTile(members[a:b], block,
+                              np.ascontiguousarray(block.T @ block)))
+    return tiles
+
+
 def reindex_groups(labels):
     """Map arbitrary group labels to dense ids in [0, K).
 
@@ -99,6 +128,13 @@ class GroupedDesign:
     predictor_names, covariate_names : optional column names used by IO.
     x_center, x_scale : optional per-column affine transform that was
         applied to X (recorded so predictions can apply the same one).
+
+    Cached on construction and shared by :meth:`with_response`: ``xtx``
+    (per-column squared norms), ``group_members`` and ``group_cols`` (each
+    group's column indices and its Fortran-order column block),
+    ``group_tiles`` (each group's members split into ceil(m_k / n)
+    balanced :class:`GramTile` runs with their Gram blocks; at most p * n
+    numbers in all, no more than X itself) and the Cholesky factor of Z'Z.
     """
 
     def __init__(self, y, Z, X, group_of, *, group_labels=None,
@@ -153,6 +189,8 @@ class GroupedDesign:
                               for k in range(self.K)]
         self.group_cols = [np.asfortranarray(self.X[:, idx])
                            for idx in self.group_members]
+        self.group_tiles = [_gram_tiles(idx, cols, self.n) for idx, cols
+                            in zip(self.group_members, self.group_cols)]
         self._z_cho = _check_z_rank(self.Z)
 
     def solve_z_gram(self, rhs):

@@ -5,9 +5,12 @@ single EM run, so the model is fit once per grid value pi(i) (log10-odds
 equally spaced on [-log10 K, 0]) with pi held fixed, and the per-run
 posteriors are averaged under weights proportional to exp(elbo).  Runs are
 independent, so they are scheduled dynamically over a shared work queue.
+Grid points that stop at ``max_iter`` are reported through the "bivas"
+logger.
 """
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -17,6 +20,8 @@ from .designs import ModelParams, MultiTaskData, MultiTaskParams
 from .exceptions import DimensionMismatch, InvalidCount, InvalidThreshold
 from .group_fit import EmOptions, EmResult, em_fit, initial_params
 from .multitask_fit import mt_em_fit, mt_initial_params
+
+logger = logging.getLogger("bivas")
 
 
 @dataclass
@@ -89,7 +94,10 @@ def run_grid(data, grid: PiGrid, opts: EmOptions | None = None,
     each run is self-contained and deterministically initialized, so the
     result is identical for any thread count and claim order.  ``seed``
     stretches to one sub-seed per grid index (reserved for stochastic
-    initializers; the default initializer is deterministic).
+    initializers; the default initializer is deterministic).  When any
+    run stops at ``max_iter`` without converging, one WARNING on the
+    "bivas" logger names those grid points, their pi values and the total
+    weight they carry; the results are unchanged.
     """
     if threads < 1:
         raise InvalidCount(f"threads must be >= 1, got {threads}")
@@ -116,8 +124,17 @@ def run_grid(data, grid: PiGrid, opts: EmOptions | None = None,
             results = list(pool.map(fit_one, range(grid.h)))
 
     elbos = np.array([res.elbo for res in results])
+    weights = normalize_weights(elbos)
+    stalled = [i for i, res in enumerate(results) if not res.converged]
+    if stalled:
+        points = ", ".join(f"{i} (pi={grid.values[i]:.6g})" for i in stalled)
+        logger.warning(
+            "%d of %d grid points stopped at max_iter=%d without converging: "
+            "grid indices %s; they carry %.6g of the grid weight",
+            len(stalled), grid.h, base_opts.max_iter, points,
+            float(weights[stalled].sum()))
     return GridFit(pi_values=grid.values.copy(), results=results,
-                   elbos=elbos, weights=normalize_weights(elbos),
+                   elbos=elbos, weights=weights,
                    multitask=multitask,
                    group_of=None if multitask else data.group_of.copy())
 

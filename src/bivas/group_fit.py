@@ -115,13 +115,25 @@ def estep_sweep(state: VariationalState, data: GroupedDesign,
                  - sum over other groups of their weighted fits' overlap
                  - sum over other members of this group's overlap)
 
-    computed through the maintained residual: with r the global weighted
-    residual and g_k the unweighted group fit, the numerator equals
-    x'r + (pi_k - 1) x'g_k + alpha_jk mu_jk x'x.  The variable logit is
+    computed from the maintained residual and the cached Gram tiles of
+    the group (:class:`~bivas.designs.GramTile`).  With r the global
+    weighted residual, g_k the unweighted group fit and w = alpha mu, the
+    residual buffer first takes back the group's fit, r + pi_k g_k.  Then,
+    for each tile t of the group with columns X_t and Gram block G_t,
+
+        c = X_t'(r + pi_k g_k - g_k) + G_t w_t
+
+    is formed once (one gemv and one small matvec), and the numerator of
+    member j of the tile is
+
+        c_j - G_t[j] . w_t + w_j x_j'x_j,
+
+    a dot product of length m_t over the tile's current w, so an update
+    reads m_t numbers instead of two length-n vectors.  After the tile,
+    g_k += X_t (w_t - w_t_old) in one gemv.  The variable logit is
     v = logit(alpha) + pi_k/2 (log(s^2/sigma_beta2) + mu^2/s^2) and, after
-    the group's inner loop, the group logit sums the same bracket over
-    members weighted by alpha_jk plus the within-group coupling
-    correction
+    the group's tiles, the group logit sums the same bracket over members
+    weighted by alpha_jk plus the within-group coupling correction
 
         u_k = logit(pi) + 1/2 sum_j alpha_jk (log(s^2/sigma_beta2)
               + mu^2/s^2) + P_k / (2 sigma_e2),
@@ -132,9 +144,9 @@ def estep_sweep(state: VariationalState, data: GroupedDesign,
     singleton groups, where the formula reduces to the plain bracket sum);
     without it the bound can decrease when group members correlate.
 
-    During group k's inner loop the residual buffer temporarily holds the
-    group-excluded residual r + pi_k g_k; it is restored when pi_k is
-    re-weighted at the end of the group.
+    During group k's tiles the residual buffer holds the group-excluded
+    residual r + pi_k g_k; it is restored when pi_k is re-weighted at the
+    end of the group.
     """
     sigma_e2 = params.sigma_e2
     sigma_beta2 = params.sigma_beta2
@@ -152,41 +164,69 @@ def estep_sweep(state: VariationalState, data: GroupedDesign,
     xtx = data.xtx
 
     for k in range(data.K):
-        idx = data.group_members[k]
-        cols = data.group_cols[k]
         gk = state.group_fit[k]
-        pk = pi_k[k]
+        pk = float(pi_k[k])
 
         # exclude this group's weighted fit; r now holds y - Zw - sum_{k'!=k}
         r += pk * gk
-        xr = cols.T @ r
+        bracket_sum = 0.0    # sum_j alpha_jk (log(s^2/sigma_beta2) + mu^2/s^2)
+        diag_sum = 0.0       # sum_j (alpha mu)_j^2 x_j'x_j
+        for members, cols, gram in data.group_tiles[k]:
+            w_start = ajk[members] * mu[members]
+            w = w_start.copy()
+            w_old = w_start.tolist()
+            c = (cols.T @ (r - gk) + gram @ w).tolist()
+            x2_t = xtx[members].tolist()
+            s2_t = s2[members].tolist()
+            lr_t = log_ratio[members].tolist()
+            mu_t = []
+            a_t = []
+            for jj, g_row in enumerate(gram):
+                x2 = x2_t[jj]
+                s2_j = s2_t[jj]
+                if x2 > 0.0:
+                    num = c[jj] - float(g_row.dot(w)) + w_old[jj] * x2
+                    mu_new = num * s2_j / sigma_e2
+                else:
+                    mu_new = 0.0
+                bracket = lr_t[jj] + mu_new * mu_new / s2_j
+                a_new = sigmoid(logit_alpha + 0.5 * pk * bracket)
+                w_new = a_new * mu_new
+                w[jj] = w_new
+                mu_t.append(mu_new)
+                a_t.append(a_new)
+                bracket_sum += a_new * bracket
+                diag_sum += w_new * w_new * x2
+            mu[members] = mu_t
+            ajk[members] = a_t
+            gk += cols @ (w - w_start)
 
-        for jj in range(idx.shape[0]):
-            pos = idx[jj]
-            col = cols[:, jj]
-            w_old = ajk[pos] * mu[pos]
-            num = xr[jj] - (gk @ col) + w_old * xtx[pos]
-            s2_pos = s2[pos]
-            mu_new = num * s2_pos / sigma_e2 if xtx[pos] > 0.0 else 0.0
-            v = logit_alpha + 0.5 * pk * (log_ratio[pos]
-                                          + mu_new * mu_new / s2_pos)
-            a_new = sigmoid(v)
-            mu[pos] = mu_new
-            ajk[pos] = a_new
-            delta = a_new * mu_new - w_old
-            if delta != 0.0:
-                gk += delta * col
-
-        bracket = log_ratio[idx] + mu[idx] ** 2 / s2[idx]
-        u = logit_pi + 0.5 * float(ajk[idx] @ bracket)
-        if idx.shape[0] > 1:
-            w = ajk[idx] * mu[idx]
-            coupling = float(gk @ gk) - float((w * w * xtx[idx]).sum())
-            u += 0.5 * coupling / sigma_e2
+        u = logit_pi + 0.5 * bracket_sum
+        if data.group_sizes[k] > 1:
+            u += 0.5 * (float(gk @ gk) - diag_sum) / sigma_e2
         pi_k[k] = sigmoid(u)
         r -= pi_k[k] * gk
 
     return state
+
+
+def within_group_cross(state: VariationalState, data: GroupedDesign) -> float:
+    """Within-group cross term of the bound's expected squared error.
+
+        sum_k (pi_k - pi_k^2) sum_{j != j'} w_j w_j' x_j'x_j',  w = alpha mu,
+
+    evaluated from scratch through each group's fit X_k w_k.
+    """
+    w = state.alpha_jk * state.mu
+    cross = 0.0
+    for k, idx in enumerate(data.group_members):
+        if idx.shape[0] < 2:
+            continue
+        wk = w[idx]
+        gk = data.group_cols[k] @ wk
+        pairs = float(gk @ gk) - float((wk ** 2 * data.xtx[idx]).sum())
+        cross += (state.pi_k[k] - state.pi_k[k] ** 2) * pairs
+    return cross
 
 
 def elbo(state: VariationalState, data: GroupedDesign,
@@ -213,15 +253,7 @@ def elbo(state: VariationalState, data: GroupedDesign,
     var_term = float(((pa * second_moment - pw ** 2) * data.xtx).sum())
     out -= 0.5 * var_term / params.sigma_e2
 
-    # within-group cross term: (pi_k - pi_k^2) * sum_{j != j'} w_j w_j' x_j'x_j'
-    cross = 0.0
-    for k, idx in enumerate(data.group_members):
-        if idx.shape[0] < 2:
-            continue
-        gk = data.group_cols[k] @ w[idx]
-        pairs = float(gk @ gk) - float((w[idx] ** 2 * data.xtx[idx]).sum())
-        cross += (state.pi_k[k] - state.pi_k[k] ** 2) * pairs
-    out -= 0.5 * cross / params.sigma_e2
+    out -= 0.5 * within_group_cross(state, data) / params.sigma_e2
 
     # slab prior over E[beta^2]
     e_beta2 = pa * second_moment + (1.0 - pa) * params.sigma_beta2
@@ -260,13 +292,7 @@ def mstep_update(state: VariationalState, data: GroupedDesign,
     pa = pa_group * state.alpha_jk
     second_moment = state.s2 + state.mu ** 2
     var_term = float(((pa * second_moment - pw ** 2) * data.xtx).sum())
-    cross = 0.0
-    for k, idx in enumerate(data.group_members):
-        if idx.shape[0] < 2:
-            continue
-        gk = data.group_cols[k] @ w[idx]
-        pairs = float(gk @ gk) - float((w[idx] ** 2 * data.xtx[idx]).sum())
-        cross += (state.pi_k[k] - state.pi_k[k] ** 2) * pairs
+    cross = within_group_cross(state, data)
     sigma_e2 = (float(resid @ resid) + var_term + cross) / data.n
 
     pa_sum = float(pa.sum())

@@ -25,13 +25,20 @@ from bivas.group_fit import _logit, sigmoid, slab_variances
 
 def random_grouped(rng, n=None, K=None, max_group=4, with_covariate=False,
                    rho=0.0, noise=1.0, active_frac=0.5, n_range=(15, 60),
-                   K_range=(2, 6)):
-    """Random small GroupedDesign with a planted sparse signal."""
+                   K_range=(2, 6), sizes=None):
+    """Random small GroupedDesign with a planted sparse signal.
+
+    ``sizes`` fixes the group sizes (and so K); by default K and the sizes
+    are drawn.
+    """
     if n is None:
         n = int(rng.integers(*n_range))
-    if K is None:
-        K = int(rng.integers(*K_range))
-    sizes = rng.integers(1, max_group + 1, K)
+    if sizes is None:
+        if K is None:
+            K = int(rng.integers(*K_range))
+        sizes = rng.integers(1, max_group + 1, K)
+    sizes = np.asarray(sizes)
+    K = len(sizes)
     p = int(sizes.sum())
     group_of = np.repeat(np.arange(K), sizes)
     if rho:

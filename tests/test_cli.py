@@ -242,6 +242,51 @@ class TestExitCodes:
         code = run_cli("fit", "--data", str(bad), "--out", str(tmp_path))
         assert code == 1
 
+    @staticmethod
+    def _assert_one_line_error(capsys, flag):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_fdr_out_of_range_exits_one_before_fitting(self, sim_dir, tmp_path,
+                                                        capsys):
+        out = tmp_path / "never"
+        code = run_cli("fit", "--data", str(sim_dir / "data.csv"),
+                       "--groups", str(sim_dir / "groups.csv"),
+                       "--fdr", "2", "--threads", "1", "--out", str(out))
+        assert code == 1
+        self._assert_one_line_error(capsys, "--fdr")
+        assert not out.exists()
+
+    def test_max_iter_zero_exits_one_before_parsing(self, tmp_path, capsys):
+        # the data file does not exist: an IO error (exit 2) would mean the
+        # table was opened before the flag was checked
+        code = run_cli("fit", "--data", str(tmp_path / "absent.csv"),
+                       "--max-iter", "0", "--out", str(tmp_path / "o"))
+        assert code == 1
+        self._assert_one_line_error(capsys, "--max-iter")
+
+    def test_negative_tol_exits_one_before_parsing(self, tmp_path, capsys):
+        code = run_cli("multifit", "--task-data", str(tmp_path / "absent.csv"),
+                       "--tol", "-1", "--out", str(tmp_path / "o"))
+        assert code == 1
+        self._assert_one_line_error(capsys, "--tol")
+
+    def test_non_integer_threads_env_exits_one_before_parsing(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BIVAS_THREADS", "x")
+        code = run_cli("fit", "--data", str(tmp_path / "absent.csv"),
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        self._assert_one_line_error(capsys, "BIVAS_THREADS")
+        monkeypatch.setenv("BIVAS_THREADS", "0")
+        code = run_cli("fit", "--data", str(tmp_path / "absent.csv"),
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        self._assert_one_line_error(capsys, "BIVAS_THREADS")
+        assert not (tmp_path / "o").exists()
+
     def test_standardize_flag(self, sim_dir, tmp_path):
         out = tmp_path / "std"
         code = run_cli("fit", "--data", str(sim_dir / "data.csv"),

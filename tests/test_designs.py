@@ -110,6 +110,33 @@ class TestValidateDesign:
         np.testing.assert_allclose(d.xtx, direct, rtol=1e-14, atol=0)
 
 
+class TestGramTiles:
+    def test_balanced_tiles_cover_each_group(self):
+        rng = np.random.default_rng(8)
+        d = random_grouped(rng, n=7, sizes=[16, 7, 8, 1, 21])
+        for k, idx in enumerate(d.group_members):
+            tiles = d.group_tiles[k]
+            m = idx.shape[0]
+            assert len(tiles) == -(-m // d.n)
+            widths = [t.members.shape[0] for t in tiles]
+            assert max(widths) <= d.n and max(widths) - min(widths) <= 1
+            np.testing.assert_array_equal(
+                np.concatenate([t.members for t in tiles]), idx)
+            for t in tiles:
+                assert np.shares_memory(t.cols, d.group_cols[k])
+                np.testing.assert_array_equal(t.cols, d.X[:, t.members])
+                np.testing.assert_allclose(t.gram, t.cols.T @ t.cols,
+                                           rtol=1e-14, atol=1e-14)
+        # a tile's Gram block never outgrows the columns it covers
+        assert sum(t.gram.size for ts in d.group_tiles for t in ts) <= d.X.size
+
+    def test_with_response_shares_tiles(self):
+        rng = np.random.default_rng(9)
+        d = random_grouped(rng)
+        other = d.with_response(rng.standard_normal(d.n))
+        assert other.group_tiles is d.group_tiles
+
+
 class TestModelParams:
     def test_clamps_and_floors(self):
         p = ModelParams(alpha=0.0, pi=1.0, sigma_beta2=0.0, sigma_e2=-1.0,

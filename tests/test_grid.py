@@ -1,4 +1,6 @@
 """Sparsity grid construction, weights, parallel runs, aggregation, selection."""
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,25 @@ class TestRunGrid:
     def test_max_weight_at_max_elbo(self, design):
         fit = run_grid(design, make_pi_grid(design.K, 6), EmOptions())
         assert np.argmax(fit.weights) == np.argmax(fit.elbos)
+
+    def test_unconverged_points_logged_once(self, design, caplog):
+        grid = make_pi_grid(design.K, 3)
+        with caplog.at_level(logging.WARNING, logger="bivas"):
+            fit = run_grid(design, grid, EmOptions(max_iter=2))
+        stalled = [i for i, res in enumerate(fit.results) if not res.converged]
+        assert stalled
+        records = [r for r in caplog.records if r.name == "bivas"]
+        assert len(records) == 1 and records[0].levelno == logging.WARNING
+        message = records[0].getMessage()
+        for i in stalled:
+            assert f"{i} (pi={grid.values[i]:.6g})" in message
+        assert f"{fit.weights[stalled].sum():.6g} of the grid weight" in message
+
+    def test_converged_grid_logs_nothing(self, design, caplog):
+        with caplog.at_level(logging.WARNING, logger="bivas"):
+            fit = run_grid(design, make_pi_grid(design.K, 2), EmOptions())
+        assert all(res.converged for res in fit.results)
+        assert not [r for r in caplog.records if r.name == "bivas"]
 
 
 class TestAggregate:

@@ -17,7 +17,7 @@ from bivas import (
     refresh_residual,
 )
 from bivas.designs import PROB_EPS, clamp_prob
-from bivas.group_fit import sigmoid
+from bivas.group_fit import sigmoid, within_group_cross
 from bivas.oracle import exact_log_marginal
 
 from conftest import (
@@ -60,8 +60,28 @@ class TestEstepSweep:
         assert state.alpha_jk[1] == pytest.approx(params.alpha, abs=1e-12)
 
     def test_matches_direct_formula(self, rng):
-        for trial in range(6):
-            d = random_grouped(rng, n=20, K=2, max_group=2)
+        # the Gram-tile sweep against the no-cache reference, over small
+        # random groups, groups wider than n (split into several tiles),
+        # singleton groups, a zero-norm column and correlated columns
+        cases = [dict(n=20, K=2, max_group=2) for _ in range(6)]
+        cases += [dict(n=7, sizes=[16, 1, 9]),
+                  dict(n=5, sizes=[11, 5, 6]),
+                  dict(n=15, sizes=[1, 1, 1, 1]),
+                  dict(n=12, sizes=[3, 4], zero_col=2),
+                  dict(n=9, sizes=[20, 2], zero_col=5),
+                  dict(n=20, sizes=[4, 3, 5], rho=0.5),
+                  dict(n=20, sizes=[4, 3, 5], rho=-0.5),
+                  dict(n=8, sizes=[19, 2], rho=0.5)]
+        for case in cases:
+            zero_col = case.pop("zero_col", None)
+            d = random_grouped(rng, **case)
+            if zero_col is not None:
+                X = d.X.copy()
+                X[:, zero_col] = 0.0
+                d = GroupedDesign(d.y, d.Z, X, d.group_of)
+            if "sizes" in case:
+                wide = [m > case["n"] for m in case["sizes"]]
+                assert [len(t) > 1 for t in d.group_tiles] == wide
             params = initial_params(d, pi=float(rng.uniform(0.2, 0.7)))
             state = random_state(rng, d, params)
             reference = state.copy()
@@ -71,6 +91,13 @@ class TestEstepSweep:
                               (state.s2, reference.s2),
                               (state.alpha_jk, reference.alpha_jk),
                               (state.pi_k, reference.pi_k)):
+                scale = 1.0 + np.abs(want).max()
+                assert np.abs(got - want).max() / scale < 1e-10
+            # the maintained caches equal a rebuild from the swept state
+            swept = state.copy()
+            refresh_residual(state, d, params)
+            for got, want in zip(swept.group_fit + [swept.residual],
+                                 state.group_fit + [state.residual]):
                 scale = 1.0 + np.abs(want).max()
                 assert np.abs(got - want).max() / scale < 1e-10
 
@@ -130,6 +157,25 @@ class TestElbo:
                                          max_group=2)
             exact = exact_log_marginal(design, result.params)
             assert result.elbo <= exact + 1e-8
+
+
+class TestWithinGroupCross:
+    def test_matches_group_fit_formula(self, rng):
+        # sum_k (pi_k - pi_k^2) (|X_k w_k|^2 - sum_j w_j^2 x_j'x_j), with
+        # X_k w_k formed from the full design rather than the group views
+        for case in (dict(n=30), dict(n=30, rho=0.5),
+                     dict(n=6, sizes=[14, 1, 4]), dict(n=10, sizes=[1, 1])):
+            d = random_grouped(rng, **case)
+            params = initial_params(d, pi=0.4)
+            state = random_state(rng, d, params)
+            w = state.alpha_jk * state.mu
+            want = 0.0
+            for k, idx in enumerate(d.group_members):
+                gk = d.X[:, idx] @ w[idx]
+                pairs = float(gk @ gk) - float((w[idx] ** 2 * d.xtx[idx]).sum())
+                want += (state.pi_k[k] - state.pi_k[k] ** 2) * pairs
+            got = within_group_cross(state, d)
+            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 class TestMstep:
