@@ -8,7 +8,7 @@ in-sample prediction quality.
 import numpy as np
 
 from bivas import EmOptions, aggregate, make_pi_grid, predict, run_grid, select
-from bivas.metrics import auc, fdr_power, group_auc
+from bivas.metrics import auc, fdr_power
 from bivas.simulate import SimConfig, simulate_dataset
 
 cfg = SimConfig(n=400, p=600, K=30, rho=0.5, pi_true=0.1, alpha_true=0.4,
@@ -19,7 +19,7 @@ print(f"simulated: n={design.n}, p={design.p}, K={design.K}, "
       f"sigma_e2={truth.sigma_e2:.3f}")
 
 grid = make_pi_grid(design.K, h=15)
-fit = run_grid(design, grid, EmOptions(), threads=2, seed=0)
+fit = run_grid(design, grid, EmOptions(), threads=2)
 
 print("\npi grid, bound and normalized weight per run:")
 for pi, e, w, res in zip(fit.pi_values, fit.elbos, fit.weights, fit.results):
@@ -39,7 +39,7 @@ score = summary.pi_tilde[design.group_of] * summary.alpha_tilde
 print(f"\nvariable selection: {len(report.variables)} picked, "
       f"empirical FDR {fdr:.3f}, power {power:.3f}")
 print(f"variable AUC {auc(score, nonzero):.3f}, "
-      f"group AUC {group_auc(summary.pi_tilde, truth.eta > 0):.3f}")
+      f"group AUC {auc(summary.pi_tilde, truth.eta > 0):.3f}")
 
 yhat = predict(summary, design.Z, design.X)
 resid = design.y - yhat

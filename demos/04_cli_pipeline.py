@@ -21,7 +21,7 @@ with tempfile.TemporaryDirectory() as tmp:
     main(["fit", "--data", str(sim / "data.csv"),
           "--groups", str(sim / "groups.csv"),
           "--grid-size", "8", "--threads", "2", "--fdr", "0.05",
-          "--seed", "2", "--out", str(fit_dir)])
+          "--out", str(fit_dir)])
     print("fit wrote:     ", sorted(p.name for p in fit_dir.iterdir()))
 
     model = json.loads((fit_dir / "model.json").read_text())

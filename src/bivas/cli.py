@@ -18,7 +18,7 @@ from .designs import GroupedDesign
 from .exceptions import BivasError, InvalidCount, InvalidThreshold
 from .grid import GridFit, aggregate, make_pi_grid, predict, run_grid, select
 from .group_fit import EmOptions
-from .metrics import auc, coef_mse, fdr_power, group_auc
+from .metrics import auc, coef_mse, fdr_power
 from .simulate import SimConfig, gen_multitask, simulate_dataset
 
 
@@ -61,7 +61,6 @@ def _add_fit_flags(sub):
     sub.add_argument("--tol", type=float, default=1e-5,
                      help="relative bound change declaring convergence")
     sub.add_argument("--max-iter", type=int, default=200)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=".", help="output directory")
 
 
@@ -86,11 +85,10 @@ def cmd_fit(args) -> int:
     design = bio.load_design(args.data, args.groups, response=args.response,
                              standardize=args.standardize)
     grid = make_pi_grid(design.K, args.grid_size)
-    gridfit = run_grid(design, grid, em_options, threads=threads,
-                       seed=args.seed)
+    gridfit = run_grid(design, grid, em_options, threads=threads)
     options = {
         "grid_size": args.grid_size, "fdr": args.fdr, "tol": args.tol,
-        "max_iter": args.max_iter, "seed": args.seed,
+        "max_iter": args.max_iter,
         "standardize": bool(args.standardize), "response": args.response,
     }
     _write_fit_artifacts(args.out, gridfit, design, args, options)
@@ -101,11 +99,10 @@ def cmd_multifit(args) -> int:
     threads, em_options = _fit_settings(args)
     data = bio.load_multitask(args.task_data, response=args.response)
     grid = make_pi_grid(data.K, args.grid_size)
-    gridfit = run_grid(data, grid, em_options, threads=threads,
-                       seed=args.seed)
+    gridfit = run_grid(data, grid, em_options, threads=threads)
     options = {
         "grid_size": args.grid_size, "fdr": args.fdr, "tol": args.tol,
-        "max_iter": args.max_iter, "seed": args.seed,
+        "max_iter": args.max_iter,
         "response": args.response, "tasks": len(args.task_data),
     }
     _write_fit_artifacts(args.out, gridfit, data, args, options)
@@ -113,6 +110,11 @@ def cmd_multifit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # SimConfig checks these too, but as ValueErrors and after --out exists
+    if not -1.0 < args.rho < 1.0:
+        raise BivasError(f"--rho must lie in (-1, 1), got {args.rho}")
+    if not args.snr > 0.0:
+        raise BivasError(f"--snr must be > 0, got {args.snr}")
     os.makedirs(args.out, exist_ok=True)
     sizes = [int(v) for v in str(args.n).split(",")]
     if len(sizes) > 1:
@@ -154,75 +156,52 @@ def _align_predictors(design, names):
     return design.X[:, order]
 
 
-def _predict_from_model(model: dict, design: GroupedDesign):
-    effect = np.asarray(model["posterior"]["effect"], float)
-    omega = np.asarray(model["params"]["omega"], float)
-    X = _align_predictors(design, model["predictors"])
-    std = model.get("standardize")
-    if std is not None:
-        X = (X - np.asarray(std["center"])) / np.asarray(std["scale"])
-    return design.Z @ omega + X @ effect
-
-
 def cmd_predict(args) -> int:
     model = bio.read_json(args.model)
     design = bio.load_design(args.data, args.groups, response=args.response,
                              require_response=False)
-    if model["model"] == "multitask":
-        if args.task is None:
-            raise BivasError("multi-task model: pass --task")
-        effect = np.asarray(model["posterior"]["effect"], float)[:, args.task]
-        omega = np.asarray(model["params"]["omega"][args.task], float)
-        X = _align_predictors(design, model["predictors"])
-        yhat = design.Z @ omega + X @ effect
-    else:
-        yhat = _predict_from_model(model, design)
+    X = _align_predictors(design, model["predictors"])
+    std = model.get("standardize")
+    if std is not None:
+        X = (X - np.asarray(std["center"])) / np.asarray(std["scale"])
+    yhat = predict(bio.summary_from_model(model), design.Z, X, task=args.task)
     bio.write_predictions_csv(args.out, yhat)
     return 0
 
 
 def cmd_evaluate(args) -> int:
     model = bio.read_json(os.path.join(args.fit, "model.json"))
+    summary = bio.summary_from_model(model)
     selection = bio.read_json(os.path.join(args.fit, "selection.json"))
     truth = bio.read_json(args.truth)
     coef = np.asarray(truth["coef"], float)
     eta = np.asarray(truth["eta"], float)
-
-    post = model["posterior"]
-    pi_tilde = np.asarray(post["pi_tilde"], float)
-    alpha_tilde = np.asarray(post["alpha_tilde"], float)
-    effect = np.asarray(post["effect"], float)
+    pi_tilde, effect = summary.pi_tilde, summary.effect
     nonzero = coef != 0.0
+    name_idx = {nm: j for j, nm in enumerate(model["predictors"])}
 
-    if model["model"] == "multitask":
-        scores = pi_tilde[:, None] * alpha_tilde
-        selected = np.array([[model["predictors"].index(v["predictor"]),
-                              v["task"]] for v in selection["variables"]],
+    if summary.multitask:
+        scores = pi_tilde[:, None] * summary.alpha_tilde
+        selected = np.array([[name_idx[v["predictor"]], v["task"]]
+                             for v in selection["variables"]],
                             dtype=int).reshape(-1, 2)
-        fdr, power = fdr_power(selected, np.argwhere(nonzero))
-        row = {
-            "auc": auc(scores.ravel(), nonzero.ravel()),
-            "group_auc": group_auc(pi_tilde, eta > 0),
-            "fdr": fdr,
-            "power": power,
-            "mse": coef_mse(effect, coef),
-        }
-        for j in range(coef.shape[1]):
-            row[f"mse_task{j}"] = coef_mse(effect[:, j], coef[:, j])
+        true_idx = np.argwhere(nonzero)
     else:
-        group_of = np.asarray(model["group_of"], int)
-        scores = pi_tilde[group_of] * alpha_tilde
-        name_idx = {nm: j for j, nm in enumerate(model["predictors"])}
+        scores = pi_tilde[summary.group_of] * summary.alpha_tilde
         selected = np.array([name_idx[v["predictor"]]
                              for v in selection["variables"]], dtype=int)
-        fdr, power = fdr_power(selected, np.nonzero(nonzero)[0])
-        row = {
-            "auc": auc(scores, nonzero),
-            "group_auc": group_auc(pi_tilde, eta > 0),
-            "fdr": fdr,
-            "power": power,
-            "mse": coef_mse(effect, coef),
-        }
+        true_idx = np.nonzero(nonzero)[0]
+    fdr, power = fdr_power(selected, true_idx)
+    row = {
+        "auc": auc(scores, nonzero),
+        "group_auc": auc(pi_tilde, eta > 0),
+        "fdr": fdr,
+        "power": power,
+        "mse": coef_mse(effect, coef),
+    }
+    if summary.multitask:
+        for j in range(coef.shape[1]):
+            row[f"mse_task{j}"] = coef_mse(effect[:, j], coef[:, j])
     bio.append_metrics_csv(args.out, row)
     return 0
 

@@ -315,6 +315,14 @@ def slab_variances(data: GroupedDesign, params: ModelParams):
     return np.where(data.xtx > 0.0, params.sigma_e2 / denom, params.sigma_beta2)
 
 
+def mt_slab_variances(data: MultiTaskData, params: MultiTaskParams):
+    """Per-task :func:`slab_variances`, shape (K, L): column j uses task j's
+    squared norms and variances."""
+    xtx = np.stack(data.xtx, axis=1)
+    denom = xtx + params.sigma_e2 / params.sigma_beta2
+    return np.where(xtx > 0.0, params.sigma_e2 / denom, params.sigma_beta2)
+
+
 def refresh_residual(state: VariationalState, data: GroupedDesign,
                      params: ModelParams) -> VariationalState:
     """Recompute ``residual`` and ``group_fit`` from scratch, in place.
@@ -428,15 +436,9 @@ class MtVariationalState:
     @classmethod
     def initial(cls, data: MultiTaskData, params: MultiTaskParams):
         K, L = data.K, data.L
-        s2 = np.empty((K, L))
-        for j in range(L):
-            denom = data.xtx[j] + params.sigma_e2[j] / params.sigma_beta2[j]
-            s2[:, j] = np.where(data.xtx[j] > 0.0,
-                                params.sigma_e2[j] / denom,
-                                params.sigma_beta2[j])
         return cls(
             mu=np.zeros((K, L)),
-            s2=s2,
+            s2=mt_slab_variances(data, params),
             alpha_jk=np.full((K, L), params.alpha),
             pi_k=np.full(K, params.pi),
             residual=[data.y[j] - data.Z[j] @ params.omega[j] for j in range(L)],

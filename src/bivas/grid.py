@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .designs import ModelParams, MultiTaskData, MultiTaskParams
+from .designs import MultiTaskData
 from .exceptions import DimensionMismatch, InvalidCount, InvalidThreshold
 from .group_fit import EmOptions, EmResult, em_fit, initial_params
 from .multitask_fit import mt_em_fit, mt_initial_params
@@ -87,35 +87,26 @@ class GridFit:
 
 
 def run_grid(data, grid: PiGrid, opts: EmOptions | None = None,
-             threads: int = 1, seed: int = 0, alpha0: float = 0.1) -> GridFit:
+             threads: int = 1) -> GridFit:
     """Fit the model once per grid value with the group prior held fixed.
 
     Idle workers claim the next unstarted grid point from a shared queue;
     each run is self-contained and deterministically initialized, so the
-    result is identical for any thread count and claim order.  ``seed``
-    stretches to one sub-seed per grid index (reserved for stochastic
-    initializers; the default initializer is deterministic).  When any
+    result is identical for any thread count and claim order.  When any
     run stops at ``max_iter`` without converging, one WARNING on the
     "bivas" logger names those grid points, their pi values and the total
     weight they carry; the results are unchanged.
     """
     if threads < 1:
         raise InvalidCount(f"threads must be >= 1, got {threads}")
-    base_opts = opts if opts is not None else EmOptions()
+    run_opts = replace(opts if opts is not None else EmOptions(), fix_pi=True)
     multitask = isinstance(data, MultiTaskData)
-    sub_seeds = np.random.SeedSequence(seed).generate_state(grid.h)
 
     def fit_one(i: int) -> EmResult:
-        run_opts = EmOptions(
-            max_iter=base_opts.max_iter, rel_tol=base_opts.rel_tol,
-            fix_pi=True, fix_alpha=base_opts.fix_alpha,
-            trace=base_opts.trace, estep_sweeps=base_opts.estep_sweeps,
-        )
         pi = float(grid.values[i])
-        _ = sub_seeds[i]   # per-index stream; unused by the deterministic init
         if multitask:
-            return mt_em_fit(data, mt_initial_params(data, pi, alpha0), run_opts)
-        return em_fit(data, initial_params(data, pi, alpha0), run_opts)
+            return mt_em_fit(data, mt_initial_params(data, pi), run_opts)
+        return em_fit(data, initial_params(data, pi), run_opts)
 
     if threads == 1 or grid.h == 1:
         results = [fit_one(i) for i in range(grid.h)]
@@ -131,7 +122,7 @@ def run_grid(data, grid: PiGrid, opts: EmOptions | None = None,
         logger.warning(
             "%d of %d grid points stopped at max_iter=%d without converging: "
             "grid indices %s; they carry %.6g of the grid weight",
-            len(stalled), grid.h, base_opts.max_iter, points,
+            len(stalled), grid.h, run_opts.max_iter, points,
             float(weights[stalled].sum()))
     return GridFit(pi_values=grid.values.copy(), results=results,
                    elbos=elbos, weights=weights,
@@ -160,35 +151,29 @@ class PosteriorSummary:
     multitask: bool = False
 
 
+def _weighted_sum(w, values):
+    """sum_i w_i values_i, elementwise through lists (per-task vectors)."""
+    if isinstance(values[0], list):
+        return [_weighted_sum(w, column) for column in zip(*values)]
+    return sum(wi * v for wi, v in zip(w, values))
+
+
 def aggregate(gridfit: GridFit) -> PosteriorSummary:
     """Average per-run posteriors and parameters under the grid weights."""
     w = gridfit.weights
     states = [res.state for res in gridfit.results]
     plist = [res.params for res in gridfit.results]
-    pi_tilde = sum(wi * st.pi_k for wi, st in zip(w, states))
-    alpha_tilde = sum(wi * st.alpha_jk for wi, st in zip(w, states))
-    mu_tilde = sum(wi * st.mu for wi, st in zip(w, states))
+    pi_tilde = _weighted_sum(w, [st.pi_k for st in states])
+    alpha_tilde = _weighted_sum(w, [st.alpha_jk for st in states])
+    mu_tilde = _weighted_sum(w, [st.mu for st in states])
+    params = type(plist[0])(**{
+        f.name: _weighted_sum(w, [getattr(p, f.name) for p in plist])
+        for f in fields(plist[0])})
 
+    group_of = gridfit.group_of
     if gridfit.multitask:
         effect = pi_tilde[:, None] * alpha_tilde * mu_tilde
-        params = MultiTaskParams(
-            alpha=sum(wi * p.alpha for wi, p in zip(w, plist)),
-            pi=sum(wi * p.pi for wi, p in zip(w, plist)),
-            sigma_beta2=sum(wi * p.sigma_beta2 for wi, p in zip(w, plist)),
-            sigma_e2=sum(wi * p.sigma_e2 for wi, p in zip(w, plist)),
-            omega=[sum(wi * p.omega[j] for wi, p in zip(w, plist))
-                   for j in range(len(plist[0].omega))],
-        )
-        group_of = None
     else:
-        params = ModelParams(
-            alpha=sum(wi * p.alpha for wi, p in zip(w, plist)),
-            pi=sum(wi * p.pi for wi, p in zip(w, plist)),
-            sigma_beta2=sum(wi * p.sigma_beta2 for wi, p in zip(w, plist)),
-            sigma_e2=sum(wi * p.sigma_e2 for wi, p in zip(w, plist)),
-            omega=sum(wi * p.omega for wi, p in zip(w, plist)),
-        )
-        group_of = gridfit.group_of
         effect = pi_tilde[group_of] * alpha_tilde * mu_tilde
 
     return PosteriorSummary(
@@ -228,8 +213,9 @@ def select(summary: PosteriorSummary, threshold: float = 0.05) -> SelectionRepor
 def predict(summary: PosteriorSummary, Znew, Xnew, task: int | None = None):
     """Posterior-mean prediction Z omega + X effect on new data.
 
-    For multi-task summaries ``task`` picks the task whose fixed effects
-    (and effect column) apply to the supplied design.
+    For multi-task summaries ``task``, an index in [0, L), picks the task
+    whose fixed effects (and effect column) apply to the supplied design;
+    for grouped summaries it must be None.
     """
     Znew = np.asarray(Znew, float)
     Xnew = np.asarray(Xnew, float)
@@ -241,8 +227,11 @@ def predict(summary: PosteriorSummary, Znew, Xnew, task: int | None = None):
         raise DimensionMismatch("Znew and Xnew row counts disagree")
 
     if summary.multitask:
-        if task is None:
-            raise DimensionMismatch("multi-task prediction needs a task index")
+        tasks = len(summary.params.omega)
+        if task is None or not 0 <= task < tasks:
+            raise DimensionMismatch(
+                f"multi-task prediction needs a task index in [0, {tasks}), "
+                f"got {task}")
         omega = summary.params.omega[task]
         effect = summary.effect[:, task]
     else:

@@ -18,7 +18,6 @@ from .designs import (
     GroupedDesign,
     ModelParams,
     VariationalState,
-    clamp_prob,
     refresh_residual,
     slab_variances,
 )
@@ -49,24 +48,18 @@ class EmOptions:
     """Knobs for the EM loop.
 
     ``fix_pi`` holds the group-level prior at its initial value (used by
-    grid runs); ``fix_alpha`` does the same for the variable-level prior.
-    ``estep_sweeps`` controls how many coordinate sweeps run per M-step.
+    grid runs).
     """
 
     max_iter: int = 200
     rel_tol: float = 1e-5
     fix_pi: bool = False
-    fix_alpha: bool = False
-    trace: bool = True
-    estep_sweeps: int = 1
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.rel_tol <= 0.0:
             raise ValueError("rel_tol must be > 0")
-        if self.estep_sweeps < 1:
-            raise ValueError("estep_sweeps must be >= 1")
 
 
 @dataclass
@@ -301,45 +294,48 @@ def mstep_update(state: VariationalState, data: GroupedDesign,
     else:
         sigma_beta2 = params.sigma_beta2
 
-    alpha = params.alpha if opts.fix_alpha or data.p == 0 \
-        else float(state.alpha_jk.mean())
+    alpha = params.alpha if data.p == 0 else float(state.alpha_jk.mean())
     pi = params.pi if opts.fix_pi or data.K == 0 else float(state.pi_k.mean())
 
     return ModelParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
                        sigma_e2=sigma_e2, omega=omega)
 
 
-def em_fit(data: GroupedDesign, init: ModelParams,
-           opts: EmOptions | None = None) -> EmResult:
-    """Alternate coordinate sweeps and M-steps until the bound stalls.
+def run_em(data, params, state, opts: EmOptions | None,
+           sweep, mstep, refresh, bound) -> EmResult:
+    """The EM loop shared by both engines.
 
-    Convergence is declared when the relative bound change
-    |dL| / (1 + |L|) drops below ``opts.rel_tol``.  The returned trace is
-    non-decreasing up to 1e-8 * (1 + |L|) slack.
+    Runs up to ``opts.max_iter`` rounds of ``sweep`` (one coordinate
+    sweep, in place), ``mstep`` (new parameters), ``refresh`` (residual
+    caches recomputed from scratch) and ``bound`` (the evidence lower
+    bound).  Convergence is declared when the relative bound change
+    |dL| / (1 + |L|) drops below ``opts.rel_tol``.
     """
     if opts is None:
         opts = EmOptions()
-    params = init
-    state = VariationalState.initial(data, params)
     trace = []
     prev = -math.inf
     converged = False
-    iterations = 0
-
-    for it in range(opts.max_iter):
-        for _ in range(opts.estep_sweeps):
-            estep_sweep(state, data, params)
-        params = mstep_update(state, data, params, opts)
-        refresh_residual(state, data, params)
-        current = elbo(state, data, params)
+    for _ in range(opts.max_iter):
+        sweep(state, data, params)
+        params = mstep(state, data, params, opts)
+        refresh(state, data, params)
+        current = bound(state, data, params)
         trace.append(current)
-        iterations = it + 1
         if abs(current - prev) < opts.rel_tol * (1.0 + abs(current)):
             converged = True
             break
         prev = current
-
-    trace_arr = np.asarray(trace if opts.trace else trace[-1:])
     return EmResult(params=params, state=state, elbo=trace[-1],
-                    elbo_trace=trace_arr, iterations=iterations,
+                    elbo_trace=np.asarray(trace), iterations=len(trace),
                     converged=converged)
+
+
+def em_fit(data: GroupedDesign, init: ModelParams,
+           opts: EmOptions | None = None) -> EmResult:
+    """Alternate coordinate sweeps and M-steps until the bound stalls
+    (:func:`run_em`).  The returned trace is non-decreasing up to
+    1e-8 * (1 + |L|) slack.
+    """
+    return run_em(data, init, VariationalState.initial(data, init), opts,
+                  estep_sweep, mstep_update, refresh_residual, elbo)

@@ -15,7 +15,13 @@ import os
 
 import numpy as np
 
-from .designs import GroupedDesign, MultiTaskData, validate_design
+from .designs import (
+    GroupedDesign,
+    ModelParams,
+    MultiTaskData,
+    MultiTaskParams,
+    validate_design,
+)
 from .exceptions import DimensionMismatch, NonNumeric
 from .grid import GridFit, PosteriorSummary, SelectionReport
 
@@ -234,6 +240,21 @@ def model_to_dict(gridfit: GridFit, summary: PosteriorSummary,
             "effect": summary.effect.tolist(),
         },
     }
+
+
+def summary_from_model(model: dict) -> PosteriorSummary:
+    """The :class:`PosteriorSummary` a model artifact was written from (the
+    inverse of :func:`model_to_dict`; every double round-trips exactly)."""
+    post = {key: np.asarray(val, float) for key, val in model["posterior"].items()}
+    multitask = model["model"] == "multitask"
+    params = (MultiTaskParams if multitask else ModelParams)(**model["params"])
+    return PosteriorSummary(
+        pi_tilde=post["pi_tilde"], alpha_tilde=post["alpha_tilde"],
+        mu_tilde=post["mu_tilde"], effect=post["effect"],
+        group_fdr=1.0 - post["pi_tilde"], var_fdr=1.0 - post["alpha_tilde"],
+        params=params, multitask=multitask,
+        group_of=None if multitask else np.asarray(model["group_of"], np.intp),
+    )
 
 
 def write_json(path: str, payload: dict):

@@ -26,11 +26,6 @@ def auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def group_auc(pi_tilde, eta_true) -> float:
-    """AUC of the group posterior inclusion against the true indicator."""
-    return auc(pi_tilde, eta_true)
-
-
 def fdr_power(selected, truth_nonzero, total: int | None = None):
     """Empirical false discovery rate and power of a selected index set.
 

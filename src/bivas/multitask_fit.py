@@ -16,8 +16,9 @@ from .designs import (
     MultiTaskData,
     MultiTaskParams,
     mt_refresh_residual,
+    mt_slab_variances,
 )
-from .group_fit import LOG_2PI, EmOptions, EmResult, _logit, sigmoid
+from .group_fit import LOG_2PI, EmOptions, EmResult, _logit, run_em, sigmoid
 
 
 def mt_initial_params(data: MultiTaskData, pi: float,
@@ -53,11 +54,7 @@ def mt_estep_sweep(state: MtVariationalState, data: MultiTaskData,
     L, K = data.L, data.K
 
     s2 = state.s2
-    for j in range(L):
-        denom = data.xtx[j] + params.sigma_e2[j] / params.sigma_beta2[j]
-        s2[:, j] = np.where(data.xtx[j] > 0.0,
-                            params.sigma_e2[j] / denom,
-                            params.sigma_beta2[j])
+    s2[:] = mt_slab_variances(data, params)
     log_ratio = np.log(s2 / params.sigma_beta2[None, :])
 
     mu = state.mu
@@ -161,7 +158,7 @@ def mt_mstep_update(state: MtVariationalState, data: MultiTaskData,
         sigma_e2.append(se2)
         sigma_beta2.append(sb2)
 
-    alpha = params.alpha if opts.fix_alpha else float(state.alpha_jk.mean())
+    alpha = float(state.alpha_jk.mean())
     pi = params.pi if opts.fix_pi else float(state.pi_k.mean())
     return MultiTaskParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
                            sigma_e2=sigma_e2, omega=omegas)
@@ -169,30 +166,7 @@ def mt_mstep_update(state: MtVariationalState, data: MultiTaskData,
 
 def mt_em_fit(data: MultiTaskData, init: MultiTaskParams,
               opts: EmOptions | None = None) -> EmResult:
-    """Same loop contract as the grouped engine; monotone bound trace."""
-    if opts is None:
-        opts = EmOptions()
-    params = init
-    state = MtVariationalState.initial(data, params)
-    trace = []
-    prev = -math.inf
-    converged = False
-    iterations = 0
-
-    for it in range(opts.max_iter):
-        for _ in range(opts.estep_sweeps):
-            mt_estep_sweep(state, data, params)
-        params = mt_mstep_update(state, data, params, opts)
-        mt_refresh_residual(state, data, params)
-        current = mt_elbo(state, data, params)
-        trace.append(current)
-        iterations = it + 1
-        if abs(current - prev) < opts.rel_tol * (1.0 + abs(current)):
-            converged = True
-            break
-        prev = current
-
-    trace_arr = np.asarray(trace if opts.trace else trace[-1:])
-    return EmResult(params=params, state=state, elbo=trace[-1],
-                    elbo_trace=trace_arr, iterations=iterations,
-                    converged=converged)
+    """The grouped engine's loop (:func:`~bivas.group_fit.run_em`) over the
+    multi-task steps; monotone bound trace."""
+    return run_em(data, init, MtVariationalState.initial(data, init), opts,
+                  mt_estep_sweep, mt_mstep_update, mt_refresh_residual, mt_elbo)

@@ -32,7 +32,7 @@ from bivas import (
 from bivas import io as bio
 from bivas.cli import main as cli_main
 from bivas.designs import clamp_prob
-from bivas.metrics import auc, coef_mse, fdr_power, group_auc
+from bivas.metrics import auc, coef_mse, fdr_power
 from bivas.oracle import exact_log_marginal
 from bivas.simulate import SimConfig, gen_multitask, simulate_dataset
 
@@ -234,14 +234,14 @@ def test_criterion_5_desk_scale_fdr_power_auc():
             n=500, p=1000, K=50, rho=0.0, pi_true=0.1, alpha_true=0.4,
             snr=2.0, seed=500 + rep))
         fit = run_grid(design, make_pi_grid(design.K, 20), EmOptions(),
-                       threads=THREADS, seed=rep)
+                       threads=THREADS)
         summary = aggregate(fit)
         sel = select(summary, 0.05)
         nonzero = truth.coef != 0.0
         fdr, power = fdr_power(sel.variables, np.nonzero(nonzero)[0])
         score = summary.pi_tilde[design.group_of] * summary.alpha_tilde
         rows.append((fdr, power, auc(score, nonzero),
-                     group_auc(summary.pi_tilde, truth.eta > 0)))
+                     auc(summary.pi_tilde, truth.eta > 0)))
     mean_fdr, mean_power, mean_auc, mean_gauc = np.mean(rows, axis=0)
     ok = (mean_fdr <= 0.15 and mean_power >= 0.5
           and mean_auc >= 0.9 and mean_gauc >= 0.9)
@@ -264,7 +264,7 @@ def test_criterion_6_snr_monotonicity():
                     n=300, p=400, K=20, rho=0.0, pi_true=pi_true,
                     alpha_true=alpha_true, snr=snr, seed=6_000 + rep))
                 fit = run_grid(design, make_pi_grid(design.K, 10),
-                               EmOptions(), threads=THREADS, seed=rep)
+                               EmOptions(), threads=THREADS)
                 mses.append(coef_mse(aggregate(fit).effect, truth.coef))
             means.append(float(np.mean(mses)))
         ok = ok and means[0] > means[1] > means[2]
@@ -293,7 +293,7 @@ def test_criterion_7_grid_mechanics():
     design, _ = simulate_dataset(SimConfig(n=150, p=60, K=10, pi_true=0.3,
                                            alpha_true=0.5, snr=1.5, seed=77))
     grid = make_pi_grid(design.K, 8)
-    fits = [run_grid(design, grid, EmOptions(), threads=t, seed=9)
+    fits = [run_grid(design, grid, EmOptions(), threads=t)
             for t in (1, 2, 4)]
     thread_err = 0.0
     for other in fits[1:]:
@@ -321,14 +321,14 @@ def test_criterion_8_multitask_shared_support_gain():
                         seed=8_000 + rep)
         data, truth = gen_multitask(cfg)
         joint = aggregate(run_grid(data, make_pi_grid(data.K, 10),
-                                   EmOptions(), threads=THREADS, seed=rep))
+                                   EmOptions(), threads=THREADS))
         smallest = int(np.argmin(data.n))
         mse_joint = coef_mse(joint.effect[:, smallest],
                              truth.coef[:, smallest])
         d = GroupedDesign(data.y[smallest], data.Z[smallest],
                           data.X[smallest], np.arange(data.K))
         sep = aggregate(run_grid(d, make_pi_grid(d.K, 10), EmOptions(),
-                                 threads=THREADS, seed=rep))
+                                 threads=THREADS))
         mse_sep = coef_mse(sep.effect, truth.coef[:, smallest])
         pairs.append((mse_joint, mse_sep))
         if mse_joint <= mse_sep:
@@ -340,7 +340,7 @@ def test_criterion_8_multitask_shared_support_gain():
 
 
 def test_criterion_9_cli_round_trip(tmp_path):
-    """fit -> predict reproduces in-memory fits; same-seed reruns identical."""
+    """fit -> predict reproduces in-memory fits; reruns are byte-identical."""
     sim = tmp_path / "sim"
     assert cli_main(["simulate", "--n", "250", "--p", "60", "--k-groups",
                      "6", "--pi", "0.5", "--alpha", "0.6", "--snr", "2.0",
@@ -351,7 +351,7 @@ def test_criterion_9_cli_round_trip(tmp_path):
         assert cli_main(["fit", "--data", str(sim / "data.csv"),
                          "--groups", str(sim / "groups.csv"),
                          "--grid-size", "6", "--threads", "2",
-                         "--seed", "3", "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
         fits.append(out)
     identical = all(
         (fits[0] / name).read_bytes() == (fits[1] / name).read_bytes()
@@ -368,7 +368,7 @@ def test_criterion_9_cli_round_trip(tmp_path):
 
     design = bio.load_design(str(sim / "data.csv"), str(sim / "groups.csv"))
     fit = run_grid(design, make_pi_grid(design.K, 6), EmOptions(),
-                   threads=2, seed=3)
+                   threads=2)
     yhat_mem = predict(aggregate(fit), design.Z, design.X)
     gap = float(np.abs(yhat_cli - yhat_mem).max())
 

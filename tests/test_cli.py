@@ -30,7 +30,7 @@ def fit_dir(sim_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("fit")
     code = run_cli("fit", "--data", str(sim_dir / "data.csv"),
                    "--groups", str(sim_dir / "groups.csv"),
-                   "--grid-size", "6", "--threads", "1", "--seed", "3",
+                   "--grid-size", "6", "--threads", "1",
                    "--out", str(out))
     assert code == 0
     return out
@@ -88,7 +88,7 @@ class TestFit:
             code = run_cli("fit", "--data", str(sim_dir / "data.csv"),
                            "--groups", str(sim_dir / "groups.csv"),
                            "--grid-size", "4", "--threads", "2",
-                           "--seed", "7", "--out", str(out))
+                           "--out", str(out))
             assert code == 0
             outs.append(out)
         for name in ("model.json", "posterior.csv", "groups.csv",
@@ -114,7 +114,7 @@ class TestPredict:
         design = bio.load_design(str(sim_dir / "data.csv"),
                                  str(sim_dir / "groups.csv"))
         fit = run_grid(design, make_pi_grid(design.K, 6), EmOptions(),
-                       threads=1, seed=3)
+                       threads=1)
         yhat_mem = predict(aggregate(fit), design.Z, design.X)
         assert np.abs(yhat_cli - yhat_mem).max() <= 1e-10
 
@@ -209,7 +209,16 @@ class TestMultifit:
                        "--data", str(sim_out / "task1.csv"),
                        "--task", "1", "--out", str(pred_path))
         assert code == 0
-        assert len(pred_path.read_text().strip().splitlines()) == 101
+        rows = pred_path.read_text().strip().splitlines()
+        assert len(rows) == 101
+        yhat_cli = np.array([float(v) for v in rows[1:]])
+
+        from bivas import EmOptions, aggregate, make_pi_grid, predict, run_grid
+        data = bio.load_multitask([str(sim_out / "task0.csv"),
+                                   str(sim_out / "task1.csv")])
+        fit = run_grid(data, make_pi_grid(data.K, 4), EmOptions(), threads=1)
+        yhat_mem = predict(aggregate(fit), data.Z[1], data.X[1], task=1)
+        assert np.abs(yhat_cli - yhat_mem).max() == 0.0
 
 
 class TestThreadsDefault:
@@ -297,3 +306,44 @@ class TestExitCodes:
         model = bio.read_json(str(out / "model.json"))
         assert model["standardize"] is not None
         assert len(model["standardize"]["center"]) == 60
+
+    def test_predict_task_outside_model_exits_one(self, sim_dir, fit_dir,
+                                                  tmp_path, capsys):
+        sim = tmp_path / "mtsim"
+        assert run_cli("simulate", "--n", "40,30", "--k-groups", "6",
+                       "--pi", "0.5", "--alpha", "0.8", "--snr", "2.0",
+                       "--seed", "2", "--out", str(sim)) == 0
+        fit = tmp_path / "mtfit"
+        assert run_cli("multifit", "--task-data", str(sim / "task0.csv"),
+                       "--task-data", str(sim / "task1.csv"),
+                       "--grid-size", "2", "--threads", "1",
+                       "--out", str(fit)) == 0
+        capsys.readouterr()
+        code = run_cli("predict", "--model", str(fit / "model.json"),
+                       "--data", str(sim / "task1.csv"), "--task", "5",
+                       "--out", str(tmp_path / "p.csv"))
+        assert code == 1
+        self._assert_one_line_error(capsys, "[0, 2)")
+        # a grouped model takes no task index
+        code = run_cli("predict", "--model", str(fit_dir / "model.json"),
+                       "--data", str(sim_dir / "data.csv"),
+                       "--groups", str(sim_dir / "groups.csv"),
+                       "--task", "0", "--out", str(tmp_path / "g.csv"))
+        assert code == 1
+        self._assert_one_line_error(capsys, "multi-task")
+        assert not (tmp_path / "p.csv").exists()
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_simulate_bad_rho_exits_one_before_writing(self, tmp_path,
+                                                       capsys):
+        out = tmp_path / "never"
+        code = run_cli("simulate", "--n", "50", "--rho", "1",
+                       "--out", str(out))
+        assert code == 1
+        self._assert_one_line_error(capsys, "--rho")
+        assert not out.exists()
+        code = run_cli("simulate", "--n", "50", "--snr", "0",
+                       "--out", str(out))
+        assert code == 1
+        self._assert_one_line_error(capsys, "--snr")
+        assert not out.exists()

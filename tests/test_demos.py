@@ -1,0 +1,25 @@
+"""The quick demos run to completion as scripts.
+
+Demo 02 (the multi-task comparison, about a minute) is left out; run it by
+hand with ``python demos/02_multitask_borrowing.py``.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["01_grouped_selection.py",
+                                  "03_bound_vs_exact.py",
+                                  "04_cli_pipeline.py"])
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr

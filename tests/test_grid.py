@@ -103,7 +103,7 @@ def design():
 class TestRunGrid:
     def test_thread_count_invariance(self, design):
         grid = make_pi_grid(design.K, 6)
-        fits = [run_grid(design, grid, EmOptions(), threads=t, seed=5)
+        fits = [run_grid(design, grid, EmOptions(), threads=t)
                 for t in (1, 2, 4)]
         ref = fits[0]
         for other in fits[1:]:
@@ -314,3 +314,11 @@ class TestPredict:
             np.testing.assert_allclose(yhat, expected, atol=1e-12)
         with pytest.raises(DimensionMismatch):
             predict(s, data.Z[0], data.X[0])
+
+    def test_multitask_task_outside_range_rejected(self):
+        data, _ = gen_multitask(SimConfig(n=[40, 30], p=6, K=6, pi_true=0.4,
+                                          alpha_true=0.8, snr=2.0, seed=12))
+        s = aggregate(run_grid(data, make_pi_grid(data.K, 2), EmOptions()))
+        for bad in (2, 5, -1):
+            with pytest.raises(DimensionMismatch, match=r"\[0, 2\)"):
+                predict(s, data.Z[0], data.X[0], task=bad)

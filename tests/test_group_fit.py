@@ -194,10 +194,8 @@ class TestMstep:
         d = random_grouped(rng)
         params = initial_params(d, pi=0.5)
         state = random_state(rng, d, params)
-        new = mstep_update(state, d, params,
-                           EmOptions(fix_pi=True, fix_alpha=True))
+        new = mstep_update(state, d, params, EmOptions(fix_pi=True))
         assert new.pi == params.pi
-        assert new.alpha == params.alpha
 
     def test_slab_variance_weighted_mean_of_constant(self, rng):
         d = random_grouped(rng)
@@ -313,13 +311,6 @@ class TestEmFit:
                 pert = state.copy()
                 pert.pi_k[k] = clamp_prob(state.pi_k[k] + eps)
                 assert elbo(pert, d, params) - base <= allowed
-
-    def test_multiple_sweeps_option(self, rng):
-        d = random_grouped(rng)
-        res = em_fit(d, initial_params(d, pi=0.3),
-                     EmOptions(estep_sweeps=3, max_iter=50))
-        diffs = np.diff(res.elbo_trace)
-        assert np.all(diffs >= -1e-8 * (1.0 + np.abs(res.elbo_trace[1:])))
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Table parsing, group declarations and artifact round trips."""
+import json
+
 import numpy as np
 import pytest
 
+from bivas import EmOptions, aggregate, make_pi_grid, run_grid, validate_design
 from bivas import io as bio
 from bivas.exceptions import DimensionMismatch, NonNumeric
-from bivas.simulate import SimConfig, simulate_dataset
+from bivas.simulate import SimConfig, gen_multitask, simulate_dataset
 
 
 @pytest.fixture
@@ -128,3 +131,48 @@ class TestJsonArtifacts:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "auc,fdr"
         assert len(lines) == 3
+
+
+class TestSummaryFromModel:
+    """summary_from_model inverts model_to_dict exactly, through JSON."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        for name in ("pi_tilde", "alpha_tilde", "mu_tilde", "effect",
+                     "group_fdr", "var_fdr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.multitask == want.multitask
+        assert (got.group_of is None) == (want.group_of is None)
+        if want.group_of is not None:
+            assert np.array_equal(got.group_of, want.group_of)
+        assert type(got.params) is type(want.params)
+        for name in ("alpha", "pi", "sigma_beta2", "sigma_e2"):
+            assert np.array_equal(getattr(got.params, name),
+                                  getattr(want.params, name)), name
+        assert len(got.params.omega) == len(want.params.omega)
+        for a, b in zip(got.params.omega, want.params.omega):
+            assert np.array_equal(a, b)
+
+    @staticmethod
+    def _round_trip(design, options):
+        fit = run_grid(design, make_pi_grid(design.K, 3), EmOptions())
+        summary = aggregate(fit)
+        model = json.loads(json.dumps(
+            bio.model_to_dict(fit, summary, design, options)))
+        return bio.summary_from_model(model), summary
+
+    def test_grouped_standardized_fit(self):
+        design, _ = simulate_dataset(SimConfig(n=60, p=15, K=5, pi_true=0.5,
+                                               alpha_true=0.6, snr=2.0,
+                                               seed=31))
+        std = validate_design(design.y, design.Z, design.X,
+                              design.group_of, standardize=True)
+        got, want = self._round_trip(std, {"standardize": True})
+        self._assert_same(got, want)
+
+    def test_multitask_fit(self):
+        data, _ = gen_multitask(SimConfig(n=[50, 40], p=10, K=10,
+                                          pi_true=0.4, alpha_true=0.8,
+                                          snr=2.0, seed=32))
+        got, want = self._round_trip(data, {"tasks": 2})
+        self._assert_same(got, want)

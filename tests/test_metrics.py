@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bivas.exceptions import DegenerateLabels, DimensionMismatch
-from bivas.metrics import auc, coef_mse, fdr_power, group_auc
+from bivas.metrics import auc, coef_mse, fdr_power
 
 
 class TestAuc:
@@ -51,11 +51,6 @@ class TestAuc:
                           lambda s: np.arctan(s)):
             assert auc(transform(scores), labels) \
                 == pytest.approx(base, abs=1e-12)
-
-    def test_group_auc_is_auc(self):
-        pi = [0.9, 0.1, 0.8, 0.2]
-        eta = [1, 0, 1, 0]
-        assert group_auc(pi, eta) == auc(pi, eta)
 
 
 class TestFdrPower:
