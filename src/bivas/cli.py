@@ -33,7 +33,7 @@ def _default_threads() -> int:
         if threads < 1:
             raise InvalidCount(f"BIVAS_THREADS must be >= 1, got {threads}")
         return threads
-    return os.cpu_count() or 1
+    return 1
 
 
 def _fit_settings(args) -> tuple[int, EmOptions]:
@@ -55,7 +55,7 @@ def _add_fit_flags(sub):
     sub.add_argument("--grid-size", type=int, default=20,
                      help="number of group-sparsity grid points (default 20)")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: BIVAS_THREADS or all cores)")
+                     help="worker threads (default: BIVAS_THREADS or 1)")
     sub.add_argument("--fdr", type=float, default=0.05,
                      help="local fdr selection threshold (default 0.05)")
     sub.add_argument("--tol", type=float, default=1e-5,
@@ -144,27 +144,28 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _align_predictors(design, names):
-    """Reorder the design's predictor columns to the model's order."""
-    if design.predictor_names == names:
-        return design.X
+def _align_predictors(table, names):
+    """Reorder the table's predictor columns to the model's order."""
+    if table.predictor_names == names:
+        return table.X
     try:
-        order = [design.predictor_names.index(nm) for nm in names]
+        order = [table.predictor_names.index(nm) for nm in names]
     except ValueError as exc:
         raise BivasError(f"new data is missing model predictors: {exc}") \
             from None
-    return design.X[:, order]
+    return table.X[:, order]
 
 
 def cmd_predict(args) -> int:
     model = bio.read_json(args.model)
-    design = bio.load_design(args.data, args.groups, response=args.response,
-                             require_response=False)
-    X = _align_predictors(design, model["predictors"])
+    table = bio.read_design_table(args.data, args.groups,
+                                  response=args.response,
+                                  require_response=False)
+    X = _align_predictors(table, model["predictors"])
     std = model.get("standardize")
     if std is not None:
         X = (X - np.asarray(std["center"])) / np.asarray(std["scale"])
-    yhat = predict(bio.summary_from_model(model), design.Z, X, task=args.task)
+    yhat = predict(bio.summary_from_model(model), table.Z, X, task=args.task)
     bio.write_predictions_csv(args.out, yhat)
     return 0
 

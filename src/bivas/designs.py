@@ -3,8 +3,10 @@
 The two data containers (:class:`GroupedDesign`, :class:`MultiTaskData`) are
 immutable after construction and safe to share across threads.  They cache
 everything the fitting engines read repeatedly: per-column squared norms,
-per-group column blocks in Fortran order, the Gram blocks of each group's
-column tiles (see :class:`GramTile`), and a Cholesky factor of Z'Z.
+per-group column blocks in Fortran order, the Gram blocks of column tiles
+(see :class:`GramTile`; each group's members on a grouped design, the K
+shared features per task on multi-task data), and the Cholesky factor of
+Z'Z (per task on multi-task data).
 :class:`VariationalState` is the single mutable object; one EM run owns one
 state exclusively.
 """
@@ -68,12 +70,12 @@ def _check_z_rank(Z):
 
 
 class GramTile(NamedTuple):
-    """A contiguous run of one group's members and its Gram block.
+    """A contiguous run of columns and its Gram block.
 
-    ``cols`` is an (n, m_t) view of the group's column block and ``gram``
-    is ``cols' cols`` (C order, so its rows are contiguous).  A tile has at
-    most n columns, so its Gram block never holds more numbers than the
-    columns it covers.
+    ``cols`` is an (n, m_t) view of the column block the tile was cut from
+    (a group's block, or a task's X) and ``gram`` is ``cols' cols`` (C
+    order, so its rows are contiguous).  A tile has at most n columns, so
+    its Gram block never holds more numbers than the columns it covers.
     """
 
     members: np.ndarray   # (m_t,) global column indices
@@ -82,10 +84,10 @@ class GramTile(NamedTuple):
 
 
 def _gram_tiles(members, cols, n):
-    """Split a group into ceil(m / n) contiguous tiles of balanced sizes."""
+    """Split m columns into ceil(m / n) contiguous tiles of balanced sizes."""
     m = members.shape[0]
     count = -(-m // n)
-    edges = [i * m // count for i in range(count + 1)]
+    edges = [i * m // count for i in range(count + 1)] if m else []
     tiles = []
     for a, b in zip(edges, edges[1:]):
         block = cols[:, a:b]
@@ -347,6 +349,13 @@ class MultiTaskData:
 
     ``tasks`` is a list of (y_j, Z_j, X_j) triples; column k of every X_j
     is the same conceptual feature, so every X_j must have K columns.
+
+    Cached on construction, per task j: ``xtx[j]`` (squared column norms),
+    the Cholesky factor of Z_j'Z_j and ``task_tiles[j]``, the K features
+    split into ceil(K / min_j n_j) balanced :class:`GramTile` runs of X_j.
+    Every task uses the same tile edges, so ``zip(*task_tiles)`` walks the
+    features tile by tile with one tile per task; task j's Gram blocks
+    hold at most K * min_j n_j numbers, no more than X_j itself.
     """
 
     def __init__(self, tasks, *, predictor_names=None, covariate_names=None):
@@ -391,6 +400,9 @@ class MultiTaskData:
             self.xtx.append(np.einsum("ij,ij->j", X, X))
         self.L = len(tasks)
         self.K = int(K)
+        features = np.arange(self.K)
+        width = min(self.n)
+        self.task_tiles = [_gram_tiles(features, X, width) for X in self.X]
         self.predictor_names = list(predictor_names) if predictor_names is not None \
             else [f"x{k}" for k in range(self.K)]
         self.covariate_names = list(covariate_names) if covariate_names is not None \

@@ -10,8 +10,10 @@ written with ``repr``, which round-trips doubles exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .designs import (
     MultiTaskParams,
     validate_design,
 )
-from .exceptions import DimensionMismatch, NonNumeric
+from .exceptions import DimensionMismatch, NaNPresent, NonNumeric
 from .grid import GridFit, PosteriorSummary, SelectionReport
 
 GROUP_ROW_MARKER = "group"
@@ -61,17 +63,28 @@ def _parse_cell(cell: str, where: str) -> float:
         raise NonNumeric(f"{where}: cannot parse {cell!r} as a number") from None
 
 
-def load_design(data_path: str, groups_path: str | None = None, *,
-                response: str = "y", standardize: bool = False,
-                require_response: bool = True) -> GroupedDesign:
-    """Load a data table plus group declaration into a GroupedDesign.
+class DesignTable(NamedTuple):
+    """A data table split into response, covariates and predictors."""
+
+    y: np.ndarray                 # (n,); zeros when the table has no response
+    Z: np.ndarray                 # (n, r); one intercept column if no covariates
+    X: np.ndarray                 # (n, p)
+    groups: list                  # p raw group labels
+    predictor_names: list
+    covariate_names: list
+
+
+def read_design_table(data_path: str, groups_path: str | None = None, *,
+                      response: str = "y",
+                      require_response: bool = True) -> DesignTable:
+    """Read a data table plus group declaration into numeric blocks.
 
     Columns named in the group declaration become predictors; every other
     non-response column is a covariate.  When no covariate columns exist an
     intercept column of ones is injected.  With ``require_response=False``
     a table without the response column loads with y = 0 (prediction-only
     data; needs the sidecar group map, since the inline marker lives in the
-    response cell).
+    response cell).  Every cell must parse as a finite number.
     """
     header, rows = read_table(data_path)
     resp_idx = header.index(response) if response in header else None
@@ -81,9 +94,11 @@ def load_design(data_path: str, groups_path: str | None = None, *,
         )
 
     inline: dict = {}
+    first_line = 2      # file line of rows[0], for messages
     if resp_idx is not None and rows \
             and rows[0][resp_idx] == GROUP_ROW_MARKER:
         marker_row, rows = rows[0], rows[1:]
+        first_line = 3
         for name, cell in zip(header, marker_row):
             if name != response and cell != "":
                 inline[name] = cell
@@ -109,13 +124,20 @@ def load_design(data_path: str, groups_path: str | None = None, *,
     n = len(rows)
     parsed = np.empty((n, len(header)))
     for i, row in enumerate(rows):
+        where = f"{data_path}: row {i + first_line}"
         if len(row) != len(header):
             raise DimensionMismatch(
-                f"{data_path}: row {i + 2} has {len(row)} cells, "
-                f"expected {len(header)}"
-            )
-        for j, cell in enumerate(row):
-            parsed[i, j] = _parse_cell(cell, f"{data_path}: row {i + 2}")
+                f"{where} has {len(row)} cells, expected {len(header)}")
+        try:
+            parsed[i] = list(map(float, row))
+        except ValueError:
+            for cell in row:
+                _parse_cell(cell, where)
+    if not np.all(np.isfinite(parsed)):
+        i, j = np.argwhere(~np.isfinite(parsed))[0]
+        raise NaNPresent(f"{data_path}: row {i + first_line}, column "
+                         f"{header[j]!r} holds {rows[i][j]!r}, not a finite "
+                         f"number")
 
     y = parsed[:, resp_idx] if resp_idx is not None else np.zeros(n)
     X = parsed[:, [header.index(nm) for nm in pred_names]]
@@ -125,9 +147,18 @@ def load_design(data_path: str, groups_path: str | None = None, *,
         Z = np.ones((n, 1))
         covar_names = ["intercept"]
     groups = [group_label_of[nm] for nm in pred_names]
-    return validate_design(y, Z, X, groups, standardize=standardize,
-                           predictor_names=pred_names,
-                           covariate_names=covar_names)
+    return DesignTable(y, Z, X, groups, pred_names, covar_names)
+
+
+def load_design(data_path: str, groups_path: str | None = None, *,
+                response: str = "y", standardize: bool = False) -> GroupedDesign:
+    """Load a data table plus group declaration (:func:`read_design_table`)
+    into a GroupedDesign."""
+    table = read_design_table(data_path, groups_path, response=response)
+    return validate_design(table.y, table.Z, table.X, table.groups,
+                           standardize=standardize,
+                           predictor_names=table.predictor_names,
+                           covariate_names=table.covariate_names)
 
 
 def load_multitask(paths, *, response: str = "y") -> MultiTaskData:
@@ -137,16 +168,16 @@ def load_multitask(paths, *, response: str = "y") -> MultiTaskData:
     columns are predictors with it); predictor names must agree across
     tasks in the same order.
     """
-    designs = [load_design(p, None, response=response) for p in paths]
-    names = designs[0].predictor_names
-    for d, p in zip(designs, paths):
-        if d.predictor_names != names:
+    tables = [read_design_table(p, None, response=response) for p in paths]
+    names = tables[0].predictor_names
+    for t, p in zip(tables, paths):
+        if t.predictor_names != names:
             raise DimensionMismatch(
                 f"{p}: predictor columns disagree with the first task"
             )
-    tasks = [(d.y, d.Z, d.X) for d in designs]
-    return MultiTaskData(tasks, predictor_names=names,
-                         covariate_names=[d.covariate_names for d in designs])
+    return MultiTaskData([(t.y, t.Z, t.X) for t in tables],
+                         predictor_names=names,
+                         covariate_names=[t.covariate_names for t in tables])
 
 
 def write_design_csv(path: str, design: GroupedDesign, *, response: str = "y"):
@@ -184,6 +215,15 @@ def _standardize_record(design: GroupedDesign):
             "scale": design.x_scale.tolist()}
 
 
+def _to_json(value):
+    """Arrays and lists of arrays as nested lists; scalars unchanged."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_to_json(v) for v in value]
+    return value
+
+
 def model_to_dict(gridfit: GridFit, summary: PosteriorSummary,
                   design, options: dict) -> dict:
     """JSON-ready model artifact: aggregated parameters, grid table and the
@@ -194,52 +234,25 @@ def model_to_dict(gridfit: GridFit, summary: PosteriorSummary,
         for pi, e, w, res in zip(gridfit.pi_values, gridfit.elbos,
                                  gridfit.weights, gridfit.results)
     ]
-    if gridfit.multitask:
-        p = summary.params
-        return {
-            "model": "multitask",
-            "options": options,
-            "grid": grid_table,
-            "params": {
-                "alpha": p.alpha,
-                "pi": p.pi,
-                "sigma_beta2": p.sigma_beta2.tolist(),
-                "sigma_e2": p.sigma_e2.tolist(),
-                "omega": [w.tolist() for w in p.omega],
-            },
-            "predictors": design.predictor_names,
-            "covariates": design.covariate_names,
-            "posterior": {
-                "pi_tilde": summary.pi_tilde.tolist(),
-                "alpha_tilde": summary.alpha_tilde.tolist(),
-                "mu_tilde": summary.mu_tilde.tolist(),
-                "effect": summary.effect.tolist(),
-            },
-        }
     p = summary.params
-    return {
-        "model": "group",
+    model = {
+        "model": "multitask" if gridfit.multitask else "group",
         "options": options,
         "grid": grid_table,
-        "params": {
-            "alpha": p.alpha,
-            "pi": p.pi,
-            "sigma_beta2": p.sigma_beta2,
-            "sigma_e2": p.sigma_e2,
-            "omega": p.omega.tolist(),
-        },
+        "params": {f.name: _to_json(getattr(p, f.name))
+                   for f in dataclasses.fields(p)},
         "predictors": design.predictor_names,
         "covariates": design.covariate_names,
-        "group_labels": [str(lab) for lab in design.group_labels],
-        "group_of": design.group_of.tolist(),
-        "standardize": _standardize_record(design),
-        "posterior": {
-            "pi_tilde": summary.pi_tilde.tolist(),
-            "alpha_tilde": summary.alpha_tilde.tolist(),
-            "mu_tilde": summary.mu_tilde.tolist(),
-            "effect": summary.effect.tolist(),
-        },
     }
+    if not gridfit.multitask:
+        model["group_labels"] = [str(lab) for lab in design.group_labels]
+        model["group_of"] = design.group_of.tolist()
+        model["standardize"] = _standardize_record(design)
+    model["posterior"] = {
+        name: getattr(summary, name).tolist()
+        for name in ("pi_tilde", "alpha_tilde", "mu_tilde", "effect")
+    }
+    return model
 
 
 def summary_from_model(model: dict) -> PosteriorSummary:

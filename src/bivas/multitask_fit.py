@@ -45,50 +45,82 @@ def mt_estep_sweep(state: MtVariationalState, data: MultiTaskData,
     """One coordinate sweep: per feature, update every task then pi_k.
 
     A feature contributes a single column per task, so the slab-mean
-    numerator reduces to x'r_j + pi_k alpha_jk mu_jk x'x against the
-    maintained per-task residual; there is no within-group same-task
-    coupling to subtract.
+    numerator is x_k'r_j + b_jk x_k'x_k against task j's residual r_j,
+    where b_j = pi alpha_j mu_j are the task's weighted coefficients;
+    there is no within-group same-task coupling to subtract.  The sweep
+    runs over the shared feature tiles of :attr:`MultiTaskData.task_tiles`
+    (the "covariance update" of :func:`~bivas.group_fit.estep_sweep`).
+    For each tile t, with task j's columns X_jt, Gram block G_jt and
+    tile-start coefficients b_j_start,
+
+        c_j = X_jt' r_j + G_jt b_j_start
+
+    is formed once per task, and the numerator of feature k in task j is
+
+        c_j[k] - G_jt[k] . b_j + b_j[k] x_k'x_k,
+
+    a dot product of length m_t over the tile's current b_j.  The pi_k
+    update only rewrites b_j[k] = pi_k alpha_kj mu_kj, and after the tile
+    r_j -= X_jt (b_j - b_j_start) in one gemv per task.
     """
     logit_alpha = _logit(params.alpha)
     logit_pi = _logit(params.pi)
-    L, K = data.L, data.K
+    sigma_e2 = params.sigma_e2.tolist()
+    tasks = range(data.L)
 
-    s2 = state.s2
-    s2[:] = mt_slab_variances(data, params)
+    s2 = mt_slab_variances(data, params)
+    state.s2[:] = s2
     log_ratio = np.log(s2 / params.sigma_beta2[None, :])
+    xtx = np.stack(data.xtx, axis=1)
 
     mu = state.mu
     ajk = state.alpha_jk
     pi_k = state.pi_k
 
-    for k in range(K):
-        pk = pi_k[k]
-        for j in range(L):
-            col = data.X[j][:, k]
-            r = state.residual[j]
-            xtx = data.xtx[j][k]
-            w_old = ajk[k, j] * mu[k, j]
-            num = (col @ r) + pk * w_old * xtx
-            mu_new = num * s2[k, j] / params.sigma_e2[j] if xtx > 0.0 else 0.0
-            v = logit_alpha + 0.5 * pk * (log_ratio[k, j]
-                                          + mu_new * mu_new / s2[k, j])
-            a_new = sigmoid(v)
-            mu[k, j] = mu_new
-            ajk[k, j] = a_new
-            delta = a_new * mu_new - w_old
-            if delta != 0.0:
-                r -= (pk * delta) * col
-
-        bracket = log_ratio[k, :] + mu[k, :] ** 2 / s2[k, :]
-        u = logit_pi + 0.5 * float(ajk[k, :] @ bracket)
-        p_new = sigmoid(u)
-        dpi = p_new - pk
-        if dpi != 0.0:
-            for j in range(L):
-                w = ajk[k, j] * mu[k, j]
-                if w != 0.0:
-                    state.residual[j] -= (dpi * w) * data.X[j][:, k]
-        pi_k[k] = p_new
+    for tiles in zip(*data.task_tiles):
+        members = tiles[0].members
+        b_tile = pi_k[members, None] * (ajk[members] * mu[members])
+        b_start = [b_tile[:, j].copy() for j in tasks]
+        b = [bs.copy() for bs in b_start]
+        c = [(tile.cols.T @ state.residual[j] + tile.gram @ b_start[j]).tolist()
+             for j, tile in enumerate(tiles)]
+        b_t = b_tile.tolist()    # b_j[k] until feature k's own update
+        x2_t = xtx[members].tolist()
+        s2_t = s2[members].tolist()
+        lr_t = log_ratio[members].tolist()
+        pi_t = pi_k[members].tolist()
+        mu_t = []
+        a_t = []
+        for kk, g_rows in enumerate(zip(*(tile.gram for tile in tiles))):
+            pk = pi_t[kk]
+            b_k, x2_k, s2_k, lr_k = b_t[kk], x2_t[kk], s2_t[kk], lr_t[kk]
+            mu_k = []
+            a_k = []
+            bracket_sum = 0.0    # sum_j alpha_kj (log(s^2/sigma_beta2) + mu^2/s^2)
+            for j in tasks:
+                x2 = x2_k[j]
+                s2_j = s2_k[j]
+                if x2 > 0.0:
+                    num = c[j][kk] - float(g_rows[j].dot(b[j])) + b_k[j] * x2
+                    mu_new = num * s2_j / sigma_e2[j]
+                else:
+                    mu_new = 0.0
+                bracket = lr_k[j] + mu_new * mu_new / s2_j
+                a_new = sigmoid(logit_alpha + 0.5 * pk * bracket)
+                mu_k.append(mu_new)
+                a_k.append(a_new)
+                bracket_sum += a_new * bracket
+            p_new = sigmoid(logit_pi + 0.5 * bracket_sum)
+            for j in tasks:
+                b[j][kk] = p_new * (a_k[j] * mu_k[j])
+            pi_t[kk] = p_new
+            mu_t.append(mu_k)
+            a_t.append(a_k)
+        mu[members] = mu_t
+        ajk[members] = a_t
+        pi_k[members] = pi_t
+        for j, tile in enumerate(tiles):
+            state.residual[j] -= tile.cols @ (b[j] - b_start[j])
 
     return state
 

@@ -137,6 +137,40 @@ class TestGramTiles:
         assert other.group_tiles is d.group_tiles
 
 
+class TestMultiTaskTiles:
+    def test_shared_edges_and_exact_grams(self):
+        rng = np.random.default_rng(10)
+        K = 23
+        tasks = [(rng.standard_normal(n), np.ones((n, 1)),
+                  rng.standard_normal((n, K))) for n in (9, 6, 12)]
+        data = MultiTaskData(tasks)
+        width = min(data.n)
+        assert len(data.task_tiles) == data.L
+        edges = [[t.members for t in tiles] for tiles in data.task_tiles]
+        assert len(edges[0]) == -(-K // width)
+        for other in edges[1:]:
+            assert len(other) == len(edges[0])
+            for a, b in zip(other, edges[0]):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(np.concatenate(edges[0]), np.arange(K))
+        widths = [m.shape[0] for m in edges[0]]
+        assert max(widths) <= width and max(widths) - min(widths) <= 1
+        for X, tiles in zip(data.X, data.task_tiles):
+            for t in tiles:
+                assert np.shares_memory(t.cols, X)
+                np.testing.assert_array_equal(t.cols, X[:, t.members])
+                np.testing.assert_allclose(t.gram, t.cols.T @ t.cols,
+                                           rtol=1e-14, atol=1e-14)
+            # no task's Gram blocks outgrow K * min n_j numbers
+            assert sum(t.gram.size for t in tiles) <= K * width
+
+    def test_no_features_no_tiles(self):
+        rng = np.random.default_rng(11)
+        data = MultiTaskData([(rng.standard_normal(5), np.ones((5, 1)),
+                               np.empty((5, 0)))])
+        assert data.task_tiles == [[]]
+
+
 class TestModelParams:
     def test_clamps_and_floors(self):
         p = ModelParams(alpha=0.0, pi=1.0, sigma_beta2=0.0, sigma_e2=-1.0,

@@ -176,3 +176,21 @@ class TestSummaryFromModel:
                                           snr=2.0, seed=32))
         got, want = self._round_trip(data, {"tasks": 2})
         self._assert_same(got, want)
+
+    def test_artifact_key_order(self):
+        design, _ = simulate_dataset(SimConfig(n=40, p=8, K=4, seed=33))
+        data, _ = gen_multitask(SimConfig(n=[30, 25], p=6, K=6, seed=34))
+        params = ["alpha", "pi", "sigma_beta2", "sigma_e2", "omega"]
+        posterior = ["pi_tilde", "alpha_tilde", "mu_tilde", "effect"]
+        head = ["model", "options", "grid", "params", "predictors",
+                "covariates"]
+        for d, kind, extra in (
+                (design, "group", ["group_labels", "group_of", "standardize"]),
+                (data, "multitask", [])):
+            fit = run_grid(d, make_pi_grid(d.K, 2), EmOptions())
+            model = bio.model_to_dict(fit, aggregate(fit), d, {})
+            assert model["model"] == kind
+            assert list(model) == head + extra + ["posterior"]
+            assert list(model["params"]) == params
+            assert list(model["posterior"]) == posterior
+            json.dumps(model)    # plain JSON types only

@@ -102,9 +102,27 @@ class TestMtEstep:
         assert np.all(state.alpha_jk < 1e-9)
         np.testing.assert_allclose(state.pi_k, 0.27, atol=1e-9)
 
+    @staticmethod
+    def _wide_tasks(rng, sizes, K):
+        """Tasks of unequal n with K > min n (several tiles), one of them
+        with a zero-norm column."""
+        tasks = []
+        for j, n in enumerate(sizes):
+            X = rng.standard_normal((n, K))
+            if j == 1:
+                X[:, K // 2] = 0.0
+            y = X @ (rng.standard_normal(K) * (rng.random(K) < 0.3)) \
+                + rng.standard_normal(n)
+            tasks.append((y, np.ones((n, 1)), X))
+        return MultiTaskData(tasks)
+
     def test_matches_direct_formula(self, rng):
-        for _ in range(4):
-            data = random_multitask(rng, L=3, K=5, n_range=(8, 13))
+        draws = [random_multitask(rng, L=3, K=5, n_range=(8, 13))
+                 for _ in range(4)]
+        draws += [self._wide_tasks(rng, (9, 13, 7), 31),
+                  self._wide_tasks(rng, (12, 8), 17)]
+        assert all(data.K > min(data.n) for data in draws[4:])
+        for data in draws:
             params = mt_initial_params(data, pi=float(rng.uniform(0.2, 0.6)))
             state = MtVariationalState.initial(data, params)
             state.mu[:] = 0.4 * rng.standard_normal((data.K, data.L))
@@ -118,6 +136,12 @@ class TestMtEstep:
                               (state.s2, reference.s2),
                               (state.alpha_jk, reference.alpha_jk),
                               (state.pi_k, reference.pi_k)):
+                scale = 1.0 + np.abs(want).max()
+                assert np.abs(got - want).max() / scale < 1e-10
+            # the residuals the sweep maintained equal a fresh recompute
+            incremental = [r.copy() for r in state.residual]
+            mt_refresh_residual(state, data, params)
+            for got, want in zip(incremental, state.residual):
                 scale = 1.0 + np.abs(want).max()
                 assert np.abs(got - want).max() / scale < 1e-10
 
