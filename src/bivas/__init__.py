@@ -13,7 +13,7 @@ Typical use::
 
     design, truth = simulate.simulate_dataset(simulate.SimConfig(
         n=500, p=1000, K=50, snr=2.0, seed=1))
-    fit = run_grid(design, make_pi_grid(design.K, 20), threads=4)
+    fit = run_grid(design, make_pi_grid(design.K, 20))
     summary = aggregate(fit)
     report = select(summary, threshold=0.05)
 """

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io as bio
 from .designs import GroupedDesign
-from .exceptions import BivasError, InvalidCount, InvalidThreshold
+from .exceptions import BivasError, InvalidCount, InvalidThreshold, NonNumeric
 from .grid import GridFit, aggregate, make_pi_grid, predict, run_grid, select
 from .group_fit import EmOptions
 from .metrics import auc, coef_mse, fdr_power
@@ -109,14 +109,33 @@ def cmd_multifit(args) -> int:
     return 0
 
 
+def _simulate_settings(args) -> list[int]:
+    """Check the simulate flags before ``--out`` is created (SimConfig's
+    own checks raise ValueErrors, and later); returns the sample sizes."""
+    try:
+        sizes = [int(v) for v in str(args.n).split(",")]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 2:
+        raise BivasError(f"--n must be integers >= 2, got {args.n!r}")
+    if args.k_groups < 1:
+        raise InvalidCount(f"--k-groups must be >= 1, got {args.k_groups}")
+    if len(sizes) == 1 and (args.p < 1 or args.p % args.k_groups):
+        raise BivasError(f"--p must be a positive multiple of --k-groups, "
+                         f"got {args.p}")
+    for flag, value, ok, bounds in (
+            ("--rho", args.rho, -1.0 < args.rho < 1.0, "(-1, 1)"),
+            ("--snr", args.snr, args.snr > 0.0, "(0, inf)"),
+            ("--pi", args.pi, 0.0 <= args.pi <= 1.0, "[0, 1]"),
+            ("--alpha", args.alpha, 0.0 <= args.alpha <= 1.0, "[0, 1]")):
+        if not ok:
+            raise BivasError(f"{flag} must lie in {bounds}, got {value}")
+    return sizes
+
+
 def cmd_simulate(args) -> int:
-    # SimConfig checks these too, but as ValueErrors and after --out exists
-    if not -1.0 < args.rho < 1.0:
-        raise BivasError(f"--rho must lie in (-1, 1), got {args.rho}")
-    if not args.snr > 0.0:
-        raise BivasError(f"--snr must be > 0, got {args.snr}")
+    sizes = _simulate_settings(args)
     os.makedirs(args.out, exist_ok=True)
-    sizes = [int(v) for v in str(args.n).split(",")]
     if len(sizes) > 1:
         cfg = SimConfig(n=sizes, p=args.k_groups, K=args.k_groups,
                         rho=args.rho, pi_true=args.pi, alpha_true=args.alpha,
@@ -157,7 +176,7 @@ def _align_predictors(table, names):
 
 
 def cmd_predict(args) -> int:
-    model = bio.read_json(args.model)
+    model = bio.read_model(args.model)
     table = bio.read_design_table(args.data, args.groups,
                                   response=args.response,
                                   require_response=False)
@@ -171,10 +190,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = bio.read_json(os.path.join(args.fit, "model.json"))
+    model = bio.read_model(os.path.join(args.fit, "model.json"))
     summary = bio.summary_from_model(model)
-    selection = bio.read_json(os.path.join(args.fit, "selection.json"))
-    truth = bio.read_json(args.truth)
+    selection_path = os.path.join(args.fit, "selection.json")
+    selection = bio.read_json(selection_path, ("variables",))
+    for v in selection["variables"]:
+        bio.require_keys(selection_path, v, ("predictor", "task")
+                         if summary.multitask else ("predictor",), "variables[].")
+    truth = bio.read_json(args.truth, ("coef", "eta"))
     coef = np.asarray(truth["coef"], float)
     eta = np.asarray(truth["eta"], float)
     pi_tilde, effect = summary.pi_tilde, summary.effect
@@ -215,12 +238,18 @@ def cmd_report(args) -> int:
     order: list[str] = []
     for path in args.metrics:
         with open(path, newline="") as fh:
-            for row in _csv.DictReader(fh):
+            reader = _csv.DictReader(fh)
+            for row in reader:
                 for key, val in row.items():
                     if key not in values:
                         values[key] = []
                         order.append(key)
-                    values[key].append(float(val))
+                    try:
+                        values[key].append(float(val))
+                    except (TypeError, ValueError):
+                        raise NonNumeric(
+                            f"{path}: line {reader.line_num}, column {key!r} "
+                            f"holds {val!r}, not a number") from None
     with open(args.out, "w", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["metric", "mean", "sd", "n"])

@@ -310,19 +310,12 @@ class VariationalState:
                                 self.residual, self.group_fit)
 
 
-def slab_variances(data: GroupedDesign, params: ModelParams):
+def slab_variances(data, params):
     """s_jk^2 = sigma_e^2 / (x'x + sigma_e^2 / sigma_beta^2), with the
-    zero-norm-column limit s^2 = sigma_beta^2."""
+    zero-norm-column limit s^2 = sigma_beta^2.  On multi-task data ``xtx``
+    is (K, L) and column j takes task j's variances by broadcasting."""
     denom = data.xtx + params.sigma_e2 / params.sigma_beta2
     return np.where(data.xtx > 0.0, params.sigma_e2 / denom, params.sigma_beta2)
-
-
-def mt_slab_variances(data: MultiTaskData, params: MultiTaskParams):
-    """Per-task :func:`slab_variances`, shape (K, L): column j uses task j's
-    squared norms and variances."""
-    xtx = np.stack(data.xtx, axis=1)
-    denom = xtx + params.sigma_e2 / params.sigma_beta2
-    return np.where(xtx > 0.0, params.sigma_e2 / denom, params.sigma_beta2)
 
 
 def refresh_residual(state: VariationalState, data: GroupedDesign,
@@ -350,9 +343,11 @@ class MultiTaskData:
     ``tasks`` is a list of (y_j, Z_j, X_j) triples; column k of every X_j
     is the same conceptual feature, so every X_j must have K columns.
 
-    Cached on construction, per task j: ``xtx[j]`` (squared column norms),
-    the Cholesky factor of Z_j'Z_j and ``task_tiles[j]``, the K features
-    split into ceil(K / min_j n_j) balanced :class:`GramTile` runs of X_j.
+    Cached on construction: ``xtx``, the (K, L) squared column norms
+    (column j for task j, the layout of the (K, L) state arrays), and per
+    task j the Cholesky factor of Z_j'Z_j and ``task_tiles[j]``, the K
+    features split into ceil(K / min_j n_j) balanced :class:`GramTile` runs
+    of X_j.
     Every task uses the same tile edges, so ``zip(*task_tiles)`` walks the
     features tile by tile with one tile per task; task j's Gram blocks
     hold at most K * min_j n_j numbers, no more than X_j itself.
@@ -367,7 +362,6 @@ class MultiTaskData:
         self.n = []
         self.r = []
         self._z_cho = []
-        self.xtx = []
         K = None
         for t, (y, Z, X) in enumerate(tasks):
             y = _as_float_array(y, f"y[{t}]").ravel()
@@ -397,9 +391,10 @@ class MultiTaskData:
                 self._z_cho.append(_check_z_rank(Z))
             except RankDeficientZ as exc:
                 raise RankDeficientZ(f"task {t}: {exc}") from None
-            self.xtx.append(np.einsum("ij,ij->j", X, X))
         self.L = len(tasks)
         self.K = int(K)
+        self.xtx = np.stack([np.einsum("ij,ij->j", X, X) for X in self.X],
+                            axis=1)
         features = np.arange(self.K)
         width = min(self.n)
         self.task_tiles = [_gram_tiles(features, X, width) for X in self.X]
@@ -450,7 +445,7 @@ class MtVariationalState:
         K, L = data.K, data.L
         return cls(
             mu=np.zeros((K, L)),
-            s2=mt_slab_variances(data, params),
+            s2=slab_variances(data, params),
             alpha_jk=np.full((K, L), params.alpha),
             pi_k=np.full(K, params.pi),
             residual=[data.y[j] - data.Z[j] @ params.omega[j] for j in range(L)],

@@ -74,23 +74,28 @@ class EmResult:
     converged: bool
 
 
-def initial_params(data: GroupedDesign, pi: float, alpha: float = 0.1) -> ModelParams:
-    """Deterministic, scale-aware starting parameters.
+def _ols_start(y, Z, solve, xtx, pi, alpha):
+    """One task's start -> (omega, sigma_e2, sigma_beta2).
 
-    Fixed effects start at their OLS fit, the noise variance at the OLS
-    residual variance, and the slab variance is sized so the prior explained
-    variance pi * alpha * sigma_beta2 * sum(x'x) / n is of order var(y).
+    Fixed effects start at their OLS fit (``solve`` applies (Z'Z)^-1), the
+    noise variance at the OLS residual variance, and the slab variance is
+    sized so the prior explained variance pi * alpha * sigma_beta2 *
+    sum(x'x) / n is of order var(y).
     """
-    omega = data.solve_z_gram(data.Z.T @ data.y)
-    resid = data.y - data.Z @ omega
-    sigma_e2 = float(np.var(resid))
+    omega = solve(Z.T @ y)
+    sigma_e2 = float(np.var(y - Z @ omega))
     if sigma_e2 <= 0.0:
         sigma_e2 = 1e-6
-    sum_xtx = float(data.xtx.sum())
+    sum_xtx = float(xtx.sum())
     if sum_xtx > 0.0:
-        sigma_beta2 = sigma_e2 * data.n / (pi * alpha * sum_xtx)
-    else:
-        sigma_beta2 = sigma_e2
+        return omega, sigma_e2, sigma_e2 * y.shape[0] / (pi * alpha * sum_xtx)
+    return omega, sigma_e2, sigma_e2
+
+
+def initial_params(data: GroupedDesign, pi: float, alpha: float = 0.1) -> ModelParams:
+    """Deterministic, scale-aware starting parameters (:func:`_ols_start`)."""
+    omega, sigma_e2, sigma_beta2 = _ols_start(data.y, data.Z, data.solve_z_gram,
+                                              data.xtx, pi, alpha)
     return ModelParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
                        sigma_e2=sigma_e2, omega=omega)
 
@@ -222,81 +227,95 @@ def within_group_cross(state: VariationalState, data: GroupedDesign) -> float:
     return cross
 
 
+def _moments(state, pi_of):
+    """Per-coefficient moments under q: pa = E[eta gamma], pw = E[eta gamma
+    beta], the slab's second moment s2 + mu^2, and s2; ``pi_of`` holds
+    each coefficient's pi_k."""
+    a, mu, s2 = state.alpha_jk, state.mu, state.s2
+    return pi_of * a, pi_of * (a * mu), s2 + mu ** 2, s2
+
+
+def _expected_sse(y, Z, omega, fit, xtx, moments, cross):
+    """One task's E||y - Z omega - X (eta gamma beta)||^2, ``fit`` = X pw:
+    the squared residual, the variance correction and the within-group
+    cross term (:func:`within_group_cross`; 0 for singleton groups)."""
+    pa, pw, second_moment, _ = moments
+    resid = y - Z @ omega - fit
+    var_term = float(((pa * second_moment - pw ** 2) * xtx).sum())
+    return float(resid @ resid) + var_term + cross
+
+
+def _task_bound(y, Z, X, xtx, omega, sigma_e2, sigma_beta2, moments,
+                cross=0.0):
+    """One task's bound terms: the Gaussian data term, the slab prior over
+    E[beta^2] and the Gaussian entropy block, whose log(2 pi sigma_beta2)
+    normalizers cancel to p/2."""
+    pa, pw, second_moment, s2 = moments
+    n, p = X.shape
+    out = -0.5 * n * (LOG_2PI + math.log(sigma_e2))
+    out -= 0.5 * _expected_sse(y, Z, omega, X @ pw, xtx, moments, cross) / sigma_e2
+    e_beta2 = pa * second_moment + (1.0 - pa) * sigma_beta2
+    out -= 0.5 * float(e_beta2.sum()) / sigma_beta2
+    out += 0.5 * float((pa * np.log(s2 / sigma_beta2)).sum())
+    return out + 0.5 * p
+
+
+def _indicator_kl(state, params) -> float:
+    """KL terms of both indicator levels (factors clamped away from 0/1)."""
+    out = 0.0
+    for q, prior in ((state.alpha_jk, params.alpha), (state.pi_k, params.pi)):
+        out += float((q * (math.log(prior) - np.log(q))).sum())
+        out += float(((1.0 - q) * (math.log1p(-prior) - np.log1p(-q))).sum())
+    return out
+
+
+def _task_mstep(y, Z, X, solve, xtx, moments, sigma_beta2, cross=0.0):
+    """One task's closed-form updates -> (omega, sigma_e2, sigma_beta2).
+
+    Fixed effects go first so the noise update sees the new residual; each
+    update is exactly stationary for the bound.  sigma_beta2 is kept when
+    no coefficient carries inclusion mass.
+    """
+    pa, pw, second_moment, _ = moments
+    fit = X @ pw
+    omega = solve(Z.T @ (y - fit))
+    sigma_e2 = _expected_sse(y, Z, omega, fit, xtx, moments, cross) / y.shape[0]
+    pa_sum = float(pa.sum())
+    if pa_sum > 0.0:
+        sigma_beta2 = float((pa * second_moment).sum()) / pa_sum
+    return omega, sigma_e2, sigma_beta2
+
+
+def _prior_means(state, params, fix_pi: bool):
+    """alpha and pi updated to the means of alpha_jk and pi_k; each keeps
+    its value when its array is empty, and pi also when ``fix_pi``."""
+    alpha = float(state.alpha_jk.mean()) if state.alpha_jk.size else params.alpha
+    pi = params.pi if fix_pi or not state.pi_k.size else float(state.pi_k.mean())
+    return alpha, pi
+
+
 def elbo(state: VariationalState, data: GroupedDesign,
          params: ModelParams) -> float:
-    """Evidence lower bound, evaluated from scratch (pure function).
-
-    The bound is the Gaussian data term at the probability-weighted fit,
-    minus per-coefficient variance corrections and the within-group
-    cross-coupling term, minus the slab prior cost, plus the KL terms of
-    both indicator levels and the Gaussian entropy block.
-    """
-    p, n = data.p, data.n
-    pa_group = state.pi_k[data.group_of]
-    pa = pa_group * state.alpha_jk
-    w = state.alpha_jk * state.mu
-    pw = pa_group * w
-    second_moment = state.s2 + state.mu ** 2
-
-    resid = data.y - data.Z @ params.omega - data.X @ pw
-    out = -0.5 * n * (LOG_2PI + math.log(params.sigma_e2))
-    out -= 0.5 * float(resid @ resid) / params.sigma_e2
-
-    # Var[eta gamma beta] per coefficient
-    var_term = float(((pa * second_moment - pw ** 2) * data.xtx).sum())
-    out -= 0.5 * var_term / params.sigma_e2
-
-    out -= 0.5 * within_group_cross(state, data) / params.sigma_e2
-
-    # slab prior over E[beta^2]
-    e_beta2 = pa * second_moment + (1.0 - pa) * params.sigma_beta2
-    out -= 0.5 * p * (LOG_2PI + math.log(params.sigma_beta2))
-    out -= 0.5 * float(e_beta2.sum()) / params.sigma_beta2
-
-    # KL terms of the two indicator levels (all factors clamped away from 0/1)
-    a = state.alpha_jk
-    out += float((a * (math.log(params.alpha) - np.log(a))).sum())
-    out += float(((1.0 - a) * (math.log1p(-params.alpha) - np.log1p(-a))).sum())
-    pk = state.pi_k
-    out += float((pk * (math.log(params.pi) - np.log(pk))).sum())
-    out += float(((1.0 - pk) * (math.log1p(-params.pi) - np.log1p(-pk))).sum())
-
-    # Gaussian entropy block
-    out += 0.5 * float((pa * np.log(state.s2 / params.sigma_beta2)).sum())
-    out += 0.5 * p * (math.log(params.sigma_beta2) + 1.0 + LOG_2PI)
-    return out
+    """Evidence lower bound, evaluated from scratch (pure function): one
+    task's terms (:func:`_task_bound`, with the within-group cross term)
+    plus the indicator KL terms."""
+    return _task_bound(data.y, data.Z, data.X, data.xtx, params.omega,
+                       params.sigma_e2, params.sigma_beta2,
+                       _moments(state, state.pi_k[data.group_of]),
+                       within_group_cross(state, data)) \
+        + _indicator_kl(state, params)
 
 
 def mstep_update(state: VariationalState, data: GroupedDesign,
                  params: ModelParams, opts: EmOptions) -> ModelParams:
-    """Closed-form parameter updates at the current variational state.
-
-    Fixed effects are updated first so the noise-variance update sees the
-    new residual; each update is then exactly stationary for the bound.
-    """
-    w = state.alpha_jk * state.mu
-    pa_group = state.pi_k[data.group_of]
-    pw = pa_group * w
-    fit = data.X @ pw
-
-    omega = data.solve_z_gram(data.Z.T @ (data.y - fit))
-    resid = data.y - data.Z @ omega - fit
-
-    pa = pa_group * state.alpha_jk
-    second_moment = state.s2 + state.mu ** 2
-    var_term = float(((pa * second_moment - pw ** 2) * data.xtx).sum())
-    cross = within_group_cross(state, data)
-    sigma_e2 = (float(resid @ resid) + var_term + cross) / data.n
-
-    pa_sum = float(pa.sum())
-    if pa_sum > 0.0:
-        sigma_beta2 = float((pa * second_moment).sum()) / pa_sum
-    else:
-        sigma_beta2 = params.sigma_beta2
-
-    alpha = params.alpha if data.p == 0 else float(state.alpha_jk.mean())
-    pi = params.pi if opts.fix_pi or data.K == 0 else float(state.pi_k.mean())
-
+    """Closed-form parameter updates at the current variational state:
+    one task's (:func:`_task_mstep`, with the within-group cross term) and
+    the priors' (:func:`_prior_means`)."""
+    omega, sigma_e2, sigma_beta2 = _task_mstep(
+        data.y, data.Z, data.X, data.solve_z_gram, data.xtx,
+        _moments(state, state.pi_k[data.group_of]), params.sigma_beta2,
+        within_group_cross(state, data))
+    alpha, pi = _prior_means(state, params, opts.fix_pi)
     return ModelParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
                        sigma_e2=sigma_e2, omega=omega)
 

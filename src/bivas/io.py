@@ -24,7 +24,7 @@ from .designs import (
     MultiTaskParams,
     validate_design,
 )
-from .exceptions import DimensionMismatch, NaNPresent, NonNumeric
+from .exceptions import BivasError, DimensionMismatch, NaNPresent, NonNumeric
 from .grid import GridFit, PosteriorSummary, SelectionReport
 
 GROUP_ROW_MARKER = "group"
@@ -276,9 +276,37 @@ def write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def read_json(path: str) -> dict:
+def require_keys(path: str, obj, keys, where: str = ""):
+    """Raise a one-line error naming ``path`` and the first of ``keys``
+    that the JSON object ``obj`` (at ``where`` in the file) lacks."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise BivasError(f"{path}: missing key '{where}{key}'")
+
+
+def read_json(path: str, required=()) -> dict:
+    """Read a JSON file whose top-level object must hold ``required``."""
     with open(path) as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    require_keys(path, payload, required)
+    return payload
+
+
+def read_model(path: str) -> dict:
+    """Read a ``model.json``, checking every key that
+    :func:`summary_from_model` and the CLI read from it."""
+    model = read_json(path, ("model", "params", "posterior", "predictors"))
+    multitask = model["model"] == "multitask"
+    require_keys(path, model, () if multitask else ("group_of",))
+    params = MultiTaskParams if multitask else ModelParams
+    require_keys(path, model["params"],
+                 [f.name for f in dataclasses.fields(params)], "params.")
+    require_keys(path, model["posterior"],
+                 ("pi_tilde", "alpha_tilde", "mu_tilde", "effect"), "posterior.")
+    if model.get("standardize") is not None:
+        require_keys(path, model["standardize"], ("center", "scale"),
+                     "standardize.")
+    return model
 
 
 def write_posterior_csv(path: str, summary: PosteriorSummary, design):

@@ -7,7 +7,7 @@ exactly with the grouped engine on a design of singleton groups.
 """
 from __future__ import annotations
 
-import math
+from functools import partial
 
 import numpy as np
 
@@ -16,28 +16,32 @@ from .designs import (
     MultiTaskData,
     MultiTaskParams,
     mt_refresh_residual,
-    mt_slab_variances,
+    slab_variances,
 )
-from .group_fit import LOG_2PI, EmOptions, EmResult, _logit, run_em, sigmoid
+from .group_fit import (
+    EmOptions,
+    EmResult,
+    _indicator_kl,
+    _logit,
+    _moments,
+    _ols_start,
+    _prior_means,
+    _task_bound,
+    _task_mstep,
+    run_em,
+    sigmoid,
+)
 
 
 def mt_initial_params(data: MultiTaskData, pi: float,
                       alpha: float = 0.1) -> MultiTaskParams:
-    """Per-task OLS start mirroring the grouped initializer."""
-    omegas, sigma_e2, sigma_beta2 = [], [], []
-    for j in range(data.L):
-        w = data.solve_z_gram(j, data.Z[j].T @ data.y[j])
-        resid = data.y[j] - data.Z[j] @ w
-        se2 = float(np.var(resid))
-        if se2 <= 0.0:
-            se2 = 1e-6
-        sum_xtx = float(data.xtx[j].sum())
-        sb2 = se2 * data.n[j] / (pi * alpha * sum_xtx) if sum_xtx > 0.0 else se2
-        omegas.append(w)
-        sigma_e2.append(se2)
-        sigma_beta2.append(sb2)
+    """The grouped engine's OLS start (:func:`~bivas.group_fit._ols_start`)
+    in every task."""
+    omega, sigma_e2, sigma_beta2 = zip(*(
+        _ols_start(data.y[j], data.Z[j], partial(data.solve_z_gram, j),
+                   data.xtx[:, j], pi, alpha) for j in range(data.L)))
     return MultiTaskParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
-                           sigma_e2=sigma_e2, omega=omegas)
+                           sigma_e2=sigma_e2, omega=list(omega))
 
 
 def mt_estep_sweep(state: MtVariationalState, data: MultiTaskData,
@@ -68,10 +72,10 @@ def mt_estep_sweep(state: MtVariationalState, data: MultiTaskData,
     sigma_e2 = params.sigma_e2.tolist()
     tasks = range(data.L)
 
-    s2 = mt_slab_variances(data, params)
+    s2 = slab_variances(data, params)
     state.s2[:] = s2
     log_ratio = np.log(s2 / params.sigma_beta2[None, :])
-    xtx = np.stack(data.xtx, axis=1)
+    xtx = data.xtx
 
     mu = state.mu
     ajk = state.alpha_jk
@@ -125,75 +129,40 @@ def mt_estep_sweep(state: MtVariationalState, data: MultiTaskData,
     return state
 
 
+def _task_moments(state: MtVariationalState):
+    """Each task's column of the coefficient moments
+    (:func:`~bivas.group_fit._moments`)."""
+    moments = _moments(state, state.pi_k[:, None])
+    return [[m[:, j] for m in moments] for j in range(state.mu.shape[1])]
+
+
 def mt_elbo(state: MtVariationalState, data: MultiTaskData,
             params: MultiTaskParams) -> float:
-    """Multi-task evidence lower bound, evaluated from scratch."""
-    K, L = data.K, data.L
-    p = K * L
-    pa = state.pi_k[:, None] * state.alpha_jk          # (K, L)
-    w = state.alpha_jk * state.mu
-    pw = state.pi_k[:, None] * w
-    second_moment = state.s2 + state.mu ** 2
-
-    out = 0.0
-    for j in range(L):
-        se2 = params.sigma_e2[j]
-        resid = data.y[j] - data.Z[j] @ params.omega[j] - data.X[j] @ pw[:, j]
-        out -= 0.5 * data.n[j] * (LOG_2PI + math.log(se2))
-        out -= 0.5 * float(resid @ resid) / se2
-        var_term = float(((pa[:, j] * second_moment[:, j] - pw[:, j] ** 2)
-                          * data.xtx[j]).sum())
-        out -= 0.5 * var_term / se2
-
-    for j in range(L):
-        sb2 = params.sigma_beta2[j]
-        e_beta2 = pa[:, j] * second_moment[:, j] + (1.0 - pa[:, j]) * sb2
-        out -= 0.5 * K * (LOG_2PI + math.log(sb2))
-        out -= 0.5 * float(e_beta2.sum()) / sb2
-
-    a = state.alpha_jk
-    out += float((a * (math.log(params.alpha) - np.log(a))).sum())
-    out += float(((1.0 - a) * (math.log1p(-params.alpha) - np.log1p(-a))).sum())
-    pk = state.pi_k
-    out += float((pk * (math.log(params.pi) - np.log(pk))).sum())
-    out += float(((1.0 - pk) * (math.log1p(-params.pi) - np.log1p(-pk))).sum())
-
-    out += 0.5 * float((pa * np.log(state.s2 / params.sigma_beta2[None, :])).sum())
-    out += 0.5 * K * float(np.log(params.sigma_beta2).sum())
-    out += 0.5 * p * (1.0 + LOG_2PI)
+    """Multi-task evidence lower bound, evaluated from scratch: the grouped
+    engine's per-task terms (:func:`~bivas.group_fit._task_bound`, no
+    cross term) summed over tasks, plus the shared indicator KL terms."""
+    out = _indicator_kl(state, params)
+    for j, moments in enumerate(_task_moments(state)):
+        out += _task_bound(data.y[j], data.Z[j], data.X[j], data.xtx[:, j],
+                           params.omega[j], params.sigma_e2[j],
+                           params.sigma_beta2[j], moments)
     return out
 
 
 def mt_mstep_update(state: MtVariationalState, data: MultiTaskData,
                     params: MultiTaskParams, opts: EmOptions) -> MultiTaskParams:
-    """Per-task closed-form updates; the shared priors average over K*L
-    (variable level) and K (group level) posterior probabilities."""
-    pa = state.pi_k[:, None] * state.alpha_jk
-    w = state.alpha_jk * state.mu
-    pw = state.pi_k[:, None] * w
-    second_moment = state.s2 + state.mu ** 2
-
-    omegas, sigma_e2, sigma_beta2 = [], [], []
-    for j in range(data.L):
-        fit = data.X[j] @ pw[:, j]
-        om = data.solve_z_gram(j, data.Z[j].T @ (data.y[j] - fit))
-        resid = data.y[j] - data.Z[j] @ om - fit
-        var_term = float(((pa[:, j] * second_moment[:, j] - pw[:, j] ** 2)
-                          * data.xtx[j]).sum())
-        se2 = (float(resid @ resid) + var_term) / data.n[j]
-        pa_sum = float(pa[:, j].sum())
-        if pa_sum > 0.0:
-            sb2 = float((pa[:, j] * second_moment[:, j]).sum()) / pa_sum
-        else:
-            sb2 = params.sigma_beta2[j]
-        omegas.append(om)
-        sigma_e2.append(se2)
-        sigma_beta2.append(sb2)
-
-    alpha = float(state.alpha_jk.mean())
-    pi = params.pi if opts.fix_pi else float(state.pi_k.mean())
+    """The grouped engine's per-task updates
+    (:func:`~bivas.group_fit._task_mstep`, no cross term) in every task;
+    the shared priors average over K*L (variable level) and K (group
+    level) posterior probabilities."""
+    omega, sigma_e2, sigma_beta2 = zip(*(
+        _task_mstep(data.y[j], data.Z[j], data.X[j],
+                    partial(data.solve_z_gram, j), data.xtx[:, j], moments,
+                    params.sigma_beta2[j])
+        for j, moments in enumerate(_task_moments(state))))
+    alpha, pi = _prior_means(state, params, opts.fix_pi)
     return MultiTaskParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
-                           sigma_e2=sigma_e2, omega=omegas)
+                           sigma_e2=sigma_e2, omega=list(omega))
 
 
 def mt_em_fit(data: MultiTaskData, init: MultiTaskParams,

@@ -136,8 +136,8 @@ def mt_direct_sweep(state, data, params):
     """Reference multi-task sweep from the closed-form sums."""
     K, L = data.K, data.L
     for j in range(L):
-        denom = data.xtx[j] + params.sigma_e2[j] / params.sigma_beta2[j]
-        state.s2[:, j] = np.where(data.xtx[j] > 0.0,
+        denom = data.xtx[:, j] + params.sigma_e2[j] / params.sigma_beta2[j]
+        state.s2[:, j] = np.where(data.xtx[:, j] > 0.0,
                                   params.sigma_e2[j] / denom,
                                   params.sigma_beta2[j])
     la, lp = _logit(params.alpha), _logit(params.pi)
@@ -152,7 +152,7 @@ def mt_direct_sweep(state, data, params):
                     * state.mu[kp, j] * float(x @ data.X[j][:, kp])
             s2 = state.s2[k, j]
             mu_new = num * s2 / params.sigma_e2[j] \
-                if data.xtx[j][k] > 0.0 else 0.0
+                if data.xtx[:, j][k] > 0.0 else 0.0
             v = la + 0.5 * state.pi_k[k] * (
                 math.log(s2 / params.sigma_beta2[j]) + mu_new ** 2 / s2)
             state.mu[k, j] = mu_new

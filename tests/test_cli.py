@@ -1,6 +1,7 @@
 """End-to-end command-line flows: simulate, fit, predict, evaluate, report."""
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -376,16 +377,76 @@ class TestExitCodes:
         assert not (tmp_path / "p.csv").exists()
         assert not (tmp_path / "g.csv").exists()
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--rho", "1"], "--rho"),
+        (["--snr", "0"], "--snr"),
+        (["--n", "abc"], "--n"),
+        (["--n", "50,1"], "--n"),
+        (["--k-groups", "0"], "--k-groups"),
+        (["--p", "10", "--k-groups", "3"], "--p"),
+        (["--pi", "1.5"], "--pi"),
+        (["--alpha", "-2"], "--alpha"),
+    ], ids=["rho", "snr", "n-text", "n-one", "k-groups", "p-not-multiple",
+            "pi", "alpha"])
     def test_simulate_bad_rho_exits_one_before_writing(self, tmp_path,
-                                                       capsys):
+                                                       capsys, flags, flag):
         out = tmp_path / "never"
-        code = run_cli("simulate", "--n", "50", "--rho", "1",
-                       "--out", str(out))
+        code = run_cli("simulate", "--n", "50", *flags, "--out", str(out))
         assert code == 1
-        self._assert_one_line_error(capsys, "--rho")
+        self._assert_one_line_error(capsys, flag)
         assert not out.exists()
-        code = run_cli("simulate", "--n", "50", "--snr", "0",
-                       "--out", str(out))
+
+    @pytest.mark.parametrize("row", ["0.9,", "0.9,abc", "0.9"],
+                             ids=["blank", "text", "short"])
+    def test_report_bad_cell_exits_one(self, tmp_path, capsys, row):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(f"auc,fdr\n{row}\n")
+        report = tmp_path / "report.csv"
+        code = run_cli("report", "--metrics", str(metrics), "--out", str(report))
         assert code == 1
-        self._assert_one_line_error(capsys, "--snr")
-        assert not out.exists()
+        self._assert_one_line_error(capsys, f"{metrics}: line 2, column 'fdr'")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("case", ["bare", "standardize"])
+    def test_predict_incomplete_model_exits_one(self, sim_dir, fit_dir,
+                                                tmp_path, capsys, case):
+        if case == "bare":
+            model, missing = {"model": "group"}, "params"
+        else:
+            model = json.loads((fit_dir / "model.json").read_text())
+            model["standardize"] = {"center": [0.0] * len(model["predictors"])}
+            missing = "standardize.scale"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code = run_cli("predict", "--model", str(path),
+                       "--data", str(sim_dir / "data.csv"),
+                       "--groups", str(sim_dir / "groups.csv"),
+                       "--out", str(tmp_path / "pred.csv"))
+        assert code == 1
+        self._assert_one_line_error(capsys, f"{path}: missing key '{missing}'")
+        assert not (tmp_path / "pred.csv").exists()
+
+    @pytest.mark.parametrize("name, missing",
+                             [("truth.json", "coef"),
+                              ("selection.json", "variables[].predictor")])
+    def test_evaluate_incomplete_json_exits_one(self, sim_dir, fit_dir,
+                                                tmp_path, capsys, name,
+                                                missing):
+        fit = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit)
+        truth = json.loads((sim_dir / "truth.json").read_text())
+        selection = json.loads((fit / "selection.json").read_text())
+        if name == "truth.json":
+            del truth["coef"]
+            path = tmp_path / name
+        else:
+            selection["variables"].append({"fdr": 0.0})
+            path = fit / name
+        (tmp_path / "truth.json").write_text(json.dumps(truth))
+        (fit / "selection.json").write_text(json.dumps(selection))
+        code = run_cli("evaluate", "--fit", str(fit),
+                       "--truth", str(tmp_path / "truth.json"),
+                       "--out", str(tmp_path / "metrics.csv"))
+        assert code == 1
+        self._assert_one_line_error(capsys, f"{path}: missing key '{missing}'")
+        assert not (tmp_path / "metrics.csv").exists()

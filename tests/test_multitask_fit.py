@@ -1,5 +1,6 @@
 """Multi-task engine: task-coupled sweeps, bound, M-step and the L=1 reduction."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,26 @@ class TestMtMstep:
 
 
 class TestMtEmFit:
+    @pytest.mark.parametrize("engine", ["multitask", "grouped"])
+    def test_no_features_keeps_priors(self, engine):
+        # with K = 0 (p = 0) there is nothing to average: alpha and pi keep
+        # their initial values instead of turning into the mean of nothing
+        rng = np.random.default_rng(9)
+        y = rng.standard_normal(30)
+        Z, X = np.ones((30, 1)), np.empty((30, 0))
+        if engine == "multitask":
+            data = MultiTaskData([(y, Z, X), (y[:20], Z[:20], X[:20])])
+            fit, init = mt_em_fit, mt_initial_params(data, pi=0.2)
+        else:
+            data = GroupedDesign(y, Z, X, np.empty(0, dtype=int))
+            fit, init = em_fit, initial_params(data, pi=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fit(data, init, EmOptions())
+        assert res.params.alpha == init.alpha == 0.1
+        assert res.params.pi == init.pi == 0.2
+        assert np.isfinite(res.elbo)
+
     def test_trace_monotone(self, rng):
         for _ in range(4):
             data = random_multitask(rng)
