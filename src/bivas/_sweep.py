@@ -1,0 +1,134 @@
+"""Build and load the compiled E-step sweeps (``_sweep.c``).
+
+The library is compiled once with the system C compiler and cached next
+to the package's bytecode, in ``__pycache__``; when that directory cannot
+be used, in ``~/.cache/bivas`` (created 0700).  A cache directory is used
+only when the current user owns it and no one else can write to it.  The
+file name carries a hash of the source, the compiler and the flags, so an
+edited source or another flag set builds a new library.  The compiler
+writes to a temporary name that is then moved into place, so concurrent
+builds never load a partial file.
+
+Nothing is built or loaded on ``import bivas``: :func:`kernel` does it on
+the first sweep, under a lock.  When no library can be built or loaded,
+:func:`kernel` returns None, one line on the "bivas" logger says why, and
+the engines run their Python sweeps instead.
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import os
+import stat
+import subprocess
+import tempfile
+import threading
+
+import numpy as np
+
+logger = logging.getLogger("bivas")
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
+COMPILER = "cc"
+# no -ffast-math or -march=native: the kernel must round as the Python
+# sweeps do and run on any machine that shares the cache
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+_i64 = ctypes.c_int64
+_f64 = ctypes.c_double
+_ptr = ctypes.c_void_p
+_SIGNATURES = {
+    "grouped_sweep": [_i64, _i64] + [_ptr] * 8 + [_f64] * 3 + [_ptr] * 5,
+    "multitask_sweep": [_i64, _i64] + [_ptr] * 8 + [_f64] * 2 + [_ptr] * 4,
+}
+
+_lock = threading.Lock()
+_loaded = None       # None: not tried yet; False: unavailable; else the CDLL
+
+
+def cache_dirs():
+    """Candidate cache directories, in order of preference."""
+    return [os.path.join(os.path.dirname(SOURCE), "__pycache__"),
+            os.path.join(os.path.expanduser("~"), ".cache", "bivas")]
+
+
+def _private_dir(path):
+    """Create ``path`` (0700) if needed; True when this user owns it, can
+    write to it, and no other user can."""
+    if not hasattr(os, "getuid"):
+        return False
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.stat(path)
+    except OSError:
+        return False
+    return (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+            and os.access(path, os.W_OK | os.X_OK))
+
+
+def _build(path):
+    """Compile the source to ``path`` through a temporary file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    os.close(fd)
+    try:
+        done = subprocess.run([COMPILER, *FLAGS, "-o", tmp, SOURCE, "-lm"],
+                              capture_output=True, text=True, timeout=300)
+        if done.returncode != 0:
+            lines = (done.stderr or done.stdout).strip().splitlines()
+            raise OSError(f"{COMPILER} exited {done.returncode}: "
+                          + (lines[0] if lines else "no output"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load():
+    with open(SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read())
+    digest.update("\0".join((COMPILER,) + FLAGS).encode())
+    name = f"_sweep-{digest.hexdigest()[:16]}.so"
+    cache = next((d for d in cache_dirs() if _private_dir(d)), None)
+    if cache is None:
+        raise OSError("no private cache directory")
+    path = os.path.join(cache, name)
+    if not os.path.exists(path):
+        _build(path)
+    lib = ctypes.CDLL(path)
+    for fn, argtypes in _SIGNATURES.items():
+        getattr(lib, fn).argtypes = argtypes
+        getattr(lib, fn).restype = ctypes.c_int
+    return lib
+
+
+def kernel():
+    """The compiled sweeps, or None when they cannot be built or loaded."""
+    global _loaded
+    if _loaded is None:
+        with _lock:
+            if _loaded is None:
+                try:
+                    _loaded = _load()
+                except (OSError, subprocess.SubprocessError) as exc:
+                    logger.warning("compiled E-step sweep unavailable (%s); "
+                                   "using the Python sweeps", exc)
+                    _loaded = False
+    return _loaded if _loaded is not False else None
+
+
+def address(array, shape):
+    """The data address of a writable, C-contiguous float64 array of
+    ``shape``: the kernel reads and writes it in place."""
+    if (array.dtype != np.float64 or array.shape != shape
+            or not array.flags.c_contiguous or not array.flags.writeable):
+        raise ValueError(f"sweep needs a writable C-contiguous float64 array "
+                         f"of shape {shape}, got {array.dtype} {array.shape}")
+    return array.ctypes.data
+
+
+def check(status):
+    """Raise MemoryError for a kernel's failed workspace allocation."""
+    if status != 0:
+        raise MemoryError("E-step sweep workspace allocation failed")

@@ -194,15 +194,18 @@ def cmd_evaluate(args) -> int:
     summary = bio.summary_from_model(model)
     selection_path = os.path.join(args.fit, "selection.json")
     selection = bio.read_json(selection_path, ("variables",))
+    name_idx = {nm: j for j, nm in enumerate(model["predictors"])}
     for v in selection["variables"]:
         bio.require_keys(selection_path, v, ("predictor", "task")
                          if summary.multitask else ("predictor",), "variables[].")
+        if v["predictor"] not in name_idx:
+            raise BivasError(f"{selection_path}: predictor {v['predictor']!r} "
+                             "is not in model.json")
     truth = bio.read_json(args.truth, ("coef", "eta"))
     coef = np.asarray(truth["coef"], float)
     eta = np.asarray(truth["eta"], float)
     pi_tilde, effect = summary.pi_tilde, summary.effect
     nonzero = coef != 0.0
-    name_idx = {nm: j for j, nm in enumerate(model["predictors"])}
 
     if summary.multitask:
         scores = pi_tilde[:, None] * summary.alpha_tilde

@@ -13,6 +13,7 @@ state exclusively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -74,8 +75,9 @@ class GramTile(NamedTuple):
 
     ``cols`` is an (n, m_t) view of the column block the tile was cut from
     (a group's block, or a task's X) and ``gram`` is ``cols' cols`` (C
-    order, so its rows are contiguous).  A tile has at most n columns, so
-    its Gram block never holds more numbers than the columns it covers.
+    order, so its rows are contiguous), a view into the design's packed
+    ``tile_grams`` buffer.  A tile has at most n columns, so its Gram block
+    never holds more numbers than the columns it covers.
     """
 
     members: np.ndarray   # (m_t,) global column indices
@@ -83,17 +85,27 @@ class GramTile(NamedTuple):
     gram: np.ndarray      # (m_t, m_t)
 
 
-def _gram_tiles(members, cols, n):
-    """Split m columns into ceil(m / n) contiguous tiles of balanced sizes."""
-    m = members.shape[0]
-    count = -(-m // n)
-    edges = [i * m // count for i in range(count + 1)] if m else []
-    tiles = []
-    for a, b in zip(edges, edges[1:]):
-        block = cols[:, a:b]
-        tiles.append(GramTile(members[a:b], block,
-                              np.ascontiguousarray(block.T @ block)))
-    return tiles
+def _tile_edges(m, width):
+    """Edges of ceil(m / width) contiguous runs of balanced sizes."""
+    count = -(-m // width)
+    return [i * m // count for i in range(count + 1)] if m else [0]
+
+
+def _pack_grams(blocks):
+    """The Gram blocks of column blocks, back to back in one buffer.
+
+    Returns the buffer and, per block, its (m, m) C-order view.
+    """
+    buf = np.empty(sum(b.shape[1] ** 2 for b in blocks))
+    views = []
+    start = 0
+    for block in blocks:
+        m = block.shape[1]
+        view = buf[start:start + m * m].reshape(m, m)
+        view[...] = block.T @ block
+        views.append(view)
+        start += m * m
+    return buf, views
 
 
 def reindex_groups(labels):
@@ -137,6 +149,11 @@ class GroupedDesign:
     ``group_tiles`` (each group's members split into ceil(m_k / n)
     balanced :class:`GramTile` runs with their Gram blocks; at most p * n
     numbers in all, no more than X itself) and the Cholesky factor of Z'Z.
+    The tiles are packed for the compiled sweep: their members, group by
+    group, in ``tile_members`` (``group_members`` are views of it), their
+    edges in ``tile_ptr`` and each group's first tile in
+    ``group_tile_ptr`` (both int64, with one closing entry), and their
+    Gram blocks back to back in ``tile_grams``.
     """
 
     def __init__(self, y, Z, X, group_of, *, group_labels=None,
@@ -187,12 +204,28 @@ class GroupedDesign:
 
         # caches used by every sweep
         self.xtx = np.einsum("ij,ij->j", self.X, self.X)
-        self.group_members = [np.nonzero(self.group_of == k)[0]
-                              for k in range(self.K)]
+        order = np.argsort(self.group_of, kind="stable").astype(np.int64)
+        self.group_members = np.split(order, np.cumsum(sizes)[:-1]) \
+            if self.K else []
         self.group_cols = [np.asfortranarray(self.X[:, idx])
                            for idx in self.group_members]
-        self.group_tiles = [_gram_tiles(idx, cols, self.n) for idx, cols
-                            in zip(self.group_members, self.group_cols)]
+        # tiles group by group: tile t holds tile_members[tile_ptr[t]:
+        # tile_ptr[t + 1]] and group k holds tiles group_tile_ptr[k] up to
+        # group_tile_ptr[k + 1]
+        spans = [list(pairwise(_tile_edges(idx.shape[0], self.n)))
+                 for idx in self.group_members]
+        self.tile_members = order
+        self.tile_ptr = np.cumsum([0] + [b - a for s in spans for a, b in s],
+                                  dtype=np.int64)
+        self.group_tile_ptr = np.cumsum([0] + [len(s) for s in spans],
+                                        dtype=np.int64)
+        self.tile_grams, grams = _pack_grams(
+            [cols[:, a:b] for cols, s in zip(self.group_cols, spans)
+             for a, b in s])
+        grams = iter(grams)
+        self.group_tiles = [
+            [GramTile(idx[a:b], cols[:, a:b], next(grams)) for a, b in s]
+            for idx, cols, s in zip(self.group_members, self.group_cols, spans)]
         self._z_cho = _check_z_rank(self.Z)
 
     def solve_z_gram(self, rhs):
@@ -279,8 +312,8 @@ class VariationalState:
     alpha_jk : (p,) variable-level posterior inclusion probabilities.
     pi_k : (K,) group-level posterior inclusion probabilities.
     residual : (n,) maintained y - Z w - sum_k pi_k g_k.
-    group_fit : list of K (n,) vectors g_k = sum_{j in k} alpha_jk mu_jk x_jk
-        (the group fit *without* its pi_k weight).
+    group_fit : (K, n) C-order array whose row k is the group fit
+        g_k = sum_{j in k} alpha_jk mu_jk x_jk (*without* its pi_k weight).
     """
 
     def __init__(self, mu, s2, alpha_jk, pi_k, residual, group_fit):
@@ -289,7 +322,7 @@ class VariationalState:
         self.alpha_jk = clamp_prob(np.asarray(alpha_jk, float)).copy()
         self.pi_k = clamp_prob(np.asarray(pi_k, float)).copy()
         self.residual = np.asarray(residual, float).copy()
-        self.group_fit = [np.asarray(g, float).copy() for g in group_fit]
+        self.group_fit = np.array(group_fit, float, order="C")
 
     @classmethod
     def initial(cls, data: GroupedDesign, params: ModelParams):
@@ -301,7 +334,7 @@ class VariationalState:
             alpha_jk=np.full(data.p, params.alpha),
             pi_k=np.full(data.K, params.pi),
             residual=data.y - data.Z @ params.omega,
-            group_fit=[np.zeros(data.n) for _ in range(data.K)],
+            group_fit=np.zeros((data.K, data.n)),
         )
         return state
 
@@ -350,7 +383,10 @@ class MultiTaskData:
     of X_j.
     Every task uses the same tile edges, so ``zip(*task_tiles)`` walks the
     features tile by tile with one tile per task; task j's Gram blocks
-    hold at most K * min_j n_j numbers, no more than X_j itself.
+    hold at most K * min_j n_j numbers, no more than X_j itself.  For the
+    compiled sweep the edges are also ``tile_ptr`` (int64, one entry more
+    than there are tiles) and the Gram blocks sit in one buffer,
+    ``tile_grams``, tile by tile and task by task within a tile.
     """
 
     def __init__(self, tasks, *, predictor_names=None, covariate_names=None):
@@ -396,8 +432,13 @@ class MultiTaskData:
         self.xtx = np.stack([np.einsum("ij,ij->j", X, X) for X in self.X],
                             axis=1)
         features = np.arange(self.K)
-        width = min(self.n)
-        self.task_tiles = [_gram_tiles(features, X, width) for X in self.X]
+        self.tile_ptr = np.array(_tile_edges(self.K, min(self.n)), np.int64)
+        self.tile_grams, grams = _pack_grams(
+            [X[:, a:b] for a, b in pairwise(self.tile_ptr) for X in self.X])
+        self.task_tiles = [
+            [GramTile(features[a:b], X[:, a:b], grams[t * self.L + j])
+             for t, (a, b) in enumerate(pairwise(self.tile_ptr))]
+            for j, X in enumerate(self.X)]
         self.predictor_names = list(predictor_names) if predictor_names is not None \
             else [f"x{k}" for k in range(self.K)]
         self.covariate_names = list(covariate_names) if covariate_names is not None \

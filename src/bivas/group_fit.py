@@ -5,6 +5,17 @@ One EM iteration is one full coordinate-ascent sweep over all coefficients
 (:func:`mstep_update`).  Every individual update maximizes the evidence
 lower bound over its own block with everything else held fixed, so the
 bound is non-decreasing across iterations up to floating-point noise.
+
+Both engines' sweeps run in one call of a small C kernel (``_sweep.c``)
+that makes the Python sweeps' updates in the same order, without holding
+the GIL.  It is compiled with the system C compiler (``cc``) on the first
+sweep of a process that finds no cached copy, and cached in the package's
+``__pycache__`` or, when that cannot be written, in ``~/.cache/bivas``
+(see :mod:`bivas._sweep`).  Without a compiler or a cache the engines run
+:func:`estep_sweep_python` and
+:func:`~bivas.multitask_fit.mt_estep_sweep_python`, which are also the
+kernel's reference in the tests, and log one warning on the "bivas"
+logger.
 """
 from __future__ import annotations
 
@@ -13,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _sweep
 from .designs import (
     PROB_EPS,
     GroupedDesign,
@@ -100,9 +112,45 @@ def initial_params(data: GroupedDesign, pi: float, alpha: float = 0.1) -> ModelP
                        sigma_e2=sigma_e2, omega=omega)
 
 
+def _slab_terms(state, data, params):
+    """Store this sweep's slab variances in ``state.s2``; returns them with
+    log(s^2 / sigma_beta2)."""
+    s2 = slab_variances(data, params)
+    state.s2[:] = s2
+    return s2, np.log(s2 / params.sigma_beta2)
+
+
 def estep_sweep(state: VariationalState, data: GroupedDesign,
                 params: ModelParams) -> VariationalState:
     """One full coordinate-ascent sweep, updating ``state`` in place.
+
+    Runs the compiled sweep (``_sweep.c``, one call per sweep, outside
+    the GIL) when :func:`bivas._sweep.kernel` could build or load it, and
+    :func:`estep_sweep_python`, the reference it is tested against,
+    otherwise.  Both make the same updates in the same order; see
+    :func:`estep_sweep_python` for the formulas.
+    """
+    lib = _sweep.kernel()
+    if lib is None:
+        return estep_sweep_python(state, data, params)
+    s2, log_ratio = _slab_terms(state, data, params)
+    p, K, n = data.p, data.K, data.n
+    _sweep.check(lib.grouped_sweep(
+        n, K, data.X.ctypes.data, data.xtx.ctypes.data, s2.ctypes.data,
+        log_ratio.ctypes.data, data.tile_members.ctypes.data,
+        data.tile_ptr.ctypes.data, data.group_tile_ptr.ctypes.data,
+        data.tile_grams.ctypes.data, params.sigma_e2, _logit(params.alpha),
+        _logit(params.pi), _sweep.address(state.mu, (p,)),
+        _sweep.address(state.alpha_jk, (p,)), _sweep.address(state.pi_k, (K,)),
+        _sweep.address(state.residual, (n,)),
+        _sweep.address(state.group_fit, (K, n))))
+    return state
+
+
+def estep_sweep_python(state: VariationalState, data: GroupedDesign,
+                       params: ModelParams) -> VariationalState:
+    """The coordinate sweep in Python over the Gram tiles, updating
+    ``state`` in place.
 
     Groups are visited in index order and members in index order within
     each group.  For coefficient (j, k) the slab posterior is
@@ -147,13 +195,10 @@ def estep_sweep(state: VariationalState, data: GroupedDesign,
     end of the group.
     """
     sigma_e2 = params.sigma_e2
-    sigma_beta2 = params.sigma_beta2
     logit_alpha = _logit(params.alpha)
     logit_pi = _logit(params.pi)
 
-    s2 = slab_variances(data, params)
-    state.s2[:] = s2
-    log_ratio = np.log(s2 / sigma_beta2)
+    s2, log_ratio = _slab_terms(state, data, params)
 
     mu = state.mu
     ajk = state.alpha_jk

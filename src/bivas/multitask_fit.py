@@ -7,16 +7,15 @@ exactly with the grouped engine on a design of singleton groups.
 """
 from __future__ import annotations
 
+import ctypes
 from functools import partial
 
-import numpy as np
-
+from . import _sweep
 from .designs import (
     MtVariationalState,
     MultiTaskData,
     MultiTaskParams,
     mt_refresh_residual,
-    slab_variances,
 )
 from .group_fit import (
     EmOptions,
@@ -26,6 +25,7 @@ from .group_fit import (
     _moments,
     _ols_start,
     _prior_means,
+    _slab_terms,
     _task_bound,
     _task_mstep,
     run_em,
@@ -48,12 +48,40 @@ def mt_estep_sweep(state: MtVariationalState, data: MultiTaskData,
                    params: MultiTaskParams) -> MtVariationalState:
     """One coordinate sweep: per feature, update every task then pi_k.
 
+    Runs the compiled sweep (``_sweep.c``) when it could be built or
+    loaded and :func:`mt_estep_sweep_python`, its reference, otherwise
+    (see :func:`~bivas.group_fit.estep_sweep`).
+    """
+    lib = _sweep.kernel()
+    if lib is None:
+        return mt_estep_sweep_python(state, data, params)
+    s2, log_ratio = _slab_terms(state, data, params)
+    K, L = data.K, data.L
+    _sweep.check(lib.multitask_sweep(
+        L, data.tile_ptr.shape[0] - 1, (ctypes.c_int64 * L)(*data.n),
+        (ctypes.c_void_p * L)(*(X.ctypes.data for X in data.X)),
+        data.xtx.ctypes.data, s2.ctypes.data, log_ratio.ctypes.data,
+        data.tile_ptr.ctypes.data, data.tile_grams.ctypes.data,
+        _sweep.address(params.sigma_e2, (L,)), _logit(params.alpha),
+        _logit(params.pi), _sweep.address(state.mu, (K, L)),
+        _sweep.address(state.alpha_jk, (K, L)),
+        _sweep.address(state.pi_k, (K,)),
+        (ctypes.c_void_p * L)(*(_sweep.address(r, (n,)) for r, n
+                                in zip(state.residual, data.n, strict=True)))))
+    return state
+
+
+def mt_estep_sweep_python(state: MtVariationalState, data: MultiTaskData,
+                          params: MultiTaskParams) -> MtVariationalState:
+    """The multi-task sweep in Python, updating ``state`` in place.
+
     A feature contributes a single column per task, so the slab-mean
     numerator is x_k'r_j + b_jk x_k'x_k against task j's residual r_j,
     where b_j = pi alpha_j mu_j are the task's weighted coefficients;
     there is no within-group same-task coupling to subtract.  The sweep
     runs over the shared feature tiles of :attr:`MultiTaskData.task_tiles`
-    (the "covariance update" of :func:`~bivas.group_fit.estep_sweep`).
+    (the "covariance update" of
+    :func:`~bivas.group_fit.estep_sweep_python`).
     For each tile t, with task j's columns X_jt, Gram block G_jt and
     tile-start coefficients b_j_start,
 
@@ -72,9 +100,7 @@ def mt_estep_sweep(state: MtVariationalState, data: MultiTaskData,
     sigma_e2 = params.sigma_e2.tolist()
     tasks = range(data.L)
 
-    s2 = slab_variances(data, params)
-    state.s2[:] = s2
-    log_ratio = np.log(s2 / params.sigma_beta2[None, :])
+    s2, log_ratio = _slab_terms(state, data, params)
     xtx = data.xtx
 
     mu = state.mu

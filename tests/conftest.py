@@ -5,6 +5,7 @@ deliberately avoiding the residual caches used by the production code, so
 they can serve as independent oracles for the cached path.
 """
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -19,8 +20,26 @@ from bivas import (
     initial_params,
     refresh_residual,
 )
+from bivas import _sweep
 from bivas.designs import clamp_prob
 from bivas.group_fit import _logit, sigmoid, slab_variances
+
+HAVE_COMPILER = shutil.which(_sweep.COMPILER) is not None
+
+
+def sweep_cases(compiled, python):
+    """A sweep's compiled path (skipped when no C compiler is on PATH) and
+    its Python reference, as parameters of one test."""
+    return [pytest.param(compiled, id="compiled", marks=pytest.mark.skipif(
+                not HAVE_COMPILER, reason="no C compiler")),
+            pytest.param(python, id="python")]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def sweep_kernel():
+    """Build or load the compiled sweeps before any test runs, so the one
+    log line a missing compiler gives lands outside the tests' captures."""
+    _sweep.kernel()
 
 
 def random_grouped(rng, n=None, K=None, max_group=4, with_covariate=False,

@@ -450,3 +450,18 @@ class TestExitCodes:
         assert code == 1
         self._assert_one_line_error(capsys, f"{path}: missing key '{missing}'")
         assert not (tmp_path / "metrics.csv").exists()
+
+    def test_evaluate_unknown_predictor_exits_one(self, sim_dir, fit_dir,
+                                                  tmp_path, capsys):
+        fit = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit)
+        selection = json.loads((fit / "selection.json").read_text())
+        selection["variables"].append({"predictor": "nope", "fdr": 0.0})
+        (fit / "selection.json").write_text(json.dumps(selection))
+        code = run_cli("evaluate", "--fit", str(fit),
+                       "--truth", str(sim_dir / "truth.json"),
+                       "--out", str(tmp_path / "metrics.csv"))
+        assert code == 1
+        self._assert_one_line_error(
+            capsys, f"{fit / 'selection.json'}: predictor 'nope'")
+        assert not (tmp_path / "metrics.csv").exists()

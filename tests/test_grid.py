@@ -16,6 +16,7 @@ from bivas import (
     run_grid,
     select,
 )
+from bivas import _sweep
 from bivas.exceptions import DimensionMismatch, InvalidCount, InvalidThreshold
 from bivas.simulate import SimConfig, gen_multitask, simulate_dataset
 
@@ -153,6 +154,31 @@ class TestRunGrid:
             fit = run_grid(design, make_pi_grid(design.K, 2), EmOptions())
         assert all(res.converged for res in fit.results)
         assert not [r for r in caplog.records if r.name == "bivas"]
+
+    def test_python_sweeps_when_no_kernel(self, design, tmp_path,
+                                          monkeypatch, caplog):
+        # with no compiler and an empty cache both engines run their Python
+        # sweeps, say so once, and reproduce the compiled grids
+        multitask, _ = gen_multitask(SimConfig(n=[40, 30, 25], p=30, K=30,
+                                               pi_true=0.3, alpha_true=0.6,
+                                               snr=1.5, seed=5))
+        cases = [(d, make_pi_grid(d.K, 4)) for d in (design, multitask)]
+        compiled = [run_grid(d, grid, EmOptions()) for d, grid in cases]
+        monkeypatch.setattr(_sweep, "COMPILER", str(tmp_path / "no-cc"))
+        monkeypatch.setattr(_sweep, "cache_dirs",
+                            lambda: [str(tmp_path / "cache")])
+        monkeypatch.setattr(_sweep, "_loaded", None)
+        with caplog.at_level(logging.WARNING, logger="bivas"):
+            python = [run_grid(d, grid, EmOptions()) for d, grid in cases]
+        records = [r for r in caplog.records if r.name == "bivas"]
+        assert len(records) == 1
+        assert "using the Python sweeps" in records[0].getMessage()
+        assert _sweep.kernel() is None
+        for want, got in zip(compiled, python):
+            assert [r.iterations for r in got.results] \
+                == [r.iterations for r in want.results]
+            assert np.abs(got.elbos - want.elbos).max() \
+                <= 1e-12 * np.abs(want.elbos).max()
 
 
 class TestAggregate:

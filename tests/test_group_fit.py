@@ -16,18 +16,23 @@ from bivas import (
     mstep_update,
     refresh_residual,
 )
+from bivas import _sweep
 from bivas.designs import PROB_EPS, clamp_prob
-from bivas.group_fit import sigmoid, within_group_cross
+from bivas.group_fit import estep_sweep_python, sigmoid, within_group_cross
 from bivas.oracle import exact_log_marginal
 
 from conftest import (
+    HAVE_COMPILER,
     converge_estep,
     direct_numerator,
     direct_sweep,
     fitted_tiny,
     random_grouped,
     random_state,
+    sweep_cases,
 )
+
+SWEEPS = sweep_cases(estep_sweep, estep_sweep_python)
 
 
 class TestSigmoid:
@@ -44,7 +49,36 @@ class TestSigmoid:
 
 
 class TestEstepSweep:
-    def test_zero_norm_column(self):
+    @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+    def test_kernel_loads_with_a_compiler(self):
+        # with a compiler present the sweeps must not fall back silently
+        assert _sweep.kernel() is not None
+
+    @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+    def test_kernel_cache_skips_a_directory_others_can_write(
+            self, tmp_path, monkeypatch):
+        shared, private = tmp_path / "shared", tmp_path / "private"
+        shared.mkdir()
+        shared.chmod(0o777)
+        monkeypatch.setattr(_sweep, "cache_dirs",
+                            lambda: [str(shared), str(private)])
+        monkeypatch.setattr(_sweep, "_loaded", None)
+        assert _sweep.kernel() is not None
+        assert list(shared.iterdir()) == []
+        assert [f.suffix for f in private.iterdir()] == [".so"]
+        assert private.stat().st_mode & 0o777 == 0o700
+
+    @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+    def test_kernel_rejects_arrays_it_cannot_update_in_place(self, rng):
+        d = random_grouped(rng, n=20, sizes=[3, 2])
+        params = initial_params(d, pi=0.4)
+        state = random_state(rng, d, params)
+        state.group_fit = np.asfortranarray(state.group_fit)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            estep_sweep(state, d, params)
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_zero_norm_column(self, sweep):
         n = 12
         rng = np.random.default_rng(0)
         X = np.column_stack([rng.standard_normal(n), np.zeros(n)])
@@ -53,13 +87,14 @@ class TestEstepSweep:
         params = ModelParams(alpha=0.3, pi=0.4, sigma_beta2=2.0, sigma_e2=1.0,
                              omega=np.zeros(1))
         state = VariationalState.initial(d, params)
-        estep_sweep(state, d, params)
+        sweep(state, d, params)
         assert state.s2[1] == params.sigma_beta2
         assert state.mu[1] == 0.0
         # a dead column's inclusion stays at the prior
         assert state.alpha_jk[1] == pytest.approx(params.alpha, abs=1e-12)
 
-    def test_matches_direct_formula(self, rng):
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_matches_direct_formula(self, rng, sweep):
         # the Gram-tile sweep against the no-cache reference, over small
         # random groups, groups wider than n (split into several tiles),
         # singleton groups, a zero-norm column and correlated columns
@@ -85,7 +120,7 @@ class TestEstepSweep:
             params = initial_params(d, pi=float(rng.uniform(0.2, 0.7)))
             state = random_state(rng, d, params)
             reference = state.copy()
-            estep_sweep(state, d, params)
+            sweep(state, d, params)
             direct_sweep(reference, d, params)
             for got, want in ((state.mu, reference.mu),
                               (state.s2, reference.s2),
@@ -96,8 +131,8 @@ class TestEstepSweep:
             # the maintained caches equal a rebuild from the swept state
             swept = state.copy()
             refresh_residual(state, d, params)
-            for got, want in zip(swept.group_fit + [swept.residual],
-                                 state.group_fit + [state.residual]):
+            for got, want in ((swept.group_fit, state.group_fit),
+                              (swept.residual, state.residual)):
                 scale = 1.0 + np.abs(want).max()
                 assert np.abs(got - want).max() / scale < 1e-10
 

@@ -23,9 +23,12 @@ from bivas import (
     mt_refresh_residual,
 )
 from bivas.designs import clamp_prob
+from bivas.multitask_fit import mt_estep_sweep_python
 from bivas.oracle import exact_log_marginal
 
-from conftest import mt_direct_sweep, random_multitask
+from conftest import mt_direct_sweep, random_multitask, sweep_cases
+
+SWEEPS = sweep_cases(mt_estep_sweep, mt_estep_sweep_python)
 
 
 def _singleton_pair(rng, n=40, K=8):
@@ -89,7 +92,8 @@ class TestSingleTaskReduction:
 
 
 class TestMtEstep:
-    def test_empty_evidence_returns_prior(self):
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_empty_evidence_returns_prior(self, sweep):
         # with the variable prior driven to zero every alpha_jk collapses,
         # the group logit's sum empties out, and pi_k returns the prior
         rng = np.random.default_rng(1)
@@ -99,7 +103,7 @@ class TestMtEstep:
                                  sigma_beta2=base.sigma_beta2,
                                  sigma_e2=base.sigma_e2, omega=base.omega)
         state = MtVariationalState.initial(data, params)
-        mt_estep_sweep(state, data, params)
+        sweep(state, data, params)
         assert np.all(state.alpha_jk < 1e-9)
         np.testing.assert_allclose(state.pi_k, 0.27, atol=1e-9)
 
@@ -117,7 +121,8 @@ class TestMtEstep:
             tasks.append((y, np.ones((n, 1)), X))
         return MultiTaskData(tasks)
 
-    def test_matches_direct_formula(self, rng):
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_matches_direct_formula(self, rng, sweep):
         draws = [random_multitask(rng, L=3, K=5, n_range=(8, 13))
                  for _ in range(4)]
         draws += [self._wide_tasks(rng, (9, 13, 7), 31),
@@ -131,7 +136,7 @@ class TestMtEstep:
             state.pi_k[:] = clamp_prob(rng.random(data.K))
             mt_refresh_residual(state, data, params)
             reference = state.copy()
-            mt_estep_sweep(state, data, params)
+            sweep(state, data, params)
             mt_direct_sweep(reference, data, params)
             for got, want in ((state.mu, reference.mu),
                               (state.s2, reference.s2),
