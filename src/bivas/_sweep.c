@@ -1,8 +1,10 @@
-/* One whole coordinate-ascent E-step sweep per call, for both EM engines.
+/* One whole coordinate-ascent E-step sweep per call, for both EM engines,
+ * and the grouped engine's group fits in one call.
  *
- * These are the Gram-tile sweeps of bivas.group_fit.estep_sweep_python and
- * bivas.multitask_fit.mt_estep_sweep_python, with the same update order and
- * formulas; the Python sweeps are the reference the tests compare against.
+ * The sweeps are the Gram-tile sweeps of bivas.group_fit.estep_sweep_python
+ * and bivas.multitask_fit.mt_estep_sweep_python, with the same update order
+ * and formulas; the Python sweeps are the reference the tests compare
+ * against, as bivas.designs.group_fits_python is for group_fits.
  * Columns are read straight from the Fortran-order design (column j starts
  * at X + j * n) by member index.  The state is updated in place.  Each call
  * allocates its own workspace and keeps no static data, so concurrent calls
@@ -12,8 +14,8 @@
  * expression rounds as the Python sweep's does.  Dot products keep four
  * partial sums; their rounding differs from BLAS's in the last bits only.
  *
- * Both functions return 0, or -1 when the workspace cannot be allocated
- * (the state is then untouched).
+ * Both sweeps return 0, or -1 when the workspace cannot be allocated
+ * (the state is then untouched).  group_fits needs no workspace.
  */
 #include <math.h>
 #include <stdint.h>
@@ -137,6 +139,38 @@ int grouped_sweep(int64_t n, int64_t K, const double *X, const double *xtx,
     }
     free(ws);
     return 0;
+}
+
+/* Group fits G[k] = X_k w_k for every group, without the pi_k weight.
+ * Group k's members are members[tile_ptr[group_tile_ptr[k]] ..
+ * tile_ptr[group_tile_ptr[k+1]]), as in grouped_sweep, and there is at
+ * least one.  The Gram tiles are not read, so the bound that uses these
+ * fits stays independent of them.  G is (K, n) in C order and is
+ * overwritten. */
+void group_fits(int64_t n, int64_t K, const double *X, const double *w,
+                const int64_t *members, const int64_t *tile_ptr,
+                const int64_t *group_tile_ptr, double *G)
+{
+    for (int64_t k = 0; k < K; k++) {
+        double *g = G + k * n;
+        int64_t jj = tile_ptr[group_tile_ptr[k]];
+        int64_t end = tile_ptr[group_tile_ptr[k + 1]];
+        const double *x0 = X + members[jj] * n;
+        double w0 = w[members[jj]];
+        for (int64_t i = 0; i < n; i++)
+            g[i] = w0 * x0[i];
+        /* four columns per pass over g */
+        for (jj++; jj + 4 <= end; jj += 4) {
+            const double *x1 = X + members[jj] * n, *x2 = X + members[jj + 1] * n;
+            const double *x3 = X + members[jj + 2] * n, *x4 = X + members[jj + 3] * n;
+            double w1 = w[members[jj]], w2 = w[members[jj + 1]];
+            double w3 = w[members[jj + 2]], w4 = w[members[jj + 3]];
+            for (int64_t i = 0; i < n; i++)
+                g[i] += (w1 * x1[i] + w2 * x2[i]) + (w3 * x3[i] + w4 * x4[i]);
+        }
+        for (; jj < end; jj++)
+            axpy(w[members[jj]], X + members[jj] * n, g, n);
+    }
 }
 
 /* Multi-task sweep over L tasks sharing K features.  Tile t covers features

@@ -1,4 +1,4 @@
-"""Build and load the compiled E-step sweeps (``_sweep.c``).
+"""Build and load the compiled E-step sweeps and group fits (``_sweep.c``).
 
 The library is compiled once with the system C compiler and cached next
 to the package's bytecode, in ``__pycache__``; when that directory cannot
@@ -10,9 +10,10 @@ writes to a temporary name that is then moved into place, so concurrent
 builds never load a partial file.
 
 Nothing is built or loaded on ``import bivas``: :func:`kernel` does it on
-the first sweep, under a lock.  When no library can be built or loaded,
-:func:`kernel` returns None, one line on the "bivas" logger says why, and
-the engines run their Python sweeps instead.
+the first call that needs it, under a lock.  When no library can be built
+or loaded, :func:`kernel` returns None, one line on the "bivas" logger
+says why, and the engines run their Python sweeps and group-fit loop
+instead.
 """
 from __future__ import annotations
 
@@ -38,9 +39,13 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
 _ptr = ctypes.c_void_p
+# name -> (restype, argtypes)
 _SIGNATURES = {
-    "grouped_sweep": [_i64, _i64] + [_ptr] * 8 + [_f64] * 3 + [_ptr] * 5,
-    "multitask_sweep": [_i64, _i64] + [_ptr] * 8 + [_f64] * 2 + [_ptr] * 4,
+    "grouped_sweep": (ctypes.c_int,
+                      [_i64, _i64] + [_ptr] * 8 + [_f64] * 3 + [_ptr] * 5),
+    "multitask_sweep": (ctypes.c_int,
+                        [_i64, _i64] + [_ptr] * 8 + [_f64] * 2 + [_ptr] * 4),
+    "group_fits": (None, [_i64, _i64] + [_ptr] * 6),
 }
 
 _lock = threading.Lock()
@@ -97,14 +102,14 @@ def _load():
     if not os.path.exists(path):
         _build(path)
     lib = ctypes.CDLL(path)
-    for fn, argtypes in _SIGNATURES.items():
+    for fn, (restype, argtypes) in _SIGNATURES.items():
         getattr(lib, fn).argtypes = argtypes
-        getattr(lib, fn).restype = ctypes.c_int
+        getattr(lib, fn).restype = restype
     return lib
 
 
 def kernel():
-    """The compiled sweeps, or None when they cannot be built or loaded."""
+    """The compiled library, or None when it cannot be built or loaded."""
     global _loaded
     if _loaded is None:
         with _lock:

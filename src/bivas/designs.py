@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from . import _sweep
 from .exceptions import (
     DimensionMismatch,
     EmptyGroup,
@@ -149,11 +150,12 @@ class GroupedDesign:
     ``group_tiles`` (each group's members split into ceil(m_k / n)
     balanced :class:`GramTile` runs with their Gram blocks; at most p * n
     numbers in all, no more than X itself) and the Cholesky factor of Z'Z.
-    The tiles are packed for the compiled sweep: their members, group by
+    The tiles are packed for the compiled kernel: their members, group by
     group, in ``tile_members`` (``group_members`` are views of it), their
     edges in ``tile_ptr`` and each group's first tile in
     ``group_tile_ptr`` (both int64, with one closing entry), and their
-    Gram blocks back to back in ``tile_grams``.
+    Gram blocks back to back in ``tile_grams``.  The sweep reads all four;
+    :func:`group_fits` reads the members and edges only.
     """
 
     def __init__(self, y, Z, X, group_of, *, group_labels=None,
@@ -351,18 +353,50 @@ def slab_variances(data, params):
     return np.where(data.xtx > 0.0, params.sigma_e2 / denom, params.sigma_beta2)
 
 
+def group_fits(data: GroupedDesign, w, out=None):
+    """Every group's fit g_k = X_k w_k (without its pi_k weight), as the
+    rows of a (K, n) C-order array; ``w`` is the (p,) vector alpha mu.
+
+    One call of the compiled ``group_fits`` (``_sweep.c``, outside the
+    GIL) when :func:`bivas._sweep.kernel` could build or load it, and
+    :func:`group_fits_python` otherwise.  Neither reads the Gram tiles.
+    Writes into ``out`` when given (a writable C-contiguous float64
+    array), else into a new array; returns it.
+    """
+    if out is None:
+        out = np.empty((data.K, data.n))
+    lib = _sweep.kernel()
+    if lib is None:
+        return group_fits_python(data, w, out)
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    if w.shape != (data.p,):
+        raise ValueError(f"w has shape {w.shape}, expected ({data.p},)")
+    lib.group_fits(data.n, data.K, data.X.ctypes.data, w.ctypes.data,
+                   data.tile_members.ctypes.data, data.tile_ptr.ctypes.data,
+                   data.group_tile_ptr.ctypes.data,
+                   _sweep.address(out, (data.K, data.n)))
+    return out
+
+
+def group_fits_python(data: GroupedDesign, w, out):
+    """:func:`group_fits` as one gemv per group over ``group_cols``: the
+    fallback and the tests' reference."""
+    for k, idx in enumerate(data.group_members):
+        out[k] = data.group_cols[k] @ w[idx]
+    return out
+
+
 def refresh_residual(state: VariationalState, data: GroupedDesign,
                      params: ModelParams) -> VariationalState:
-    """Recompute ``residual`` and ``group_fit`` from scratch, in place.
+    """Recompute ``group_fit`` (:func:`group_fits`) and ``residual`` =
+    y - Z omega - sum_k pi_k g_k from scratch, in place.
 
     Idempotent; used to wash out floating-point drift accumulated by the
     incremental updates inside the coordinate sweeps.
     """
-    w = state.alpha_jk * state.mu
-    for k, idx in enumerate(data.group_members):
-        state.group_fit[k][:] = data.group_cols[k] @ w[idx]
+    group_fits(data, state.alpha_jk * state.mu, state.group_fit)
     state.residual[:] = data.y - data.Z @ params.omega \
-        - data.X @ (state.pi_k[data.group_of] * w)
+        - state.pi_k @ state.group_fit
     return state
 
 

@@ -8,14 +8,16 @@ bound is non-decreasing across iterations up to floating-point noise.
 
 Both engines' sweeps run in one call of a small C kernel (``_sweep.c``)
 that makes the Python sweeps' updates in the same order, without holding
-the GIL.  It is compiled with the system C compiler (``cc``) on the first
-sweep of a process that finds no cached copy, and cached in the package's
-``__pycache__`` or, when that cannot be written, in ``~/.cache/bivas``
-(see :mod:`bivas._sweep`).  Without a compiler or a cache the engines run
-:func:`estep_sweep_python` and
-:func:`~bivas.multitask_fit.mt_estep_sweep_python`, which are also the
-kernel's reference in the tests, and log one warning on the "bivas"
-logger.
+the GIL.  The grouped engine's M-step, bound and residual refresh each
+read every group's fit X_k w_k from one call of the same kernel
+(:func:`~bivas.designs.group_fits`).  The kernel is compiled with the
+system C compiler (``cc``) on the first call of a process that finds no
+cached copy, and cached in the package's ``__pycache__`` or, when that
+cannot be written, in ``~/.cache/bivas`` (see :mod:`bivas._sweep`).
+Without a compiler or a cache the engines run :func:`estep_sweep_python`,
+:func:`~bivas.multitask_fit.mt_estep_sweep_python` and
+:func:`~bivas.designs.group_fits_python`, which are also the kernel's
+reference in the tests, and log one warning on the "bivas" logger.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .designs import (
     GroupedDesign,
     ModelParams,
     VariationalState,
+    group_fits,
     refresh_residual,
     slab_variances,
 )
@@ -253,23 +256,39 @@ def estep_sweep_python(state: VariationalState, data: GroupedDesign,
     return state
 
 
+def _fit_and_cross(state: VariationalState, data: GroupedDesign):
+    """The fit X pw = sum_k pi_k g_k and the within-group cross term, both
+    from one pass of group fits g_k = X_k w_k, w = alpha mu
+    (:func:`~bivas.designs.group_fits`, compiled when the kernel loads).
+
+    Evaluated from scratch: the maintained ``state.group_fit`` and
+    ``state.residual`` are not read, so the bound stays a pure function of
+    (mu, s2, alpha_jk, pi_k, params).  The cross term is
+
+        sum_k (pi_k - pi_k^2) sum_{j != j'} w_j w_j' x_j'x_j'
+          = sum_k (pi_k - pi_k^2) (|g_k|^2 - sum_{j in k} w_j^2 x_j'x_j)
+
+    over the groups of two or more members.
+    """
+    w = state.alpha_jk * state.mu
+    fits = group_fits(data, w)
+    pi = state.pi_k
+    multi = data.group_sizes > 1
+    g = fits[multi]
+    pairs = np.einsum("ij,ij->i", g, g) - np.bincount(
+        data.group_of, weights=w ** 2 * data.xtx, minlength=data.K)[multi]
+    cross = float(((pi - pi ** 2)[multi] * pairs).sum())
+    return pi @ fits, cross
+
+
 def within_group_cross(state: VariationalState, data: GroupedDesign) -> float:
-    """Within-group cross term of the bound's expected squared error.
+    """Within-group cross term of the bound's expected squared error,
 
         sum_k (pi_k - pi_k^2) sum_{j != j'} w_j w_j' x_j'x_j',  w = alpha mu,
 
-    evaluated from scratch through each group's fit X_k w_k.
-    """
-    w = state.alpha_jk * state.mu
-    cross = 0.0
-    for k, idx in enumerate(data.group_members):
-        if idx.shape[0] < 2:
-            continue
-        wk = w[idx]
-        gk = data.group_cols[k] @ wk
-        pairs = float(gk @ gk) - float((wk ** 2 * data.xtx[idx]).sum())
-        cross += (state.pi_k[k] - state.pi_k[k] ** 2) * pairs
-    return cross
+    evaluated from scratch through one pass of group fits X_k w_k (see
+    :func:`_fit_and_cross`)."""
+    return _fit_and_cross(state, data)[1]
 
 
 def _moments(state, pi_of):
@@ -290,15 +309,15 @@ def _expected_sse(y, Z, omega, fit, xtx, moments, cross):
     return float(resid @ resid) + var_term + cross
 
 
-def _task_bound(y, Z, X, xtx, omega, sigma_e2, sigma_beta2, moments,
+def _task_bound(y, Z, fit, xtx, omega, sigma_e2, sigma_beta2, moments,
                 cross=0.0):
     """One task's bound terms: the Gaussian data term, the slab prior over
     E[beta^2] and the Gaussian entropy block, whose log(2 pi sigma_beta2)
-    normalizers cancel to p/2."""
+    normalizers cancel to p/2.  ``fit`` is the task's X pw."""
     pa, pw, second_moment, s2 = moments
-    n, p = X.shape
+    n, p = y.shape[0], xtx.shape[0]
     out = -0.5 * n * (LOG_2PI + math.log(sigma_e2))
-    out -= 0.5 * _expected_sse(y, Z, omega, X @ pw, xtx, moments, cross) / sigma_e2
+    out -= 0.5 * _expected_sse(y, Z, omega, fit, xtx, moments, cross) / sigma_e2
     e_beta2 = pa * second_moment + (1.0 - pa) * sigma_beta2
     out -= 0.5 * float(e_beta2.sum()) / sigma_beta2
     out += 0.5 * float((pa * np.log(s2 / sigma_beta2)).sum())
@@ -314,15 +333,15 @@ def _indicator_kl(state, params) -> float:
     return out
 
 
-def _task_mstep(y, Z, X, solve, xtx, moments, sigma_beta2, cross=0.0):
-    """One task's closed-form updates -> (omega, sigma_e2, sigma_beta2).
+def _task_mstep(y, Z, fit, solve, xtx, moments, sigma_beta2, cross=0.0):
+    """One task's closed-form updates -> (omega, sigma_e2, sigma_beta2),
+    ``fit`` being the task's X pw.
 
     Fixed effects go first so the noise update sees the new residual; each
     update is exactly stationary for the bound.  sigma_beta2 is kept when
     no coefficient carries inclusion mass.
     """
-    pa, pw, second_moment, _ = moments
-    fit = X @ pw
+    pa, _, second_moment, _ = moments
     omega = solve(Z.T @ (y - fit))
     sigma_e2 = _expected_sse(y, Z, omega, fit, xtx, moments, cross) / y.shape[0]
     pa_sum = float(pa.sum())
@@ -342,24 +361,25 @@ def _prior_means(state, params, fix_pi: bool):
 def elbo(state: VariationalState, data: GroupedDesign,
          params: ModelParams) -> float:
     """Evidence lower bound, evaluated from scratch (pure function): one
-    task's terms (:func:`_task_bound`, with the within-group cross term)
-    plus the indicator KL terms."""
-    return _task_bound(data.y, data.Z, data.X, data.xtx, params.omega,
+    task's terms (:func:`_task_bound`, with the fit and the within-group
+    cross term of :func:`_fit_and_cross`) plus the indicator KL terms."""
+    fit, cross = _fit_and_cross(state, data)
+    return _task_bound(data.y, data.Z, fit, data.xtx, params.omega,
                        params.sigma_e2, params.sigma_beta2,
-                       _moments(state, state.pi_k[data.group_of]),
-                       within_group_cross(state, data)) \
+                       _moments(state, state.pi_k[data.group_of]), cross) \
         + _indicator_kl(state, params)
 
 
 def mstep_update(state: VariationalState, data: GroupedDesign,
                  params: ModelParams, opts: EmOptions) -> ModelParams:
     """Closed-form parameter updates at the current variational state:
-    one task's (:func:`_task_mstep`, with the within-group cross term) and
-    the priors' (:func:`_prior_means`)."""
+    one task's (:func:`_task_mstep`, with the fit and the within-group
+    cross term of :func:`_fit_and_cross`) and the priors'
+    (:func:`_prior_means`)."""
+    fit, cross = _fit_and_cross(state, data)
     omega, sigma_e2, sigma_beta2 = _task_mstep(
-        data.y, data.Z, data.X, data.solve_z_gram, data.xtx,
-        _moments(state, state.pi_k[data.group_of]), params.sigma_beta2,
-        within_group_cross(state, data))
+        data.y, data.Z, fit, data.solve_z_gram, data.xtx,
+        _moments(state, state.pi_k[data.group_of]), params.sigma_beta2, cross)
     alpha, pi = _prior_means(state, params, opts.fix_pi)
     return ModelParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
                        sigma_e2=sigma_e2, omega=omega)

@@ -165,12 +165,13 @@ def _task_moments(state: MtVariationalState):
 def mt_elbo(state: MtVariationalState, data: MultiTaskData,
             params: MultiTaskParams) -> float:
     """Multi-task evidence lower bound, evaluated from scratch: the grouped
-    engine's per-task terms (:func:`~bivas.group_fit._task_bound`, no
-    cross term) summed over tasks, plus the shared indicator KL terms."""
+    engine's per-task terms (:func:`~bivas.group_fit._task_bound`, fit
+    X_j pw_j, no cross term) summed over tasks, plus the shared indicator
+    KL terms."""
     out = _indicator_kl(state, params)
     for j, moments in enumerate(_task_moments(state)):
-        out += _task_bound(data.y[j], data.Z[j], data.X[j], data.xtx[:, j],
-                           params.omega[j], params.sigma_e2[j],
+        out += _task_bound(data.y[j], data.Z[j], data.X[j] @ moments[1],
+                           data.xtx[:, j], params.omega[j], params.sigma_e2[j],
                            params.sigma_beta2[j], moments)
     return out
 
@@ -178,11 +179,11 @@ def mt_elbo(state: MtVariationalState, data: MultiTaskData,
 def mt_mstep_update(state: MtVariationalState, data: MultiTaskData,
                     params: MultiTaskParams, opts: EmOptions) -> MultiTaskParams:
     """The grouped engine's per-task updates
-    (:func:`~bivas.group_fit._task_mstep`, no cross term) in every task;
-    the shared priors average over K*L (variable level) and K (group
-    level) posterior probabilities."""
+    (:func:`~bivas.group_fit._task_mstep`, fit X_j pw_j, no cross term) in
+    every task; the shared priors average over K*L (variable level) and K
+    (group level) posterior probabilities."""
     omega, sigma_e2, sigma_beta2 = zip(*(
-        _task_mstep(data.y[j], data.Z[j], data.X[j],
+        _task_mstep(data.y[j], data.Z[j], data.X[j] @ moments[1],
                     partial(data.solve_z_gram, j), data.xtx[:, j], moments,
                     params.sigma_beta2[j])
         for j, moments in enumerate(_task_moments(state))))

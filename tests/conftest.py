@@ -35,6 +35,15 @@ def sweep_cases(compiled, python):
             pytest.param(python, id="python")]
 
 
+@pytest.fixture(params=sweep_cases("compiled", "python"))
+def kernel_path(request, monkeypatch):
+    """Run a test on the compiled kernel, and again with the kernel marked
+    unavailable, so every dispatcher takes its Python path."""
+    if request.param == "python":
+        monkeypatch.setattr(_sweep, "_loaded", False)
+    return request.param
+
+
 @pytest.fixture(scope="session", autouse=True)
 def sweep_kernel():
     """Build or load the compiled sweeps before any test runs, so the one

@@ -1,4 +1,4 @@
-"""Validation, group re-indexing and residual cache maintenance."""
+"""Validation, group re-indexing, group fits and residual cache maintenance."""
 import numpy as np
 import pytest
 
@@ -12,6 +12,7 @@ from bivas import (
     refresh_residual,
     validate_design,
 )
+from bivas.designs import group_fits, group_fits_python
 from bivas.exceptions import (
     DimensionMismatch,
     EmptyGroup,
@@ -20,7 +21,7 @@ from bivas.exceptions import (
     RankDeficientZ,
 )
 
-from conftest import random_grouped, random_state
+from conftest import HAVE_COMPILER, random_grouped, random_state, sweep_cases
 
 
 def _simple(n=10, p=3, labels=(7, 7, 9)):
@@ -179,6 +180,42 @@ class TestModelParams:
         assert p.pi == 1.0 - 1e-12
         assert p.sigma_beta2 == 1e-10
         assert p.sigma_e2 == 1e-10
+
+
+class TestGroupFits:
+    @pytest.mark.parametrize("fits", sweep_cases(group_fits, group_fits_python))
+    def test_matches_direct_formula(self, rng, fits):
+        # G[k] = X_k w_k from the full design, over groups wider than n
+        # (several tiles), singleton groups, a zero-norm column and p = 0
+        cases = [dict(n=7, sizes=[16, 1, 9]), dict(n=5, sizes=[11, 5, 6]),
+                 dict(n=15, sizes=[1, 1, 1, 1]),
+                 dict(n=12, sizes=[3, 4], zero_col=2),
+                 dict(n=9, sizes=[20, 2]), dict(n=20, sizes=[2, 7, 1, 4])]
+        for case in cases:
+            zero_col = case.pop("zero_col", None)
+            d = random_grouped(rng, **case)
+            if zero_col is not None:
+                X = d.X.copy()
+                X[:, zero_col] = 0.0
+                d = GroupedDesign(d.y, d.Z, X, d.group_of)
+            w = rng.standard_normal(d.p)
+            out = np.full((d.K, d.n), np.nan)
+            got = fits(d, w, out)
+            assert got is out
+            want = np.array([d.X[:, idx] @ w[idx] for idx in d.group_members])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        n = 6
+        d = GroupedDesign(np.arange(n, dtype=float), np.ones((n, 1)),
+                          np.empty((n, 0)), np.empty(0, dtype=int))
+        assert fits(d, np.zeros(0), np.empty((0, n))).shape == (0, n)
+
+    @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+    def test_kernel_rejects_bad_arrays(self, rng):
+        d = random_grouped(rng, n=20, sizes=[3, 2])
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            group_fits(d, np.ones(d.p), np.empty((d.n, d.K)).T)
+        with pytest.raises(ValueError, match="w has shape"):
+            group_fits(d, np.ones(d.p + 1))
 
 
 class TestRefreshResidual:

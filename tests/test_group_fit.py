@@ -186,6 +186,22 @@ class TestElbo:
             * float(d.xtx.sum()) / params.sigma_e2
         assert elbo(state, d, params) == pytest.approx(expected, rel=1e-12)
 
+    def test_bound_and_mstep_read_no_cache(self, rng, kernel_path):
+        # elbo and mstep_update are pure functions of (mu, s2, alpha_jk,
+        # pi_k, params): the sweep's maintained caches are never read
+        d = random_grouped(rng, n=8, sizes=[3, 1, 12, 2])
+        params = initial_params(d, pi=0.4)
+        state = random_state(rng, d, params)
+        opts = EmOptions()
+        bound = elbo(state, d, params)
+        updated = mstep_update(state, d, params, opts)
+        state.group_fit[:] = np.nan
+        state.residual[:] = np.nan
+        assert elbo(state, d, params) == bound
+        again = mstep_update(state, d, params, opts)
+        for field in ("alpha", "pi", "sigma_beta2", "sigma_e2", "omega"):
+            assert np.array_equal(getattr(again, field), getattr(updated, field))
+
     def test_bounded_by_exact_marginal(self, rng):
         for _ in range(5):
             design, result = fitted_tiny(rng, n_range=(8, 14), K_range=(2, 3),
@@ -195,7 +211,7 @@ class TestElbo:
 
 
 class TestWithinGroupCross:
-    def test_matches_group_fit_formula(self, rng):
+    def test_matches_group_fit_formula(self, rng, kernel_path):
         # sum_k (pi_k - pi_k^2) (|X_k w_k|^2 - sum_j w_j^2 x_j'x_j), with
         # X_k w_k formed from the full design rather than the group views
         for case in (dict(n=30), dict(n=30, rho=0.5),
