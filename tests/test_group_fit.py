@@ -211,9 +211,10 @@ class TestElbo:
 
 
 class TestWithinGroupCross:
-    def test_matches_group_fit_formula(self, rng, kernel_path):
+    def test_matches_group_fit_formula(self, rng, monkeypatch):
         # sum_k (pi_k - pi_k^2) (|X_k w_k|^2 - sum_j w_j^2 x_j'x_j), with
-        # X_k w_k formed from the full design rather than the group views
+        # X_k w_k formed from the full design rather than the group views;
+        # checked on the compiled kernel and again on the Python path
         for case in (dict(n=30), dict(n=30, rho=0.5),
                      dict(n=6, sizes=[14, 1, 4]), dict(n=10, sizes=[1, 1])):
             d = random_grouped(rng, **case)
@@ -225,8 +226,11 @@ class TestWithinGroupCross:
                 gk = d.X[:, idx] @ w[idx]
                 pairs = float(gk @ gk) - float((w[idx] ** 2 * d.xtx[idx]).sum())
                 want += (state.pi_k[k] - state.pi_k[k] ** 2) * pairs
-            got = within_group_cross(state, d)
-            assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+            for loaded in (_sweep._loaded, False):
+                with monkeypatch.context() as m:
+                    m.setattr(_sweep, "_loaded", loaded)
+                    got = within_group_cross(state, d)
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 class TestMstep:
