@@ -234,7 +234,7 @@ class GroupedDesign:
         """Solve (Z'Z) w = rhs using the cached Cholesky factor."""
         if self._z_cho is None:
             return np.zeros(0)
-        return cho_solve(self._z_cho, rhs)
+        return cho_solve(self._z_cho, rhs, check_finite=False)
 
     def with_response(self, y):
         """Return a copy sharing all X/Z caches but carrying a new response."""
@@ -386,17 +386,53 @@ def group_fits_python(data: GroupedDesign, w, out):
     return out
 
 
+class GroupFits(NamedTuple):
+    """One fit pass over a grouped state (:func:`fit_pass`)."""
+
+    group_fit: np.ndarray   # (K, n) C order, row k = g_k = X_k w_k
+    fit: np.ndarray         # (n,) X pw = sum_k pi_k g_k
+    cross: float            # the bound's within-group cross term
+
+
+def fit_pass(state: VariationalState, data: GroupedDesign,
+             out=None) -> GroupFits:
+    """The group fits g_k = X_k w_k, w = alpha mu, from one
+    :func:`group_fits` call (into ``out`` when given), with the fit
+    X pw = sum_k pi_k g_k and the within-group cross term they give.
+
+    Evaluated from (mu, alpha_jk, pi_k) alone: the maintained
+    ``state.group_fit`` and ``state.residual`` are not read, so a bound
+    built on it stays a pure function of the state.  The cross term is
+
+        sum_k (pi_k - pi_k^2) sum_{j != j'} w_j w_j' x_j'x_j'
+          = sum_k (pi_k - pi_k^2) (|g_k|^2 - sum_{j in k} w_j^2 x_j'x_j)
+
+    over the groups of two or more members.
+    """
+    w = state.alpha_jk * state.mu
+    fits = group_fits(data, w, out)
+    pi = state.pi_k
+    multi = data.group_sizes > 1
+    g = fits[multi]
+    pairs = np.einsum("ij,ij->i", g, g) - np.bincount(
+        data.group_of, weights=w ** 2 * data.xtx, minlength=data.K)[multi]
+    cross = float(((pi - pi ** 2)[multi] * pairs).sum())
+    return GroupFits(fits, pi @ fits, cross)
+
+
 def refresh_residual(state: VariationalState, data: GroupedDesign,
-                     params: ModelParams) -> VariationalState:
-    """Recompute ``group_fit`` (:func:`group_fits`) and ``residual`` =
-    y - Z omega - sum_k pi_k g_k from scratch, in place.
+                     params: ModelParams, *,
+                     fits: GroupFits | None = None) -> VariationalState:
+    """Recompute ``group_fit`` and ``residual`` = y - Z omega -
+    sum_k pi_k g_k from scratch, in place, from ``fits`` (the iteration's
+    :func:`fit_pass`; run here when None).
 
     Idempotent; used to wash out floating-point drift accumulated by the
     incremental updates inside the coordinate sweeps.
     """
-    group_fits(data, state.alpha_jk * state.mu, state.group_fit)
-    state.residual[:] = data.y - data.Z @ params.omega \
-        - state.pi_k @ state.group_fit
+    fits = fit_pass(state, data) if fits is None else fits
+    state.group_fit[:] = fits.group_fit
+    state.residual[:] = data.y - data.Z @ params.omega - fits.fit
     return state
 
 
@@ -481,7 +517,7 @@ class MultiTaskData:
     def solve_z_gram(self, task, rhs):
         if self._z_cho[task] is None:
             return np.zeros(0)
-        return cho_solve(self._z_cho[task], rhs)
+        return cho_solve(self._z_cho[task], rhs, check_finite=False)
 
 
 @dataclass
@@ -531,11 +567,20 @@ class MtVariationalState:
                                   self.residual)
 
 
+def mt_fit_pass(state: MtVariationalState, data: MultiTaskData) -> list:
+    """Each task's fit X_j pw_j, pw = pi_k alpha_jk mu_jk, evaluated from
+    (mu, alpha_jk, pi_k) alone (the multi-task :func:`fit_pass`)."""
+    pw = state.pi_k[:, None] * (state.alpha_jk * state.mu)    # (K, L)
+    return [X @ pw[:, j] for j, X in enumerate(data.X)]
+
+
 def mt_refresh_residual(state: MtVariationalState, data: MultiTaskData,
-                        params: MultiTaskParams) -> MtVariationalState:
-    """Recompute every per-task residual from scratch, in place."""
-    weighted = state.pi_k[:, None] * state.alpha_jk * state.mu   # (K, L)
+                        params: MultiTaskParams, *,
+                        fits: list | None = None) -> MtVariationalState:
+    """Recompute every per-task residual from scratch, in place, from
+    ``fits`` (the iteration's :func:`mt_fit_pass`; run here when None)."""
+    fits = mt_fit_pass(state, data) if fits is None else fits
     for j in range(data.L):
         state.residual[j][:] = data.y[j] - data.Z[j] @ params.omega[j] \
-            - data.X[j] @ weighted[:, j]
+            - fits[j]
     return state

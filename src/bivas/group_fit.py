@@ -8,8 +8,10 @@ bound is non-decreasing across iterations up to floating-point noise.
 
 Both engines' sweeps run in one call of a small C kernel (``_sweep.c``)
 that makes the Python sweeps' updates in the same order, without holding
-the GIL.  The grouped engine's M-step, bound and residual refresh each
-read every group's fit X_k w_k from one call of the same kernel
+the GIL.  Each EM iteration then forms the fits X pw once, in a fit
+pass that the M-step, the bound and the residual refresh share
+(:func:`run_em`); the grouped engine's pass reads every group's fit
+X_k w_k from one call of the same kernel
 (:func:`~bivas.designs.group_fits`).  The kernel is compiled with the
 system C compiler (``cc``) on the first call of a process that finds no
 cached copy, and cached in the package's ``__pycache__`` or, when that
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,9 +33,10 @@ from . import _sweep
 from .designs import (
     PROB_EPS,
     GroupedDesign,
+    GroupFits,
     ModelParams,
     VariationalState,
-    group_fits,
+    fit_pass,
     refresh_residual,
     slab_variances,
 )
@@ -256,39 +260,14 @@ def estep_sweep_python(state: VariationalState, data: GroupedDesign,
     return state
 
 
-def _fit_and_cross(state: VariationalState, data: GroupedDesign):
-    """The fit X pw = sum_k pi_k g_k and the within-group cross term, both
-    from one pass of group fits g_k = X_k w_k, w = alpha mu
-    (:func:`~bivas.designs.group_fits`, compiled when the kernel loads).
-
-    Evaluated from scratch: the maintained ``state.group_fit`` and
-    ``state.residual`` are not read, so the bound stays a pure function of
-    (mu, s2, alpha_jk, pi_k, params).  The cross term is
-
-        sum_k (pi_k - pi_k^2) sum_{j != j'} w_j w_j' x_j'x_j'
-          = sum_k (pi_k - pi_k^2) (|g_k|^2 - sum_{j in k} w_j^2 x_j'x_j)
-
-    over the groups of two or more members.
-    """
-    w = state.alpha_jk * state.mu
-    fits = group_fits(data, w)
-    pi = state.pi_k
-    multi = data.group_sizes > 1
-    g = fits[multi]
-    pairs = np.einsum("ij,ij->i", g, g) - np.bincount(
-        data.group_of, weights=w ** 2 * data.xtx, minlength=data.K)[multi]
-    cross = float(((pi - pi ** 2)[multi] * pairs).sum())
-    return pi @ fits, cross
-
-
 def within_group_cross(state: VariationalState, data: GroupedDesign) -> float:
     """Within-group cross term of the bound's expected squared error,
 
         sum_k (pi_k - pi_k^2) sum_{j != j'} w_j w_j' x_j'x_j',  w = alpha mu,
 
     evaluated from scratch through one pass of group fits X_k w_k (see
-    :func:`_fit_and_cross`)."""
-    return _fit_and_cross(state, data)[1]
+    :func:`~bivas.designs.fit_pass`)."""
+    return fit_pass(state, data).cross
 
 
 def _moments(state, pi_of):
@@ -359,41 +338,49 @@ def _prior_means(state, params, fix_pi: bool):
 
 
 def elbo(state: VariationalState, data: GroupedDesign,
-         params: ModelParams) -> float:
-    """Evidence lower bound, evaluated from scratch (pure function): one
-    task's terms (:func:`_task_bound`, with the fit and the within-group
-    cross term of :func:`_fit_and_cross`) plus the indicator KL terms."""
-    fit, cross = _fit_and_cross(state, data)
-    return _task_bound(data.y, data.Z, fit, data.xtx, params.omega,
+         params: ModelParams, *, fits: GroupFits | None = None) -> float:
+    """Evidence lower bound, evaluated from scratch (a pure function of
+    the state when ``fits`` is None): one task's terms
+    (:func:`_task_bound`, with the fit and the within-group cross term of
+    ``fits``, the iteration's :func:`~bivas.designs.fit_pass`, run here
+    when None) plus the indicator KL terms."""
+    fits = fit_pass(state, data) if fits is None else fits
+    return _task_bound(data.y, data.Z, fits.fit, data.xtx, params.omega,
                        params.sigma_e2, params.sigma_beta2,
-                       _moments(state, state.pi_k[data.group_of]), cross) \
-        + _indicator_kl(state, params)
+                       _moments(state, state.pi_k[data.group_of]),
+                       fits.cross) + _indicator_kl(state, params)
 
 
 def mstep_update(state: VariationalState, data: GroupedDesign,
-                 params: ModelParams, opts: EmOptions) -> ModelParams:
+                 params: ModelParams, opts: EmOptions, *,
+                 fits: GroupFits | None = None) -> ModelParams:
     """Closed-form parameter updates at the current variational state:
     one task's (:func:`_task_mstep`, with the fit and the within-group
-    cross term of :func:`_fit_and_cross`) and the priors'
+    cross term of ``fits``, the iteration's
+    :func:`~bivas.designs.fit_pass`, run here when None) and the priors'
     (:func:`_prior_means`)."""
-    fit, cross = _fit_and_cross(state, data)
+    fits = fit_pass(state, data) if fits is None else fits
     omega, sigma_e2, sigma_beta2 = _task_mstep(
-        data.y, data.Z, fit, data.solve_z_gram, data.xtx,
-        _moments(state, state.pi_k[data.group_of]), params.sigma_beta2, cross)
+        data.y, data.Z, fits.fit, data.solve_z_gram, data.xtx,
+        _moments(state, state.pi_k[data.group_of]), params.sigma_beta2,
+        fits.cross)
     alpha, pi = _prior_means(state, params, opts.fix_pi)
     return ModelParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
                        sigma_e2=sigma_e2, omega=omega)
 
 
 def run_em(data, params, state, opts: EmOptions | None,
-           sweep, mstep, refresh, bound) -> EmResult:
+           sweep, fit_pass, mstep, refresh, bound) -> EmResult:
     """The EM loop shared by both engines.
 
     Runs up to ``opts.max_iter`` rounds of ``sweep`` (one coordinate
-    sweep, in place), ``mstep`` (new parameters), ``refresh`` (residual
-    caches recomputed from scratch) and ``bound`` (the evidence lower
-    bound).  Convergence is declared when the relative bound change
-    |dL| / (1 + |L|) drops below ``opts.rel_tol``.
+    sweep, in place), ``fit_pass`` (the fits X pw, computed once from
+    (mu, alpha_jk, pi_k)), ``mstep`` (new parameters), ``refresh``
+    (residual caches recomputed from scratch) and ``bound`` (the evidence
+    lower bound).  The last three share the one fit pass, passed as
+    ``fits``: the fits depend on neither omega nor the variances, so the
+    M-step leaves them as they are.  Convergence is declared when the
+    relative bound change |dL| / (1 + |L|) drops below ``opts.rel_tol``.
     """
     if opts is None:
         opts = EmOptions()
@@ -402,9 +389,10 @@ def run_em(data, params, state, opts: EmOptions | None,
     converged = False
     for _ in range(opts.max_iter):
         sweep(state, data, params)
-        params = mstep(state, data, params, opts)
-        refresh(state, data, params)
-        current = bound(state, data, params)
+        fits = fit_pass(state, data)
+        params = mstep(state, data, params, opts, fits=fits)
+        refresh(state, data, params, fits=fits)
+        current = bound(state, data, params, fits=fits)
         trace.append(current)
         if abs(current - prev) < opts.rel_tol * (1.0 + abs(current)):
             converged = True
@@ -418,8 +406,10 @@ def run_em(data, params, state, opts: EmOptions | None,
 def em_fit(data: GroupedDesign, init: ModelParams,
            opts: EmOptions | None = None) -> EmResult:
     """Alternate coordinate sweeps and M-steps until the bound stalls
-    (:func:`run_em`).  The returned trace is non-decreasing up to
-    1e-8 * (1 + |L|) slack.
+    (:func:`run_em`).  Every iteration's group fits go into one buffer.
+    The returned trace is non-decreasing up to 1e-8 * (1 + |L|) slack.
     """
+    fits_buffer = np.empty((data.K, data.n))
     return run_em(data, init, VariationalState.initial(data, init), opts,
-                  estep_sweep, mstep_update, refresh_residual, elbo)
+                  estep_sweep, partial(fit_pass, out=fits_buffer),
+                  mstep_update, refresh_residual, elbo)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import os
 from typing import NamedTuple
@@ -38,11 +39,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _rows(fh, path: str):
+    """The non-blank rows of an open delimited table, read lazily."""
+    return (row for row in csv.reader(fh, delimiter=_delimiter(path)) if row)
+
+
 def read_table(path: str):
     """Read a delimited table; returns (header, rows of raw strings)."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=_delimiter(path))
-        rows = [row for row in reader if row]
+        rows = list(_rows(fh, path))
     if not rows:
         raise NonNumeric(f"{path}: empty table")
     return rows[0], rows[1:]
@@ -84,61 +89,51 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
     intercept column of ones is injected.  With ``require_response=False``
     a table without the response column loads with y = 0 (prediction-only
     data; needs the sidecar group map, since the inline marker lives in the
-    response cell).  Every cell must parse as a finite number.
+    response cell).  Every cell must parse as a finite number.  Data rows
+    are parsed as they are read (:func:`_parse_rows`), so no row is held
+    as strings.
     """
-    header, rows = read_table(data_path)
-    resp_idx = header.index(response) if response in header else None
-    if resp_idx is None and require_response:
-        raise DimensionMismatch(
-            f"{data_path}: no response column named {response!r}"
-        )
+    with open(data_path, newline="") as fh:
+        rows = _rows(fh, data_path)
+        header = next(rows, None)
+        if header is None:
+            raise NonNumeric(f"{data_path}: empty table")
+        resp_idx = header.index(response) if response in header else None
+        if resp_idx is None and require_response:
+            raise DimensionMismatch(
+                f"{data_path}: no response column named {response!r}"
+            )
 
-    inline: dict = {}
-    first_line = 2      # file line of rows[0], for messages
-    if resp_idx is not None and rows \
-            and rows[0][resp_idx] == GROUP_ROW_MARKER:
-        marker_row, rows = rows[0], rows[1:]
-        first_line = 3
-        for name, cell in zip(header, marker_row):
-            if name != response and cell != "":
-                inline[name] = cell
-    if groups_path is not None:
-        group_label_of = read_group_map(groups_path)   # sidecar wins
-    elif inline:
-        group_label_of = inline
-    else:
-        raise DimensionMismatch(
-            f"{data_path}: no group map given and no inline group row found"
-        )
-    missing = [name for name in group_label_of if name not in header]
-    if missing:
-        raise DimensionMismatch(
-            f"{data_path}: group map names absent from table: {missing}"
-        )
+        inline: dict = {}
+        first_line = 2      # row number of the first data row, for messages
+        first = next(rows, [])
+        if resp_idx is not None \
+                and first[resp_idx:resp_idx + 1] == [GROUP_ROW_MARKER]:
+            inline = {name: cell for name, cell in zip(header, first)
+                      if name != response and cell != ""}
+            first_line = 3
+        elif first:
+            rows = itertools.chain([first], rows)
+        if groups_path is not None:
+            group_label_of = read_group_map(groups_path)   # sidecar wins
+        elif inline:
+            group_label_of = inline
+        else:
+            raise DimensionMismatch(
+                f"{data_path}: no group map given and no inline group row found"
+            )
+        missing = [name for name in group_label_of if name not in header]
+        if missing:
+            raise DimensionMismatch(
+                f"{data_path}: group map names absent from table: {missing}"
+            )
+        parsed = _parse_rows(rows, header, data_path, first_line)
 
     pred_names = [name for name in header
                   if name != response and name in group_label_of]
     covar_names = [name for name in header
                    if name != response and name not in group_label_of]
-
-    n = len(rows)
-    parsed = np.empty((n, len(header)))
-    for i, row in enumerate(rows):
-        where = f"{data_path}: row {i + first_line}"
-        if len(row) != len(header):
-            raise DimensionMismatch(
-                f"{where} has {len(row)} cells, expected {len(header)}")
-        try:
-            parsed[i] = list(map(float, row))
-        except ValueError:
-            for cell in row:
-                _parse_cell(cell, where)
-    if not np.all(np.isfinite(parsed)):
-        i, j = np.argwhere(~np.isfinite(parsed))[0]
-        raise NaNPresent(f"{data_path}: row {i + first_line}, column "
-                         f"{header[j]!r} holds {rows[i][j]!r}, not a finite "
-                         f"number")
-
+    n = parsed.shape[0]
     y = parsed[:, resp_idx] if resp_idx is not None else np.zeros(n)
     X = parsed[:, [header.index(nm) for nm in pred_names]]
     if covar_names:
@@ -148,6 +143,37 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
         covar_names = ["intercept"]
     groups = [group_label_of[nm] for nm in pred_names]
     return DesignTable(y, Z, X, groups, pred_names, covar_names)
+
+
+def _parse_rows(rows, header, path: str, first_line: int) -> np.ndarray:
+    """The data rows as an (n, len(header)) float array, each row parsed
+    as it is read; rows are numbered from ``first_line`` in messages.
+
+    A row of the wrong length or with a cell that is not a number fails at
+    once.  A non-finite cell fails only after every row has parsed, naming
+    the first one.
+    """
+    width = len(header)
+    parsed = []
+    bad = None      # (row number, column, cell) of the first non-finite cell
+    for line, row in enumerate(rows, start=first_line):
+        where = f"{path}: row {line}"
+        if len(row) != width:
+            raise DimensionMismatch(
+                f"{where} has {len(row)} cells, expected {width}")
+        try:
+            values = np.fromiter(map(float, row), np.float64, width)
+        except ValueError:
+            for cell in row:
+                _parse_cell(cell, where)
+        if bad is None and not np.isfinite(values).all():
+            j = int(np.argmin(np.isfinite(values)))
+            bad = (line, header[j], row[j])
+        parsed.append(values)
+    if bad is not None:
+        raise NaNPresent(f"{path}: row {bad[0]}, column {bad[1]!r} holds "
+                         f"{bad[2]!r}, not a finite number")
+    return np.array(parsed) if parsed else np.empty((0, width))
 
 
 def load_design(data_path: str, groups_path: str | None = None, *,

@@ -15,6 +15,7 @@ from .designs import (
     MtVariationalState,
     MultiTaskData,
     MultiTaskParams,
+    mt_fit_pass,
     mt_refresh_residual,
 )
 from .group_fit import (
@@ -163,27 +164,32 @@ def _task_moments(state: MtVariationalState):
 
 
 def mt_elbo(state: MtVariationalState, data: MultiTaskData,
-            params: MultiTaskParams) -> float:
+            params: MultiTaskParams, *, fits: list | None = None) -> float:
     """Multi-task evidence lower bound, evaluated from scratch: the grouped
     engine's per-task terms (:func:`~bivas.group_fit._task_bound`, fit
-    X_j pw_j, no cross term) summed over tasks, plus the shared indicator
-    KL terms."""
+    X_j pw_j from ``fits``, the iteration's
+    :func:`~bivas.designs.mt_fit_pass`, run here when None; no cross
+    term) summed over tasks, plus the shared indicator KL terms."""
+    fits = mt_fit_pass(state, data) if fits is None else fits
     out = _indicator_kl(state, params)
     for j, moments in enumerate(_task_moments(state)):
-        out += _task_bound(data.y[j], data.Z[j], data.X[j] @ moments[1],
-                           data.xtx[:, j], params.omega[j], params.sigma_e2[j],
+        out += _task_bound(data.y[j], data.Z[j], fits[j], data.xtx[:, j],
+                           params.omega[j], params.sigma_e2[j],
                            params.sigma_beta2[j], moments)
     return out
 
 
 def mt_mstep_update(state: MtVariationalState, data: MultiTaskData,
-                    params: MultiTaskParams, opts: EmOptions) -> MultiTaskParams:
+                    params: MultiTaskParams, opts: EmOptions, *,
+                    fits: list | None = None) -> MultiTaskParams:
     """The grouped engine's per-task updates
-    (:func:`~bivas.group_fit._task_mstep`, fit X_j pw_j, no cross term) in
-    every task; the shared priors average over K*L (variable level) and K
-    (group level) posterior probabilities."""
+    (:func:`~bivas.group_fit._task_mstep`, fit X_j pw_j from ``fits`` as
+    in :func:`mt_elbo`, no cross term) in every task; the shared priors
+    average over K*L (variable level) and K (group level) posterior
+    probabilities."""
+    fits = mt_fit_pass(state, data) if fits is None else fits
     omega, sigma_e2, sigma_beta2 = zip(*(
-        _task_mstep(data.y[j], data.Z[j], data.X[j] @ moments[1],
+        _task_mstep(data.y[j], data.Z[j], fits[j],
                     partial(data.solve_z_gram, j), data.xtx[:, j], moments,
                     params.sigma_beta2[j])
         for j, moments in enumerate(_task_moments(state))))
@@ -197,4 +203,5 @@ def mt_em_fit(data: MultiTaskData, init: MultiTaskParams,
     """The grouped engine's loop (:func:`~bivas.group_fit.run_em`) over the
     multi-task steps; monotone bound trace."""
     return run_em(data, init, MtVariationalState.initial(data, init), opts,
-                  mt_estep_sweep, mt_mstep_update, mt_refresh_residual, mt_elbo)
+                  mt_estep_sweep, mt_fit_pass, mt_mstep_update,
+                  mt_refresh_residual, mt_elbo)

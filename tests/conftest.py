@@ -214,6 +214,23 @@ def converge_estep(state, design, params, sweeps=400):
     return state
 
 
+def manual_em(data, params, state, opts, sweep, mstep, refresh, bound):
+    """The EM loop over the public steps, each called without ``fits`` so
+    that it runs its own fit pass; returns (params, state, trace)."""
+    trace = []
+    prev = -math.inf
+    for _ in range(opts.max_iter):
+        sweep(state, data, params)
+        params = mstep(state, data, params, opts)
+        refresh(state, data, params)
+        current = bound(state, data, params)
+        trace.append(current)
+        if abs(current - prev) < opts.rel_tol * (1.0 + abs(current)):
+            break
+        prev = current
+    return params, state, np.asarray(trace)
+
+
 def fitted_tiny(rng, **kwargs):
     """Random tiny instance fitted to tight convergence."""
     design = random_grouped(rng, **kwargs)

@@ -16,7 +16,7 @@ from bivas import (
     mstep_update,
     refresh_residual,
 )
-from bivas import _sweep
+from bivas import _sweep, designs
 from bivas.designs import PROB_EPS, clamp_prob
 from bivas.group_fit import estep_sweep_python, sigmoid, within_group_cross
 from bivas.oracle import exact_log_marginal
@@ -27,6 +27,7 @@ from conftest import (
     direct_numerator,
     direct_sweep,
     fitted_tiny,
+    manual_em,
     random_grouped,
     random_state,
     sweep_cases,
@@ -366,6 +367,43 @@ class TestEmFit:
                 pert = state.copy()
                 pert.pi_k[k] = clamp_prob(state.pi_k[k] + eps)
                 assert elbo(pert, d, params) - base <= allowed
+
+    def test_matches_loop_of_public_steps(self, rng, kernel_path):
+        # the shared fit pass gives bit for bit what each step computes on
+        # its own
+        for case in (dict(with_covariate=True), dict(n=12, sizes=[5, 1, 9]),
+                     dict(n=30, rho=0.6, max_group=6)):
+            d = random_grouped(rng, **case)
+            init = initial_params(d, pi=0.3)
+            opts = EmOptions(max_iter=60)
+            res = em_fit(d, init, opts)
+            params, state, trace = manual_em(
+                d, init, VariationalState.initial(d, init), opts,
+                estep_sweep, mstep_update, refresh_residual, elbo)
+            assert np.array_equal(res.elbo_trace, trace)
+            for field in ("mu", "s2", "alpha_jk", "pi_k", "residual",
+                          "group_fit"):
+                assert np.array_equal(getattr(res.state, field),
+                                      getattr(state, field)), field
+            for field in ("alpha", "pi", "sigma_beta2", "sigma_e2", "omega"):
+                assert np.array_equal(getattr(res.params, field),
+                                      getattr(params, field)), field
+
+    @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+    def test_one_group_fit_pass_per_iteration(self, rng, monkeypatch):
+        calls = []
+        real = designs.group_fits
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(designs, "group_fits", counted)
+        d = random_grouped(rng, with_covariate=True, sizes=[4, 1, 3, 2])
+        res = em_fit(d, initial_params(d, pi=0.3), EmOptions())
+        assert _sweep.kernel() is not None
+        assert res.iterations > 1
+        assert len(calls) == res.iterations
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 
 from bivas import EmOptions, aggregate, make_pi_grid, run_grid, validate_design
 from bivas import io as bio
-from bivas.exceptions import DimensionMismatch, NonNumeric
+from bivas.exceptions import DimensionMismatch, NaNPresent, NonNumeric
 from bivas.simulate import SimConfig, gen_multitask, simulate_dataset
 
 
@@ -80,6 +80,84 @@ class TestDesignRoundTrip:
         assert d.r == 1
         assert np.all(d.Z == 1.0)
         assert d.covariate_names == ["intercept"]
+
+
+class TestParseErrors:
+    """Exact messages and row numbers of a table that does not parse.
+
+    Rows are numbered over the non-blank rows: the header is row 1, an
+    inline group row counts, and the blank line before the last data row
+    is skipped.  With the inline row the bad row is row 4, without it
+    row 3 (the sidecar map names the predictors).
+    """
+
+    BODIES = {
+        "short": "1.0,2.0,3.0,4.0\n\n5.0,6.0,7.0\n",
+        "text": "1.0,2.0,3.0,4.0\n\n5.0,6.0,abc,8.0\n",
+        "nan": "1.0,2.0,3.0,4.0\n\n5.0,6.0,nan,8.0\n",
+        # a non-finite cell is reported only after every row has parsed,
+        # so a later short row wins
+        "nan-then-short": "1.0,2.0,nan,4.0\n\n5.0,6.0,7.0\n",
+    }
+    MESSAGES = {
+        "short": (DimensionMismatch, "row {r} has 3 cells, expected 4"),
+        "text": (NonNumeric, "row {r}: cannot parse 'abc' as a number"),
+        "nan": (NaNPresent,
+                "row {r}, column 'x0' holds 'nan', not a finite number"),
+        "nan-then-short": (DimensionMismatch,
+                           "row {r} has 3 cells, expected 4"),
+    }
+
+    @staticmethod
+    def _write(tmp_path, text, inline):
+        """The table (an empty file when ``text`` is None) and, without the
+        inline row, the sidecar map."""
+        path = tmp_path / "t.csv"
+        head = "y,z,x0,x1\n" + ("group,,a,a\n" if inline else "")
+        path.write_text(head + text if text is not None else "")
+        groups = None
+        if not inline:
+            groups = tmp_path / "g.csv"
+            groups.write_text("predictor,group\nx0,a\nx1,a\n")
+            groups = str(groups)
+        return str(path), groups
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
+    @pytest.mark.parametrize("case", list(BODIES))
+    def test_bad_row(self, tmp_path, case, inline):
+        path, groups = self._write(tmp_path, self.BODIES[case], inline)
+        exc, text = self.MESSAGES[case]
+        want = f"{path}: " + text.format(r=4 if inline else 3)
+        with pytest.raises(exc) as info:
+            bio.read_design_table(path, groups)
+        assert str(info.value) == want
+
+    def test_short_first_row_before_response_column(self, tmp_path):
+        _, groups = self._write(tmp_path, "", False)
+        path = tmp_path / "t.csv"
+        path.write_text("z,x0,x1,y\n1.0\n")
+        with pytest.raises(DimensionMismatch) as info:
+            bio.read_design_table(str(path), groups)
+        assert str(info.value) == f"{path}: row 2 has 1 cells, expected 4"
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
+    def test_empty_table(self, tmp_path, inline):
+        path, groups = self._write(tmp_path, None, inline)
+        with pytest.raises(NonNumeric) as info:
+            bio.read_design_table(path, groups)
+        assert str(info.value) == f"{path}: empty table"
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
+    def test_header_only_table(self, tmp_path, inline):
+        path, groups = self._write(tmp_path, "", inline)
+        table = bio.read_design_table(path, groups)
+        assert table.y.shape == (0,)
+        assert table.Z.shape == (0, 1) and table.X.shape == (0, 2)
+        assert table.groups == ["a", "a"]
+        assert table.covariate_names == ["z"]
+        with pytest.raises(DimensionMismatch) as info:
+            bio.load_design(path, groups)
+        assert str(info.value) == "need r < n, got r=1, n=0"
 
 
 class TestMultitaskLoad:

@@ -26,7 +26,7 @@ from bivas.designs import clamp_prob
 from bivas.multitask_fit import mt_estep_sweep_python
 from bivas.oracle import exact_log_marginal
 
-from conftest import mt_direct_sweep, random_multitask, sweep_cases
+from conftest import manual_em, mt_direct_sweep, random_multitask, sweep_cases
 
 SWEEPS = sweep_cases(mt_estep_sweep, mt_estep_sweep_python)
 
@@ -287,6 +287,28 @@ class TestMtEmFit:
             res = mt_em_fit(data, mt_initial_params(data, pi=0.3), EmOptions())
             diffs = np.diff(res.elbo_trace)
             assert np.all(diffs >= -1e-8 * (1.0 + np.abs(res.elbo_trace[1:])))
+
+    def test_matches_loop_of_public_steps(self, rng):
+        # the shared fit pass gives what each step computes on its own
+        for data in (random_multitask(rng, L=3, K=6),
+                     random_multitask(rng, L=2, K=30, n_range=(10, 20))):
+            init = mt_initial_params(data, pi=0.3)
+            opts = EmOptions(max_iter=60)
+            res = mt_em_fit(data, init, opts)
+            params, state, trace = manual_em(
+                data, init, MtVariationalState.initial(data, init), opts,
+                mt_estep_sweep, mt_mstep_update, mt_refresh_residual, mt_elbo)
+            assert trace.shape == res.elbo_trace.shape
+            assert np.allclose(res.elbo_trace, trace, rtol=1e-12, atol=0.0)
+            for got, want in ((res.state.mu, state.mu),
+                              (res.state.alpha_jk, state.alpha_jk),
+                              (res.state.pi_k, state.pi_k),
+                              (res.params.sigma_e2, params.sigma_e2),
+                              (res.params.sigma_beta2, params.sigma_beta2)):
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
+            for got, want in zip(res.state.residual + res.params.omega,
+                                 state.residual + params.omega):
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
 
     def test_noise_only_stays_sparse(self):
         rng = np.random.default_rng(123)
