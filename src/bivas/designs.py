@@ -3,17 +3,18 @@
 The two data containers (:class:`GroupedDesign`, :class:`MultiTaskData`) are
 immutable after construction and safe to share across threads.  They cache
 everything the fitting engines read repeatedly: per-column squared norms,
-per-group column blocks in Fortran order, the Gram blocks of column tiles
-(see :class:`GramTile`; each group's members on a grouped design, the K
-shared features per task on multi-task data), and the Cholesky factor of
-Z'Z (per task on multi-task data).
+the Cholesky factor of Z'Z (per task on multi-task data), and column
+tiles (runs of at most n of a group's members, or of the K shared
+features) packed into index arrays and one buffer of Gram blocks, which
+the compiled kernel and the Python sweeps read alike.  A tile's columns
+are read from X, which each container holds once.
 :class:`VariationalState` is the single mutable object; one EM run owns one
 state exclusively.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -71,42 +72,28 @@ def _check_z_rank(Z):
     return cho_factor(gram) if gram.size else None
 
 
-class GramTile(NamedTuple):
-    """A contiguous run of columns and its Gram block.
-
-    ``cols`` is an (n, m_t) view of the column block the tile was cut from
-    (a group's block, or a task's X) and ``gram`` is ``cols' cols`` (C
-    order, so its rows are contiguous), a view into the design's packed
-    ``tile_grams`` buffer.  A tile has at most n columns, so its Gram block
-    never holds more numbers than the columns it covers.
-    """
-
-    members: np.ndarray   # (m_t,) global column indices
-    cols: np.ndarray      # (n, m_t)
-    gram: np.ndarray      # (m_t, m_t)
-
-
 def _tile_edges(m, width):
     """Edges of ceil(m / width) contiguous runs of balanced sizes."""
     count = -(-m // width)
     return [i * m // count for i in range(count + 1)] if m else [0]
 
 
-def _pack_grams(blocks):
-    """The Gram blocks of column blocks, back to back in one buffer.
+def gram_views(buf, tile_ptr, tasks=1):
+    """The (m, m) C-order views of Gram blocks packed back to back in
+    ``buf``: tile by tile of ``tile_ptr``, one block per task in a tile."""
+    widths = np.repeat(np.diff(tile_ptr), tasks).tolist()
+    ends = accumulate(m * m for m in widths)
+    return [buf[e - m * m:e].reshape(m, m) for m, e in zip(widths, ends)]
 
-    Returns the buffer and, per block, its (m, m) C-order view.
-    """
-    buf = np.empty(sum(b.shape[1] ** 2 for b in blocks))
-    views = []
-    start = 0
-    for block in blocks:
-        m = block.shape[1]
-        view = buf[start:start + m * m].reshape(m, m)
+
+def _pack_grams(tile_ptr, blocks, tasks=1):
+    """The Gram blocks ``b' b`` of column blocks in one buffer, laid out as
+    :func:`gram_views` reads it; ``blocks`` may be lazy."""
+    buf = np.empty(tasks * int(np.square(np.diff(tile_ptr)).sum()))
+    for view, block in zip(gram_views(buf, tile_ptr, tasks), blocks,
+                           strict=True):
         view[...] = block.T @ block
-        views.append(view)
-        start += m * m
-    return buf, views
+    return buf
 
 
 def reindex_groups(labels):
@@ -145,17 +132,17 @@ class GroupedDesign:
         applied to X (recorded so predictions can apply the same one).
 
     Cached on construction and shared by :meth:`with_response`: ``xtx``
-    (per-column squared norms), ``group_members`` and ``group_cols`` (each
-    group's column indices and its Fortran-order column block),
-    ``group_tiles`` (each group's members split into ceil(m_k / n)
-    balanced :class:`GramTile` runs with their Gram blocks; at most p * n
-    numbers in all, no more than X itself) and the Cholesky factor of Z'Z.
-    The tiles are packed for the compiled kernel: their members, group by
-    group, in ``tile_members`` (``group_members`` are views of it), their
-    edges in ``tile_ptr`` and each group's first tile in
-    ``group_tile_ptr`` (both int64, with one closing entry), and their
-    Gram blocks back to back in ``tile_grams``.  The sweep reads all four;
-    :func:`group_fits` reads the members and edges only.
+    (per-column squared norms), the Cholesky factor of Z'Z and the column
+    tiles.  Each group's members are split into ceil(m_k / n) balanced
+    tiles; tile t holds columns ``tile_members[tile_ptr[t]:tile_ptr[t + 1]]``
+    (the members, group by group, in column order within a group) and
+    group k holds tiles ``group_tile_ptr[k]`` up to ``group_tile_ptr[k + 1]``
+    (both int64, with one closing entry).  ``group_members`` are each
+    group's views of ``tile_members``.  The tiles' Gram blocks sit back to
+    back in ``tile_grams`` (:func:`gram_views`); at most p * n numbers in
+    all, no more than X itself.  A tile's columns are ``X[:, members]``.
+    The sweeps read all four arrays; :func:`group_fits` reads the members
+    and edges only.
     """
 
     def __init__(self, y, Z, X, group_of, *, group_labels=None,
@@ -209,25 +196,15 @@ class GroupedDesign:
         order = np.argsort(self.group_of, kind="stable").astype(np.int64)
         self.group_members = np.split(order, np.cumsum(sizes)[:-1]) \
             if self.K else []
-        self.group_cols = [np.asfortranarray(self.X[:, idx])
-                           for idx in self.group_members]
-        # tiles group by group: tile t holds tile_members[tile_ptr[t]:
-        # tile_ptr[t + 1]] and group k holds tiles group_tile_ptr[k] up to
-        # group_tile_ptr[k + 1]
-        spans = [list(pairwise(_tile_edges(idx.shape[0], self.n)))
-                 for idx in self.group_members]
+        tiles = [_tile_edges(m, self.n) for m in sizes.tolist()]
         self.tile_members = order
-        self.tile_ptr = np.cumsum([0] + [b - a for s in spans for a, b in s],
-                                  dtype=np.int64)
-        self.group_tile_ptr = np.cumsum([0] + [len(s) for s in spans],
+        self.tile_ptr = np.cumsum(
+            [0] + [b - a for edges in tiles for a, b in pairwise(edges)],
+            dtype=np.int64)
+        self.group_tile_ptr = np.cumsum([0] + [len(e) - 1 for e in tiles],
                                         dtype=np.int64)
-        self.tile_grams, grams = _pack_grams(
-            [cols[:, a:b] for cols, s in zip(self.group_cols, spans)
-             for a, b in s])
-        grams = iter(grams)
-        self.group_tiles = [
-            [GramTile(idx[a:b], cols[:, a:b], next(grams)) for a, b in s]
-            for idx, cols, s in zip(self.group_members, self.group_cols, spans)]
+        self.tile_grams = _pack_grams(self.tile_ptr, (
+            self.X[:, order[a:b]] for a, b in pairwise(self.tile_ptr.tolist())))
         self._z_cho = _check_z_rank(self.Z)
 
     def solve_z_gram(self, rhs):
@@ -329,16 +306,14 @@ class VariationalState:
     @classmethod
     def initial(cls, data: GroupedDesign, params: ModelParams):
         """Zero-mean start: mu = 0, alpha_jk = alpha, pi_k = pi."""
-        s2 = slab_variances(data, params)
-        state = cls(
+        return cls(
             mu=np.zeros(data.p),
-            s2=s2,
+            s2=slab_variances(data, params),
             alpha_jk=np.full(data.p, params.alpha),
             pi_k=np.full(data.K, params.pi),
             residual=data.y - data.Z @ params.omega,
             group_fit=np.zeros((data.K, data.n)),
         )
-        return state
 
     def copy(self):
         return VariationalState(self.mu, self.s2, self.alpha_jk, self.pi_k,
@@ -379,10 +354,10 @@ def group_fits(data: GroupedDesign, w, out=None):
 
 
 def group_fits_python(data: GroupedDesign, w, out):
-    """:func:`group_fits` as one gemv per group over ``group_cols``: the
+    """:func:`group_fits` as one gemv per group over its columns of X: the
     fallback and the tests' reference."""
     for k, idx in enumerate(data.group_members):
-        out[k] = data.group_cols[k] @ w[idx]
+        out[k] = data.X[:, idx] @ w[idx]
     return out
 
 
@@ -447,16 +422,14 @@ class MultiTaskData:
     is the same conceptual feature, so every X_j must have K columns.
 
     Cached on construction: ``xtx``, the (K, L) squared column norms
-    (column j for task j, the layout of the (K, L) state arrays), and per
-    task j the Cholesky factor of Z_j'Z_j and ``task_tiles[j]``, the K
-    features split into ceil(K / min_j n_j) balanced :class:`GramTile` runs
-    of X_j.
-    Every task uses the same tile edges, so ``zip(*task_tiles)`` walks the
-    features tile by tile with one tile per task; task j's Gram blocks
-    hold at most K * min_j n_j numbers, no more than X_j itself.  For the
-    compiled sweep the edges are also ``tile_ptr`` (int64, one entry more
-    than there are tiles) and the Gram blocks sit in one buffer,
-    ``tile_grams``, tile by tile and task by task within a tile.
+    (column j for task j, the layout of the (K, L) state arrays), per task
+    j the Cholesky factor of Z_j'Z_j, and the feature tiles: the K features
+    split into ceil(K / min_j n_j) balanced runs with edges ``tile_ptr``
+    (int64, one entry more than there are tiles), the same in every task.
+    Tile t of task j is the view ``X[j][:, tile_ptr[t]:tile_ptr[t + 1]]``,
+    and the Gram blocks sit in one buffer, ``tile_grams``, tile by tile
+    and task by task within a tile (:func:`gram_views`); task j's blocks
+    hold at most K * min_j n_j numbers, no more than X_j itself.
     """
 
     def __init__(self, tasks, *, predictor_names=None, covariate_names=None):
@@ -501,14 +474,10 @@ class MultiTaskData:
         self.K = int(K)
         self.xtx = np.stack([np.einsum("ij,ij->j", X, X) for X in self.X],
                             axis=1)
-        features = np.arange(self.K)
         self.tile_ptr = np.array(_tile_edges(self.K, min(self.n)), np.int64)
-        self.tile_grams, grams = _pack_grams(
-            [X[:, a:b] for a, b in pairwise(self.tile_ptr) for X in self.X])
-        self.task_tiles = [
-            [GramTile(features[a:b], X[:, a:b], grams[t * self.L + j])
-             for t, (a, b) in enumerate(pairwise(self.tile_ptr))]
-            for j, X in enumerate(self.X)]
+        self.tile_grams = _pack_grams(self.tile_ptr, (
+            X[:, a:b] for a, b in pairwise(self.tile_ptr.tolist())
+            for X in self.X), self.L)
         self.predictor_names = list(predictor_names) if predictor_names is not None \
             else [f"x{k}" for k in range(self.K)]
         self.covariate_names = list(covariate_names) if covariate_names is not None \

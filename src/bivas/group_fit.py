@@ -37,6 +37,7 @@ from .designs import (
     ModelParams,
     VariationalState,
     fit_pass,
+    gram_views,
     refresh_residual,
     slab_variances,
 )
@@ -156,8 +157,8 @@ def estep_sweep(state: VariationalState, data: GroupedDesign,
 
 def estep_sweep_python(state: VariationalState, data: GroupedDesign,
                        params: ModelParams) -> VariationalState:
-    """The coordinate sweep in Python over the Gram tiles, updating
-    ``state`` in place.
+    """The coordinate sweep in Python over the design's packed tiles,
+    updating ``state`` in place.
 
     Groups are visited in index order and members in index order within
     each group.  For coefficient (j, k) the slab posterior is
@@ -168,11 +169,11 @@ def estep_sweep_python(state: VariationalState, data: GroupedDesign,
                  - sum over other groups of their weighted fits' overlap
                  - sum over other members of this group's overlap)
 
-    computed from the maintained residual and the cached Gram tiles of
-    the group (:class:`~bivas.designs.GramTile`).  With r the global
-    weighted residual, g_k the unweighted group fit and w = alpha mu, the
-    residual buffer first takes back the group's fit, r + pi_k g_k.  Then,
-    for each tile t of the group with columns X_t and Gram block G_t,
+    computed from the maintained residual and the group's tiles (the
+    packed arrays of :class:`~bivas.designs.GroupedDesign`).  With r the
+    global weighted residual, g_k the unweighted group fit and w = alpha
+    mu, the residual buffer first takes back the group's fit, r + pi_k g_k.
+    Then, for each tile t of the group with columns X_t and Gram block G_t,
 
         c = X_t'(r + pi_k g_k - g_k) + G_t w_t
 
@@ -212,6 +213,9 @@ def estep_sweep_python(state: VariationalState, data: GroupedDesign,
     pi_k = state.pi_k
     r = state.residual
     xtx = data.xtx
+    grams = gram_views(data.tile_grams, data.tile_ptr)
+    tile_ptr = data.tile_ptr.tolist()
+    group_tile_ptr = data.group_tile_ptr.tolist()
 
     for k in range(data.K):
         gk = state.group_fit[k]
@@ -221,7 +225,10 @@ def estep_sweep_python(state: VariationalState, data: GroupedDesign,
         r += pk * gk
         bracket_sum = 0.0    # sum_j alpha_jk (log(s^2/sigma_beta2) + mu^2/s^2)
         diag_sum = 0.0       # sum_j (alpha mu)_j^2 x_j'x_j
-        for members, cols, gram in data.group_tiles[k]:
+        for t in range(group_tile_ptr[k], group_tile_ptr[k + 1]):
+            members = data.tile_members[tile_ptr[t]:tile_ptr[t + 1]]
+            cols = data.X[:, members]
+            gram = grams[t]
             w_start = ajk[members] * mu[members]
             w = w_start.copy()
             w_old = w_start.tolist()

@@ -54,11 +54,23 @@ def read_table(path: str):
 
 
 def read_group_map(path: str) -> dict:
-    """Sidecar group map: name -> label, one predictor per row."""
+    """Sidecar group map: name -> label, one predictor per row; a short
+    row or a repeated name fails with its row number (non-blank rows,
+    the header being row 1)."""
     header, rows = read_table(path)
     if len(header) < 2:
         raise NonNumeric(f"{path}: group map needs two columns")
-    return {row[0]: row[1] for row in rows}
+    labels, line_of = {}, {}
+    for line, row in enumerate(rows, start=2):
+        if len(row) < 2:
+            raise NonNumeric(f"{path}: row {line} has one cell, expected "
+                             f"two (predictor, group)")
+        name = row[0]
+        if name in labels:
+            raise NonNumeric(f"{path}: row {line} names predictor {name!r} "
+                             f"again (first on row {line_of[name]})")
+        labels[name], line_of[name] = row[1], line
+    return labels
 
 
 def _parse_cell(cell: str, where: str) -> float:
@@ -89,7 +101,8 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
     intercept column of ones is injected.  With ``require_response=False``
     a table without the response column loads with y = 0 (prediction-only
     data; needs the sidecar group map, since the inline marker lives in the
-    response cell).  Every cell must parse as a finite number.  Data rows
+    response cell).  No two header cells may hold the same name, and every
+    cell must parse as a finite number.  Data rows
     are parsed as they are read (:func:`_parse_rows`), so no row is held
     as strings.
     """
@@ -98,7 +111,12 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
         header = next(rows, None)
         if header is None:
             raise NonNumeric(f"{data_path}: empty table")
-        resp_idx = header.index(response) if response in header else None
+        column = {name: j for j, name in enumerate(header)}
+        if len(column) < len(header):
+            twice = next(nm for j, nm in enumerate(header) if column[nm] != j)
+            raise DimensionMismatch(
+                f"{data_path}: the header names column {twice!r} twice")
+        resp_idx = column.get(response)
         if resp_idx is None and require_response:
             raise DimensionMismatch(
                 f"{data_path}: no response column named {response!r}"
@@ -122,7 +140,7 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
             raise DimensionMismatch(
                 f"{data_path}: no group map given and no inline group row found"
             )
-        missing = [name for name in group_label_of if name not in header]
+        missing = [name for name in group_label_of if name not in column]
         if missing:
             raise DimensionMismatch(
                 f"{data_path}: group map names absent from table: {missing}"
@@ -135,9 +153,9 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
                    if name != response and name not in group_label_of]
     n = parsed.shape[0]
     y = parsed[:, resp_idx] if resp_idx is not None else np.zeros(n)
-    X = parsed[:, [header.index(nm) for nm in pred_names]]
+    X = parsed[:, [column[nm] for nm in pred_names]]
     if covar_names:
-        Z = parsed[:, [header.index(nm) for nm in covar_names]]
+        Z = parsed[:, [column[nm] for nm in covar_names]]
     else:
         Z = np.ones((n, 1))
         covar_names = ["intercept"]

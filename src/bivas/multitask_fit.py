@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import ctypes
 from functools import partial
+from itertools import pairwise
 
 from . import _sweep
 from .designs import (
     MtVariationalState,
     MultiTaskData,
     MultiTaskParams,
+    gram_views,
     mt_fit_pass,
     mt_refresh_residual,
 )
@@ -80,11 +82,11 @@ def mt_estep_sweep_python(state: MtVariationalState, data: MultiTaskData,
     numerator is x_k'r_j + b_jk x_k'x_k against task j's residual r_j,
     where b_j = pi alpha_j mu_j are the task's weighted coefficients;
     there is no within-group same-task coupling to subtract.  The sweep
-    runs over the shared feature tiles of :attr:`MultiTaskData.task_tiles`
-    (the "covariance update" of
-    :func:`~bivas.group_fit.estep_sweep_python`).
-    For each tile t, with task j's columns X_jt, Gram block G_jt and
-    tile-start coefficients b_j_start,
+    runs over the shared feature tiles (the packed arrays of
+    :class:`~bivas.designs.MultiTaskData`) with the "covariance update" of
+    :func:`~bivas.group_fit.estep_sweep_python`.  For each tile t, with
+    task j's columns X_jt, Gram block G_jt and tile-start coefficients
+    b_j_start,
 
         c_j = X_jt' r_j + G_jt b_j_start
 
@@ -108,13 +110,16 @@ def mt_estep_sweep_python(state: MtVariationalState, data: MultiTaskData,
     ajk = state.alpha_jk
     pi_k = state.pi_k
 
-    for tiles in zip(*data.task_tiles):
-        members = tiles[0].members
+    grams = iter(gram_views(data.tile_grams, data.tile_ptr, data.L))
+    for start, stop in pairwise(data.tile_ptr.tolist()):
+        members = slice(start, stop)
+        cols = [X[:, members] for X in data.X]
+        gram = [next(grams) for _ in tasks]
         b_tile = pi_k[members, None] * (ajk[members] * mu[members])
         b_start = [b_tile[:, j].copy() for j in tasks]
         b = [bs.copy() for bs in b_start]
-        c = [(tile.cols.T @ state.residual[j] + tile.gram @ b_start[j]).tolist()
-             for j, tile in enumerate(tiles)]
+        c = [(cols[j].T @ state.residual[j] + gram[j] @ b_start[j]).tolist()
+             for j in tasks]
         b_t = b_tile.tolist()    # b_j[k] until feature k's own update
         x2_t = xtx[members].tolist()
         s2_t = s2[members].tolist()
@@ -122,7 +127,7 @@ def mt_estep_sweep_python(state: MtVariationalState, data: MultiTaskData,
         pi_t = pi_k[members].tolist()
         mu_t = []
         a_t = []
-        for kk, g_rows in enumerate(zip(*(tile.gram for tile in tiles))):
+        for kk, g_rows in enumerate(zip(*gram)):
             pk = pi_t[kk]
             b_k, x2_k, s2_k, lr_k = b_t[kk], x2_t[kk], s2_t[kk], lr_t[kk]
             mu_k = []
@@ -150,8 +155,8 @@ def mt_estep_sweep_python(state: MtVariationalState, data: MultiTaskData,
         mu[members] = mu_t
         ajk[members] = a_t
         pi_k[members] = pi_t
-        for j, tile in enumerate(tiles):
-            state.residual[j] -= tile.cols @ (b[j] - b_start[j])
+        for j in tasks:
+            state.residual[j] -= cols[j] @ (b[j] - b_start[j])
 
     return state
 

@@ -53,11 +53,12 @@ def sweep_kernel():
 
 def random_grouped(rng, n=None, K=None, max_group=4, with_covariate=False,
                    rho=0.0, noise=1.0, active_frac=0.5, n_range=(15, 60),
-                   K_range=(2, 6), sizes=None):
+                   K_range=(2, 6), sizes=None, interleave=False):
     """Random small GroupedDesign with a planted sparse signal.
 
     ``sizes`` fixes the group sizes (and so K); by default K and the sizes
-    are drawn.
+    are drawn.  Groups are contiguous runs of columns unless ``interleave``
+    shuffles the group ids across the columns.
     """
     if n is None:
         n = int(rng.integers(*n_range))
@@ -69,6 +70,8 @@ def random_grouped(rng, n=None, K=None, max_group=4, with_covariate=False,
     K = len(sizes)
     p = int(sizes.sum())
     group_of = np.repeat(np.arange(K), sizes)
+    if interleave:
+        group_of = rng.permutation(group_of)
     if rho:
         eps = rng.standard_normal((n, p))
         X = np.empty((n, p))

@@ -396,6 +396,47 @@ class TestExitCodes:
         self._assert_one_line_error(capsys, flag)
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["short-map-row", "map-repeats-name",
+                                      "header-repeats-name"])
+    def test_bad_columns_exit_one_before_fitting(self, tmp_path, capsys, case):
+        # the second x0 column differs from the first: a fit that read it
+        # as the first would run and exit 0
+        data = tmp_path / "data.csv"
+        groups = tmp_path / "groups.csv"
+        header = "y,x0,x1" if case != "header-repeats-name" else "y,x0,x0"
+        data.write_text(header + "\n" + "".join(
+            f"{i % 3}.5,{i}.0,{(7 * i) % 5}.0\n" for i in range(8)))
+        rows, where = {"short-map-row": ("x1\n", f"{groups}: row 3"),
+                       "map-repeats-name": ("x1,a\nx0,b\n", f"{groups}: row 4"),
+                       "header-repeats-name": ("", f"{data}: the header")}[case]
+        groups.write_text("predictor,group\nx0,a\n" + rows)
+        out = tmp_path / "never"
+        code = run_cli("fit", "--data", str(data), "--groups", str(groups),
+                       "--grid-size", "2", "--threads", "1",
+                       "--out", str(out))
+        assert code == 1
+        self._assert_one_line_error(capsys, where)
+        assert not out.exists()
+
+    def test_header_repeats_name_exits_one_on_multifit_and_predict(
+            self, fit_dir, tmp_path, capsys):
+        data = tmp_path / "task.csv"
+        data.write_text("y,x0,x0\ngroup,a,b\n1.0,2.0,3.0\n2.0,1.0,0.0\n"
+                        "0.5,3.0,1.0\n")
+        out = tmp_path / "never"
+        code = run_cli("multifit", "--task-data", str(data),
+                       "--task-data", str(data), "--grid-size", "2",
+                       "--threads", "1", "--out", str(out))
+        assert code == 1
+        self._assert_one_line_error(capsys, f"{data}: the header names column")
+        assert not out.exists()
+        pred = tmp_path / "p.csv"
+        code = run_cli("predict", "--model", str(fit_dir / "model.json"),
+                       "--data", str(data), "--out", str(pred))
+        assert code == 1
+        self._assert_one_line_error(capsys, f"{data}: the header names column")
+        assert not pred.exists()
+
     @pytest.mark.parametrize("row", ["0.9,", "0.9,abc", "0.9"],
                              ids=["blank", "text", "short"])
     def test_report_bad_cell_exits_one(self, tmp_path, capsys, row):

@@ -1,4 +1,6 @@
 """Validation, group re-indexing, group fits and residual cache maintenance."""
+from itertools import pairwise
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from bivas import (
     refresh_residual,
     validate_design,
 )
-from bivas.designs import group_fits, group_fits_python
+from bivas.designs import gram_views, group_fits, group_fits_python
 from bivas.exceptions import (
     DimensionMismatch,
     EmptyGroup,
@@ -111,31 +113,87 @@ class TestValidateDesign:
         np.testing.assert_allclose(d.xtx, direct, rtol=1e-14, atol=0)
 
 
-class TestGramTiles:
+class TestGroupedTiles:
     def test_balanced_tiles_cover_each_group(self):
+        # interleaved labels, so each group's members are a gather of X
         rng = np.random.default_rng(8)
-        d = random_grouped(rng, n=7, sizes=[16, 7, 8, 1, 21])
+        d = random_grouped(rng, n=7, sizes=[16, 7, 8, 1, 21], interleave=True)
+        widths = np.diff(d.tile_ptr)
+        grams = gram_views(d.tile_grams, d.tile_ptr)
+        assert d.group_tile_ptr[0] == 0 and d.group_tile_ptr[-1] == len(widths)
         for k, idx in enumerate(d.group_members):
-            tiles = d.group_tiles[k]
-            m = idx.shape[0]
-            assert len(tiles) == -(-m // d.n)
-            widths = [t.members.shape[0] for t in tiles]
-            assert max(widths) <= d.n and max(widths) - min(widths) <= 1
-            np.testing.assert_array_equal(
-                np.concatenate([t.members for t in tiles]), idx)
-            for t in tiles:
-                assert np.shares_memory(t.cols, d.group_cols[k])
-                np.testing.assert_array_equal(t.cols, d.X[:, t.members])
-                np.testing.assert_allclose(t.gram, t.cols.T @ t.cols,
+            tiles = range(d.group_tile_ptr[k], d.group_tile_ptr[k + 1])
+            assert len(tiles) == -(-idx.shape[0] // d.n)
+            w = widths[tiles.start:tiles.stop]
+            assert w.max() <= d.n and w.max() - w.min() <= 1
+            members = [d.tile_members[d.tile_ptr[t]:d.tile_ptr[t + 1]]
+                       for t in tiles]
+            # the group's columns in column order, as views of tile_members
+            np.testing.assert_array_equal(np.concatenate(members), idx)
+            np.testing.assert_array_equal(idx, np.flatnonzero(d.group_of == k))
+            assert np.shares_memory(idx, d.tile_members)
+            for t, m in zip(tiles, members):
+                cols = d.X[:, m]
+                np.testing.assert_allclose(grams[t], cols.T @ cols,
                                            rtol=1e-14, atol=1e-14)
         # a tile's Gram block never outgrows the columns it covers
-        assert sum(t.gram.size for ts in d.group_tiles for t in ts) <= d.X.size
+        assert d.tile_grams.size == int((widths ** 2).sum()) <= d.X.size
 
     def test_with_response_shares_tiles(self):
         rng = np.random.default_rng(9)
         d = random_grouped(rng)
         other = d.with_response(rng.standard_normal(d.n))
-        assert other.group_tiles is d.group_tiles
+        for name in ("tile_grams", "tile_members", "tile_ptr",
+                     "group_tile_ptr", "X"):
+            assert getattr(other, name) is getattr(d, name)
+
+    def test_no_predictors_no_tiles(self):
+        n = 5
+        d = GroupedDesign(np.zeros(n), np.ones((n, 1)), np.empty((n, 0)),
+                          np.empty(0, dtype=int))
+        assert d.tile_ptr.tolist() == [0] and d.group_tile_ptr.tolist() == [0]
+        assert d.tile_members.size == 0 and d.tile_grams.size == 0
+
+
+def _held_bytes(obj):
+    """Bytes of every array an object holds, each counted once at its base
+    (views followed to the array that owns the memory), looking inside
+    lists, tuples and dicts."""
+    held = {}
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            held[id(value)] = value.nbytes
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+
+    walk(vars(obj))
+    return sum(held.values())
+
+
+class TestDesignMemory:
+    @pytest.mark.parametrize("standardize", [False, True],
+                             ids=["raw", "standardized"])
+    def test_holds_x_once(self, standardize):
+        # X, Z, y and the Gram buffer, plus O(n + p + K) numbers of
+        # per-column, per-group and per-tile caches: no copy of X
+        rng = np.random.default_rng(12)
+        n, sizes = 40, [90, 3, 120, 1, 45, 41]
+        p = sum(sizes)
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        d = validate_design(rng.standard_normal(n), np.ones((n, 1)),
+                            rng.standard_normal((n, p)), labels,
+                            standardize=standardize)
+        assert d.p == p and d.K == len(sizes)
+        budget = d.X.nbytes + d.Z.nbytes + d.y.nbytes + d.tile_grams.nbytes \
+            + 8 * 8 * (d.n + d.p + d.K)
+        assert _held_bytes(d) <= budget
 
 
 class TestMultiTaskTiles:
@@ -146,30 +204,28 @@ class TestMultiTaskTiles:
                   rng.standard_normal((n, K))) for n in (9, 6, 12)]
         data = MultiTaskData(tasks)
         width = min(data.n)
-        assert len(data.task_tiles) == data.L
-        edges = [[t.members for t in tiles] for tiles in data.task_tiles]
-        assert len(edges[0]) == -(-K // width)
-        for other in edges[1:]:
-            assert len(other) == len(edges[0])
-            for a, b in zip(other, edges[0]):
-                np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(np.concatenate(edges[0]), np.arange(K))
-        widths = [m.shape[0] for m in edges[0]]
-        assert max(widths) <= width and max(widths) - min(widths) <= 1
-        for X, tiles in zip(data.X, data.task_tiles):
-            for t in tiles:
-                assert np.shares_memory(t.cols, X)
-                np.testing.assert_array_equal(t.cols, X[:, t.members])
-                np.testing.assert_allclose(t.gram, t.cols.T @ t.cols,
+        widths = np.diff(data.tile_ptr)
+        assert len(widths) == -(-K // width)
+        assert data.tile_ptr[0] == 0 and data.tile_ptr[-1] == K
+        assert widths.max() <= width and widths.max() - widths.min() <= 1
+        # tile by tile, and task by task within a tile: every task's block
+        # of tile t covers the same features
+        grams = iter(gram_views(data.tile_grams, data.tile_ptr, data.L))
+        for a, b in pairwise(data.tile_ptr.tolist()):
+            for X in data.X:
+                cols = X[:, a:b]
+                np.testing.assert_allclose(next(grams), cols.T @ cols,
                                            rtol=1e-14, atol=1e-14)
-            # no task's Gram blocks outgrow K * min n_j numbers
-            assert sum(t.gram.size for t in tiles) <= K * width
+        # no task's Gram blocks outgrow K * min n_j numbers
+        per_task = int((widths ** 2).sum())
+        assert data.tile_grams.size == data.L * per_task
+        assert per_task <= K * width
 
     def test_no_features_no_tiles(self):
         rng = np.random.default_rng(11)
         data = MultiTaskData([(rng.standard_normal(5), np.ones((5, 1)),
                                np.empty((5, 0)))])
-        assert data.task_tiles == [[]]
+        assert data.tile_ptr.tolist() == [0] and data.tile_grams.size == 0
 
 
 class TestModelParams:

@@ -117,7 +117,7 @@ class TestEstepSweep:
                 d = GroupedDesign(d.y, d.Z, X, d.group_of)
             if "sizes" in case:
                 wide = [m > case["n"] for m in case["sizes"]]
-                assert [len(t) > 1 for t in d.group_tiles] == wide
+                assert (np.diff(d.group_tile_ptr) > 1).tolist() == wide
             params = initial_params(d, pi=float(rng.uniform(0.2, 0.7)))
             state = random_state(rng, d, params)
             reference = state.copy()
@@ -404,6 +404,26 @@ class TestEmFit:
         assert _sweep.kernel() is not None
         assert res.iterations > 1
         assert len(calls) == res.iterations
+
+    def test_interleaved_groups_match_group_order(self, rng, kernel_path):
+        # group ids interleaved in column order, two groups wider than n:
+        # the same fit as on the columns permuted into group order, where
+        # every group is a contiguous run
+        d = random_grouped(rng, n=12, sizes=[30, 5, 18, 1], interleave=True)
+        assert np.any(np.diff(d.group_of) < 0)
+        perm = np.argsort(d.group_of, kind="stable")
+        s = GroupedDesign(d.y, d.Z, d.X[:, perm], d.group_of[perm])
+        opts = EmOptions(max_iter=100)
+        got = em_fit(d, initial_params(d, pi=0.4), opts)
+        want = em_fit(s, initial_params(s, pi=0.4), opts)
+        assert got.iterations == want.iterations
+        assert abs(got.elbo - want.elbo) <= 1e-12 * abs(want.elbo)
+        for field in ("mu", "alpha_jk"):
+            assert np.abs(getattr(got.state, field)[perm]
+                          - getattr(want.state, field)).max() <= 1e-12
+        w = rng.standard_normal(d.p)
+        fits, ordered = designs.group_fits(d, w), designs.group_fits(s, w[perm])
+        assert np.abs(fits - ordered).max() <= 1e-12 * np.abs(ordered).max()
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

@@ -140,6 +140,30 @@ class TestParseErrors:
             bio.read_design_table(str(path), groups)
         assert str(info.value) == f"{path}: row 2 has 1 cells, expected 4"
 
+    @pytest.mark.parametrize("case", ["short", "repeated"])
+    def test_bad_group_map_row(self, tmp_path, case):
+        # rows are numbered over the non-blank rows, the header being row 1
+        path, _ = self._write(tmp_path, "1.0,2.0,3.0,4.0\n", True)
+        groups = tmp_path / "g.csv"
+        if case == "short":
+            groups.write_text("predictor,group\nx0,a\n\nx1\n")
+            want = f"{groups}: row 3 has one cell, expected two (predictor, group)"
+        else:
+            groups.write_text("predictor,group\nx0,a\nx1,a\n\nx0,b\n")
+            want = f"{groups}: row 4 names predictor 'x0' again (first on row 2)"
+        with pytest.raises(NonNumeric) as info:
+            bio.read_design_table(path, str(groups))
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
+    def test_column_named_twice(self, tmp_path, inline):
+        path, groups = self._write(tmp_path, "1.0,2.0,3.0,4.0\n", inline)
+        text = open(path).read().replace("y,z,x0,x1", "y,x0,x0,x1", 1)
+        open(path, "w").write(text)
+        with pytest.raises(DimensionMismatch) as info:
+            bio.read_design_table(path, groups)
+        assert str(info.value) == f"{path}: the header names column 'x0' twice"
+
     @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
     def test_empty_table(self, tmp_path, inline):
         path, groups = self._write(tmp_path, None, inline)
