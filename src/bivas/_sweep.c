@@ -1,14 +1,17 @@
 /* One whole coordinate-ascent E-step sweep per call, for both EM engines,
  * and the grouped engine's group fits in one call.
  *
- * The sweeps are the Gram-tile sweeps of bivas.group_fit.estep_sweep_python
- * and bivas.multitask_fit.mt_estep_sweep_python, with the same update order
- * and formulas; the Python sweeps are the reference the tests compare
- * against, as bivas.designs.group_fits_python is for group_fits.
- * Columns are read straight from the Fortran-order design (column j starts
- * at X + j * n) by member index.  The state is updated in place.  Each call
- * allocates its own workspace and keeps no static data, so concurrent calls
- * on separate states are safe (ctypes releases the GIL around them).
+ * The sweeps make the updates of bivas.group_fit.estep_sweep_python and
+ * bivas.multitask_fit.mt_estep_sweep_python, in the same order and with
+ * the same formulas; the Python sweeps are the reference the tests compare
+ * against, as bivas.designs.group_fits_python is for group_fits.  Each
+ * coefficient is updated straight against a maintained residual: one dot
+ * product for its numerator and one axpy for its change, which is the one
+ * pass over X an iteration costs.  Columns are read straight from the
+ * Fortran-order design (column j starts at X + j * n) by member index.
+ * The state is updated in place.  Each call allocates its own workspace
+ * and keeps no static data, so concurrent calls on separate states are
+ * safe (ctypes releases the GIL around them).
  *
  * Built with -ffp-contract=off, so a * b + c is never fused and each
  * expression rounds as the Python sweep's does.  Dot products keep four
@@ -70,91 +73,75 @@ static void axpy(double a, const double *x, double *y, int64_t len)
         y[i] += a * x[i];
 }
 
-/* Grouped sweep.  Group k owns tiles group_tile_ptr[k] .. group_tile_ptr[k+1];
- * tile t owns members[tile_ptr[t] .. tile_ptr[t+1]) and the next m_t * m_t
- * numbers of grams (C order).  group_fit is (K, n) in C order; r is the
- * weighted residual y - Z w - sum_k pi_k g_k. */
+/* Grouped sweep.  Group k's members are members[group_ptr[k] ..
+ * group_ptr[k+1]), in column order, and there is at least one.
+ * group_fit is (K, n) in C order; r is the weighted residual
+ * y - Z w - sum_k pi_k g_k.  The workspace e holds the group-excluded
+ * residual less the group's current fit, r + pi_k g_k - g_k, kept up to
+ * date member by member, so each numerator is one dot product. */
 int grouped_sweep(int64_t n, int64_t K, const double *X, const double *xtx,
                   const double *s2, const double *log_ratio,
-                  const int64_t *members, const int64_t *tile_ptr,
-                  const int64_t *group_tile_ptr, const double *grams,
+                  const int64_t *members, const int64_t *group_ptr,
                   double sigma_e2, double logit_alpha, double logit_pi,
                   double *mu, double *ajk, double *pi_k, double *r,
                   double *group_fit)
 {
-    int64_t width = 0;
-    for (int64_t t = 0; t < group_tile_ptr[K]; t++)
-        if (tile_ptr[t + 1] - tile_ptr[t] > width)
-            width = tile_ptr[t + 1] - tile_ptr[t];
-    double *ws = malloc(sizeof(double) * (size_t)(3 * width + n + 1));
-    if (ws == NULL)
+    double *e = malloc(sizeof(double) * (size_t)(n + 1));
+    if (e == NULL)
         return -1;
-    double *w = ws, *w_start = ws + width, *c = ws + 2 * width;
-    double *excl = ws + 3 * width;   /* r + pi_k g_k - g_k */
 
-    const double *gram = grams;
     for (int64_t k = 0; k < K; k++) {
         double *gk = group_fit + k * n;
         double pk = pi_k[k];
-        /* take the group's weighted fit back out of the residual */
-        axpy(pk, gk, r, n);
+        /* put the group's weighted fit back into the residual, r holding
+         * y - Z w - sum_{k' != k} pi_k' g_k', and start e = r - g_k */
+        for (int64_t i = 0; i < n; i++) {
+            r[i] += pk * gk[i];
+            e[i] = r[i] - gk[i];
+        }
         double bracket_sum = 0.0;  /* sum_j alpha_jk (log(s2/sigma_beta2) + mu^2/s2) */
         double diag_sum = 0.0;     /* sum_j (alpha mu)_j^2 x_j'x_j */
-        for (int64_t t = group_tile_ptr[k]; t < group_tile_ptr[k + 1]; t++) {
-            const int64_t *mem = members + tile_ptr[t];
-            int64_t m = tile_ptr[t + 1] - tile_ptr[t];
-            for (int64_t jj = 0; jj < m; jj++)
-                w[jj] = w_start[jj] = ajk[mem[jj]] * mu[mem[jj]];
-            for (int64_t i = 0; i < n; i++)
-                excl[i] = r[i] - gk[i];
-            /* c = X_t'(r - g_k) + G_t w */
-            for (int64_t jj = 0; jj < m; jj++)
-                c[jj] = dot(X + mem[jj] * n, excl, n) + dot(gram + jj * m, w, m);
-            for (int64_t jj = 0; jj < m; jj++) {
-                int64_t j = mem[jj];
-                double x2 = xtx[j], s2_j = s2[j], mu_new = 0.0;
-                if (x2 > 0.0) {
-                    double num = c[jj] - dot(gram + jj * m, w, m) + w_start[jj] * x2;
-                    mu_new = num * s2_j / sigma_e2;
-                }
-                double bracket = log_ratio[j] + mu_new * mu_new / s2_j;
-                double a_new = sigmoid(logit_alpha + 0.5 * pk * bracket);
-                double w_new = a_new * mu_new;
-                w[jj] = w_new;
-                mu[j] = mu_new;
-                ajk[j] = a_new;
-                bracket_sum += a_new * bracket;
-                diag_sum += w_new * w_new * x2;
+        for (int64_t jj = group_ptr[k]; jj < group_ptr[k + 1]; jj++) {
+            int64_t j = members[jj];
+            const double *x = X + j * n;
+            double x2 = xtx[j], s2_j = s2[j], mu_new = 0.0;
+            double w_old = ajk[j] * mu[j];
+            if (x2 > 0.0) {
+                double num = dot(x, e, n) + w_old * x2;
+                mu_new = num * s2_j / sigma_e2;
             }
-            /* g_k += X_t (w - w_start) */
-            for (int64_t jj = 0; jj < m; jj++)
-                axpy(w[jj] - w_start[jj], X + mem[jj] * n, gk, n);
-            gram += m * m;
+            double bracket = log_ratio[j] + mu_new * mu_new / s2_j;
+            double a_new = sigmoid(logit_alpha + 0.5 * pk * bracket);
+            double w_new = a_new * mu_new;
+            mu[j] = mu_new;
+            ajk[j] = a_new;
+            bracket_sum += a_new * bracket;
+            diag_sum += w_new * w_new * x2;
+            axpy(-(w_new - w_old), x, e, n);
         }
+        /* e is now r less the group's new fit */
+        for (int64_t i = 0; i < n; i++)
+            gk[i] = r[i] - e[i];
         double u = logit_pi + 0.5 * bracket_sum;
-        if (tile_ptr[group_tile_ptr[k + 1]] - tile_ptr[group_tile_ptr[k]] > 1)
+        if (group_ptr[k + 1] - group_ptr[k] > 1)
             u += 0.5 * (dot(gk, gk, n) - diag_sum) / sigma_e2;
         pi_k[k] = sigmoid(u);
         axpy(-pi_k[k], gk, r, n);
     }
-    free(ws);
+    free(e);
     return 0;
 }
 
 /* Group fits G[k] = X_k w_k for every group, without the pi_k weight.
- * Group k's members are members[tile_ptr[group_tile_ptr[k]] ..
- * tile_ptr[group_tile_ptr[k+1]]), as in grouped_sweep, and there is at
- * least one.  The Gram tiles are not read, so the bound that uses these
- * fits stays independent of them.  G is (K, n) in C order and is
- * overwritten. */
+ * Group k's members are members[group_ptr[k] .. group_ptr[k+1]), as in
+ * grouped_sweep, and there is at least one.  G is (K, n) in C order and
+ * is overwritten. */
 void group_fits(int64_t n, int64_t K, const double *X, const double *w,
-                const int64_t *members, const int64_t *tile_ptr,
-                const int64_t *group_tile_ptr, double *G)
+                const int64_t *members, const int64_t *group_ptr, double *G)
 {
     for (int64_t k = 0; k < K; k++) {
         double *g = G + k * n;
-        int64_t jj = tile_ptr[group_tile_ptr[k]];
-        int64_t end = tile_ptr[group_tile_ptr[k + 1]];
+        int64_t jj = group_ptr[k], end = group_ptr[k + 1];
         const double *x0 = X + members[jj] * n;
         double w0 = w[members[jj]];
         for (int64_t i = 0; i < n; i++)
@@ -173,77 +160,47 @@ void group_fits(int64_t n, int64_t K, const double *X, const double *w,
     }
 }
 
-/* Multi-task sweep over L tasks sharing K features.  Tile t covers features
- * tile_ptr[t] .. tile_ptr[t+1]; its Gram blocks follow one another in grams,
- * task by task (m_t * m_t numbers each, C order).  Xs[j] is task j's
- * (ns[j], K) Fortran-order design and rs[j] its weighted residual; mu, ajk,
- * s2, log_ratio and xtx are (K, L) in C order. */
-int multitask_sweep(int64_t L, int64_t n_tiles, const int64_t *ns,
+/* Multi-task sweep over L tasks sharing K features.  Xs[j] is task j's
+ * (ns[j], K) Fortran-order design and rs[j] its weighted residual
+ * y_j - Z_j w_j - X_j b_j, b = pi_k alpha mu; mu, ajk, s2, log_ratio and
+ * xtx are (K, L) in C order.  Each feature updates every task, then
+ * pi_k, and then takes its change of b out of every task's residual. */
+int multitask_sweep(int64_t L, int64_t K, const int64_t *ns,
                     const double *const *Xs, const double *xtx,
                     const double *s2, const double *log_ratio,
-                    const int64_t *tile_ptr, const double *grams,
                     const double *sigma_e2, double logit_alpha, double logit_pi,
                     double *mu, double *ajk, double *pi_k, double *const *rs)
 {
-    int64_t width = 0;
-    for (int64_t t = 0; t < n_tiles; t++)
-        if (tile_ptr[t + 1] - tile_ptr[t] > width)
-            width = tile_ptr[t + 1] - tile_ptr[t];
-    double *ws = malloc(sizeof(double) * (size_t)(3 * L * width + 2 * L + 1));
-    if (ws == NULL)
+    double *b_old = malloc(sizeof(double) * (size_t)(L + 1));
+    if (b_old == NULL)
         return -1;
-    /* per task j: b_j, b_j at the tile's start and c_j, width numbers each */
-    double *b = ws, *b_start = ws + L * width, *c = ws + 2 * L * width;
-    double *mu_k = ws + 3 * L * width, *a_k = mu_k + L;
 
-    const double *gram = grams;
-    for (int64_t t = 0; t < n_tiles; t++) {
-        int64_t f0 = tile_ptr[t], m = tile_ptr[t + 1] - f0;
-        /* c_j = X_jt' r_j + G_jt b_j_start */
+    for (int64_t f = 0; f < K; f++) {
+        double pk = pi_k[f];
+        double bracket_sum = 0.0;  /* sum_j alpha_kj (log(s2/sigma_beta2) + mu^2/s2) */
         for (int64_t j = 0; j < L; j++) {
-            double *bj = b + j * width, *bsj = b_start + j * width;
-            const double *g = gram + j * m * m;
-            for (int64_t kk = 0; kk < m; kk++) {
-                int64_t f = f0 + kk;
-                bj[kk] = bsj[kk] = pi_k[f] * (ajk[f * L + j] * mu[f * L + j]);
+            int64_t c = f * L + j;
+            double x2 = xtx[c], s2_j = s2[c], mu_new = 0.0;
+            b_old[j] = pk * (ajk[c] * mu[c]);
+            if (x2 > 0.0) {
+                double num = dot(Xs[j] + f * ns[j], rs[j], ns[j]) + b_old[j] * x2;
+                mu_new = num * s2_j / sigma_e2[j];
             }
-            for (int64_t kk = 0; kk < m; kk++)
-                c[j * width + kk] = dot(Xs[j] + (f0 + kk) * ns[j], rs[j], ns[j])
-                                    + dot(g + kk * m, bsj, m);
+            double bracket = log_ratio[c] + mu_new * mu_new / s2_j;
+            double a_new = sigmoid(logit_alpha + 0.5 * pk * bracket);
+            mu[c] = mu_new;
+            ajk[c] = a_new;
+            bracket_sum += a_new * bracket;
         }
-        for (int64_t kk = 0; kk < m; kk++) {
-            int64_t f = f0 + kk;
-            double pk = pi_k[f];
-            double bracket_sum = 0.0;
-            for (int64_t j = 0; j < L; j++) {
-                double x2 = xtx[f * L + j], s2_j = s2[f * L + j], mu_new = 0.0;
-                if (x2 > 0.0) {
-                    double num = c[j * width + kk]
-                                 - dot(gram + j * m * m + kk * m, b + j * width, m)
-                                 + b_start[j * width + kk] * x2;
-                    mu_new = num * s2_j / sigma_e2[j];
-                }
-                double bracket = log_ratio[f * L + j] + mu_new * mu_new / s2_j;
-                double a_new = sigmoid(logit_alpha + 0.5 * pk * bracket);
-                mu_k[j] = mu_new;
-                a_k[j] = a_new;
-                bracket_sum += a_new * bracket;
-            }
-            double p_new = sigmoid(logit_pi + 0.5 * bracket_sum);
-            for (int64_t j = 0; j < L; j++) {
-                b[j * width + kk] = p_new * (a_k[j] * mu_k[j]);
-                mu[f * L + j] = mu_k[j];
-                ajk[f * L + j] = a_k[j];
-            }
-            pi_k[f] = p_new;
+        double p_new = sigmoid(logit_pi + 0.5 * bracket_sum);
+        pi_k[f] = p_new;
+        /* r_j -= x_kj (b_new - b_old) */
+        for (int64_t j = 0; j < L; j++) {
+            int64_t c = f * L + j;
+            axpy(-(p_new * (ajk[c] * mu[c]) - b_old[j]), Xs[j] + f * ns[j],
+                 rs[j], ns[j]);
         }
-        /* r_j -= X_jt (b_j - b_j_start) */
-        for (int64_t j = 0; j < L; j++)
-            for (int64_t kk = 0; kk < m; kk++)
-                axpy(-(b[j * width + kk] - b_start[j * width + kk]),
-                     Xs[j] + (f0 + kk) * ns[j], rs[j], ns[j]);
-        gram += L * m * m;
     }
-    free(ws);
+    free(b_old);
     return 0;
 }

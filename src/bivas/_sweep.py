@@ -42,10 +42,10 @@ _ptr = ctypes.c_void_p
 # name -> (restype, argtypes)
 _SIGNATURES = {
     "grouped_sweep": (ctypes.c_int,
-                      [_i64, _i64] + [_ptr] * 8 + [_f64] * 3 + [_ptr] * 5),
+                      [_i64, _i64] + [_ptr] * 6 + [_f64] * 3 + [_ptr] * 5),
     "multitask_sweep": (ctypes.c_int,
-                        [_i64, _i64] + [_ptr] * 8 + [_f64] * 2 + [_ptr] * 4),
-    "group_fits": (None, [_i64, _i64] + [_ptr] * 6),
+                        [_i64, _i64] + [_ptr] * 6 + [_f64] * 2 + [_ptr] * 4),
+    "group_fits": (None, [_i64, _i64] + [_ptr] * 5),
 }
 
 _lock = threading.Lock()

@@ -163,16 +163,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _align_predictors(table, names):
-    """Reorder the table's predictor columns to the model's order."""
+def _align_predictors(table, names, data_path):
+    """Reorder the table's predictor columns to the model's order; a model
+    predictor the table lacks fails, naming the first one."""
     if table.predictor_names == names:
         return table.X
-    try:
-        order = [table.predictor_names.index(nm) for nm in names]
-    except ValueError as exc:
-        raise BivasError(f"new data is missing model predictors: {exc}") \
-            from None
-    return table.X[:, order]
+    column = {nm: j for j, nm in enumerate(table.predictor_names)}
+    lacking = next((nm for nm in names if nm not in column), None)
+    if lacking is not None:
+        raise BivasError(f"{data_path}: no predictor column {lacking!r}, "
+                         f"which the model needs")
+    return table.X[:, [column[nm] for nm in names]]
 
 
 def cmd_predict(args) -> int:
@@ -180,7 +181,7 @@ def cmd_predict(args) -> int:
     table = bio.read_design_table(args.data, args.groups,
                                   response=args.response,
                                   require_response=False)
-    X = _align_predictors(table, model["predictors"])
+    X = _align_predictors(table, model["predictors"], args.data)
     std = model.get("standardize")
     if std is not None:
         X = (X - np.asarray(std["center"])) / np.asarray(std["scale"])

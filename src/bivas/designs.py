@@ -3,18 +3,17 @@
 The two data containers (:class:`GroupedDesign`, :class:`MultiTaskData`) are
 immutable after construction and safe to share across threads.  They cache
 everything the fitting engines read repeatedly: per-column squared norms,
-the Cholesky factor of Z'Z (per task on multi-task data), and column
-tiles (runs of at most n of a group's members, or of the K shared
-features) packed into index arrays and one buffer of Gram blocks, which
-the compiled kernel and the Python sweeps read alike.  A tile's columns
-are read from X, which each container holds once.
+the Cholesky factor of Z'Z (per task on multi-task data) and, on a grouped
+design, the members of each group as one index array with group edges,
+which the compiled kernel and the Python sweeps read alike.  The sweeps
+read each coefficient's column from X, which each container holds once,
+and nothing of size p * n is kept beside it.
 :class:`VariationalState` is the single mutable object; one EM run owns one
 state exclusively.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -72,30 +71,6 @@ def _check_z_rank(Z):
     return cho_factor(gram) if gram.size else None
 
 
-def _tile_edges(m, width):
-    """Edges of ceil(m / width) contiguous runs of balanced sizes."""
-    count = -(-m // width)
-    return [i * m // count for i in range(count + 1)] if m else [0]
-
-
-def gram_views(buf, tile_ptr, tasks=1):
-    """The (m, m) C-order views of Gram blocks packed back to back in
-    ``buf``: tile by tile of ``tile_ptr``, one block per task in a tile."""
-    widths = np.repeat(np.diff(tile_ptr), tasks).tolist()
-    ends = accumulate(m * m for m in widths)
-    return [buf[e - m * m:e].reshape(m, m) for m, e in zip(widths, ends)]
-
-
-def _pack_grams(tile_ptr, blocks, tasks=1):
-    """The Gram blocks ``b' b`` of column blocks in one buffer, laid out as
-    :func:`gram_views` reads it; ``blocks`` may be lazy."""
-    buf = np.empty(tasks * int(np.square(np.diff(tile_ptr)).sum()))
-    for view, block in zip(gram_views(buf, tile_ptr, tasks), blocks,
-                           strict=True):
-        view[...] = block.T @ block
-    return buf
-
-
 def reindex_groups(labels):
     """Map arbitrary group labels to dense ids in [0, K).
 
@@ -132,17 +107,13 @@ class GroupedDesign:
         applied to X (recorded so predictions can apply the same one).
 
     Cached on construction and shared by :meth:`with_response`: ``xtx``
-    (per-column squared norms), the Cholesky factor of Z'Z and the column
-    tiles.  Each group's members are split into ceil(m_k / n) balanced
-    tiles; tile t holds columns ``tile_members[tile_ptr[t]:tile_ptr[t + 1]]``
-    (the members, group by group, in column order within a group) and
-    group k holds tiles ``group_tile_ptr[k]`` up to ``group_tile_ptr[k + 1]``
-    (both int64, with one closing entry).  ``group_members`` are each
-    group's views of ``tile_members``.  The tiles' Gram blocks sit back to
-    back in ``tile_grams`` (:func:`gram_views`); at most p * n numbers in
-    all, no more than X itself.  A tile's columns are ``X[:, members]``.
-    The sweeps read all four arrays; :func:`group_fits` reads the members
-    and edges only.
+    (per-column squared norms), the Cholesky factor of Z'Z and the member
+    order.  ``members`` (int64) lists the columns group by group, in
+    column order within a group, and group k holds
+    ``members[group_ptr[k]:group_ptr[k + 1]]`` (``group_ptr`` is int64,
+    K + 1 edges).  ``group_members`` are each group's views of
+    ``members``.  The sweeps and :func:`group_fits` read these two arrays
+    and take each member's column from X.
     """
 
     def __init__(self, y, Z, X, group_of, *, group_labels=None,
@@ -193,18 +164,10 @@ class GroupedDesign:
 
         # caches used by every sweep
         self.xtx = np.einsum("ij,ij->j", self.X, self.X)
-        order = np.argsort(self.group_of, kind="stable").astype(np.int64)
-        self.group_members = np.split(order, np.cumsum(sizes)[:-1]) \
+        self.members = np.argsort(self.group_of, kind="stable").astype(np.int64)
+        self.group_ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        self.group_members = np.split(self.members, self.group_ptr[1:-1]) \
             if self.K else []
-        tiles = [_tile_edges(m, self.n) for m in sizes.tolist()]
-        self.tile_members = order
-        self.tile_ptr = np.cumsum(
-            [0] + [b - a for edges in tiles for a, b in pairwise(edges)],
-            dtype=np.int64)
-        self.group_tile_ptr = np.cumsum([0] + [len(e) - 1 for e in tiles],
-                                        dtype=np.int64)
-        self.tile_grams = _pack_grams(self.tile_ptr, (
-            self.X[:, order[a:b]] for a, b in pairwise(self.tile_ptr.tolist())))
         self._z_cho = _check_z_rank(self.Z)
 
     def solve_z_gram(self, rhs):
@@ -334,7 +297,7 @@ def group_fits(data: GroupedDesign, w, out=None):
 
     One call of the compiled ``group_fits`` (``_sweep.c``, outside the
     GIL) when :func:`bivas._sweep.kernel` could build or load it, and
-    :func:`group_fits_python` otherwise.  Neither reads the Gram tiles.
+    :func:`group_fits_python` otherwise.
     Writes into ``out`` when given (a writable C-contiguous float64
     array), else into a new array; returns it.
     """
@@ -347,8 +310,7 @@ def group_fits(data: GroupedDesign, w, out=None):
     if w.shape != (data.p,):
         raise ValueError(f"w has shape {w.shape}, expected ({data.p},)")
     lib.group_fits(data.n, data.K, data.X.ctypes.data, w.ctypes.data,
-                   data.tile_members.ctypes.data, data.tile_ptr.ctypes.data,
-                   data.group_tile_ptr.ctypes.data,
+                   data.members.ctypes.data, data.group_ptr.ctypes.data,
                    _sweep.address(out, (data.K, data.n)))
     return out
 
@@ -422,14 +384,9 @@ class MultiTaskData:
     is the same conceptual feature, so every X_j must have K columns.
 
     Cached on construction: ``xtx``, the (K, L) squared column norms
-    (column j for task j, the layout of the (K, L) state arrays), per task
-    j the Cholesky factor of Z_j'Z_j, and the feature tiles: the K features
-    split into ceil(K / min_j n_j) balanced runs with edges ``tile_ptr``
-    (int64, one entry more than there are tiles), the same in every task.
-    Tile t of task j is the view ``X[j][:, tile_ptr[t]:tile_ptr[t + 1]]``,
-    and the Gram blocks sit in one buffer, ``tile_grams``, tile by tile
-    and task by task within a tile (:func:`gram_views`); task j's blocks
-    hold at most K * min_j n_j numbers, no more than X_j itself.
+    (column j for task j, the layout of the (K, L) state arrays), and per
+    task j the Cholesky factor of Z_j'Z_j.  The sweeps read feature k of
+    task j as the column ``X[j][:, k]``.
     """
 
     def __init__(self, tasks, *, predictor_names=None, covariate_names=None):
@@ -474,10 +431,6 @@ class MultiTaskData:
         self.K = int(K)
         self.xtx = np.stack([np.einsum("ij,ij->j", X, X) for X in self.X],
                             axis=1)
-        self.tile_ptr = np.array(_tile_edges(self.K, min(self.n)), np.int64)
-        self.tile_grams = _pack_grams(self.tile_ptr, (
-            X[:, a:b] for a, b in pairwise(self.tile_ptr.tolist())
-            for X in self.X), self.L)
         self.predictor_names = list(predictor_names) if predictor_names is not None \
             else [f"x{k}" for k in range(self.K)]
         self.covariate_names = list(covariate_names) if covariate_names is not None \

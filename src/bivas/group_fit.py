@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from . import _sweep
 from .designs import (
@@ -37,7 +38,6 @@ from .designs import (
     ModelParams,
     VariationalState,
     fit_pass,
-    gram_views,
     refresh_residual,
     slab_variances,
 )
@@ -145,9 +145,8 @@ def estep_sweep(state: VariationalState, data: GroupedDesign,
     p, K, n = data.p, data.K, data.n
     _sweep.check(lib.grouped_sweep(
         n, K, data.X.ctypes.data, data.xtx.ctypes.data, s2.ctypes.data,
-        log_ratio.ctypes.data, data.tile_members.ctypes.data,
-        data.tile_ptr.ctypes.data, data.group_tile_ptr.ctypes.data,
-        data.tile_grams.ctypes.data, params.sigma_e2, _logit(params.alpha),
+        log_ratio.ctypes.data, data.members.ctypes.data,
+        data.group_ptr.ctypes.data, params.sigma_e2, _logit(params.alpha),
         _logit(params.pi), _sweep.address(state.mu, (p,)),
         _sweep.address(state.alpha_jk, (p,)), _sweep.address(state.pi_k, (K,)),
         _sweep.address(state.residual, (n,)),
@@ -157,8 +156,7 @@ def estep_sweep(state: VariationalState, data: GroupedDesign,
 
 def estep_sweep_python(state: VariationalState, data: GroupedDesign,
                        params: ModelParams) -> VariationalState:
-    """The coordinate sweep in Python over the design's packed tiles,
-    updating ``state`` in place.
+    """The coordinate sweep in Python, updating ``state`` in place.
 
     Groups are visited in index order and members in index order within
     each group.  For coefficient (j, k) the slab posterior is
@@ -169,36 +167,31 @@ def estep_sweep_python(state: VariationalState, data: GroupedDesign,
                  - sum over other groups of their weighted fits' overlap
                  - sum over other members of this group's overlap)
 
-    computed from the maintained residual and the group's tiles (the
-    packed arrays of :class:`~bivas.designs.GroupedDesign`).  With r the
-    global weighted residual, g_k the unweighted group fit and w = alpha
-    mu, the residual buffer first takes back the group's fit, r + pi_k g_k.
-    Then, for each tile t of the group with columns X_t and Gram block G_t,
+    computed from the maintained residual.  With r the global weighted
+    residual, g_k the unweighted group fit and w = alpha mu, the residual
+    buffer first takes back the group's fit, r += pi_k g_k, and a work
+    vector starts at e = r - g_k.  Member j's numerator is then
 
-        c = X_t'(r + pi_k g_k - g_k) + G_t w_t
+        x_j'e + w_j x_j'x_j
 
-    is formed once (one gemv and one small matvec), and the numerator of
-    member j of the tile is
-
-        c_j - G_t[j] . w_t + w_j x_j'x_j,
-
-    a dot product of length m_t over the tile's current w, so an update
-    reads m_t numbers instead of two length-n vectors.  After the tile,
-    g_k += X_t (w_t - w_t_old) in one gemv.  The variable logit is
-    v = logit(alpha) + pi_k/2 (log(s^2/sigma_beta2) + mu^2/s^2) and, after
-    the group's tiles, the group logit sums the same bracket over members
-    weighted by alpha_jk plus the within-group coupling correction
+    (one ddot), and after its update e -= (w_j_new - w_j_old) x_j (one
+    daxpy), so e stays r less the group's current fit and an update reads
+    two length-n vectors.  The variable logit is
+    v = logit(alpha) + pi_k/2 (log(s^2/sigma_beta2) + mu^2/s^2).  After the
+    members, g_k = r - e, and the group logit sums the same bracket over
+    members weighted by alpha_jk plus the within-group coupling correction
 
         u_k = logit(pi) + 1/2 sum_j alpha_jk (log(s^2/sigma_beta2)
               + mu^2/s^2) + P_k / (2 sigma_e2),
-        P_k = sum_{j != j'} (alpha mu)_j (alpha mu)_j' x_j' x_j.
+        P_k = sum_{j != j'} (alpha mu)_j (alpha mu)_j' x_j' x_j
+            = |g_k|^2 - sum_j (alpha mu)_j^2 x_j'x_j.
 
     The P_k term makes pi_k the exact maximizer of the bound over its
     coordinate (it vanishes for orthogonal within-group columns and for
     singleton groups, where the formula reduces to the plain bracket sum);
     without it the bound can decrease when group members correlate.
 
-    During group k's tiles the residual buffer holds the group-excluded
+    During group k's members the residual buffer holds the group-excluded
     residual r + pi_k g_k; it is restored when pi_k is re-weighted at the
     end of the group.
     """
@@ -208,58 +201,51 @@ def estep_sweep_python(state: VariationalState, data: GroupedDesign,
 
     s2, log_ratio = _slab_terms(state, data, params)
 
+    columns = data.X.T    # row j is column j of X, contiguous
     mu = state.mu
     ajk = state.alpha_jk
     pi_k = state.pi_k
     r = state.residual
     xtx = data.xtx
-    grams = gram_views(data.tile_grams, data.tile_ptr)
-    tile_ptr = data.tile_ptr.tolist()
-    group_tile_ptr = data.group_tile_ptr.tolist()
 
-    for k in range(data.K):
+    for k, members in enumerate(data.group_members):
         gk = state.group_fit[k]
         pk = float(pi_k[k])
 
         # exclude this group's weighted fit; r now holds y - Zw - sum_{k'!=k}
         r += pk * gk
+        e = r - gk
+        w_old = (ajk[members] * mu[members]).tolist()
+        x2_g = xtx[members].tolist()
+        s2_g = s2[members].tolist()
+        lr_g = log_ratio[members].tolist()
+        mu_g = []
+        a_g = []
         bracket_sum = 0.0    # sum_j alpha_jk (log(s^2/sigma_beta2) + mu^2/s^2)
         diag_sum = 0.0       # sum_j (alpha mu)_j^2 x_j'x_j
-        for t in range(group_tile_ptr[k], group_tile_ptr[k + 1]):
-            members = data.tile_members[tile_ptr[t]:tile_ptr[t + 1]]
-            cols = data.X[:, members]
-            gram = grams[t]
-            w_start = ajk[members] * mu[members]
-            w = w_start.copy()
-            w_old = w_start.tolist()
-            c = (cols.T @ (r - gk) + gram @ w).tolist()
-            x2_t = xtx[members].tolist()
-            s2_t = s2[members].tolist()
-            lr_t = log_ratio[members].tolist()
-            mu_t = []
-            a_t = []
-            for jj, g_row in enumerate(gram):
-                x2 = x2_t[jj]
-                s2_j = s2_t[jj]
-                if x2 > 0.0:
-                    num = c[jj] - float(g_row.dot(w)) + w_old[jj] * x2
-                    mu_new = num * s2_j / sigma_e2
-                else:
-                    mu_new = 0.0
-                bracket = lr_t[jj] + mu_new * mu_new / s2_j
-                a_new = sigmoid(logit_alpha + 0.5 * pk * bracket)
-                w_new = a_new * mu_new
-                w[jj] = w_new
-                mu_t.append(mu_new)
-                a_t.append(a_new)
-                bracket_sum += a_new * bracket
-                diag_sum += w_new * w_new * x2
-            mu[members] = mu_t
-            ajk[members] = a_t
-            gk += cols @ (w - w_start)
+        for jj, j in enumerate(members.tolist()):
+            x = columns[j]
+            x2 = x2_g[jj]
+            s2_j = s2_g[jj]
+            if x2 > 0.0:
+                num = ddot(x, e) + w_old[jj] * x2
+                mu_new = num * s2_j / sigma_e2
+            else:
+                mu_new = 0.0
+            bracket = lr_g[jj] + mu_new * mu_new / s2_j
+            a_new = sigmoid(logit_alpha + 0.5 * pk * bracket)
+            w_new = a_new * mu_new
+            mu_g.append(mu_new)
+            a_g.append(a_new)
+            bracket_sum += a_new * bracket
+            diag_sum += w_new * w_new * x2
+            daxpy(x, e, a=-(w_new - w_old[jj]))
+        mu[members] = mu_g
+        ajk[members] = a_g
+        np.subtract(r, e, out=gk)
 
         u = logit_pi + 0.5 * bracket_sum
-        if data.group_sizes[k] > 1:
+        if len(members) > 1:
             u += 0.5 * (float(gk @ gk) - diag_sum) / sigma_e2
         pi_k[k] = sigmoid(u)
         r -= pi_k[k] * gk

@@ -53,10 +53,10 @@ def read_table(path: str):
     return rows[0], rows[1:]
 
 
-def read_group_map(path: str) -> dict:
+def read_group_map(path: str, response: str | None = None) -> dict:
     """Sidecar group map: name -> label, one predictor per row; a short
-    row or a repeated name fails with its row number (non-blank rows,
-    the header being row 1)."""
+    row, a repeated name or a row naming the ``response`` column fails
+    with its row number (non-blank rows, the header being row 1)."""
     header, rows = read_table(path)
     if len(header) < 2:
         raise NonNumeric(f"{path}: group map needs two columns")
@@ -66,6 +66,9 @@ def read_group_map(path: str) -> dict:
             raise NonNumeric(f"{path}: row {line} has one cell, expected "
                              f"two (predictor, group)")
         name = row[0]
+        if name == response:
+            raise NonNumeric(f"{path}: row {line} names the response column "
+                             f"{name!r}, which cannot be a predictor")
         if name in labels:
             raise NonNumeric(f"{path}: row {line} names predictor {name!r} "
                              f"again (first on row {line_of[name]})")
@@ -133,7 +136,7 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
         elif first:
             rows = itertools.chain([first], rows)
         if groups_path is not None:
-            group_label_of = read_group_map(groups_path)   # sidecar wins
+            group_label_of = read_group_map(groups_path, response)   # sidecar wins
         elif inline:
             group_label_of = inline
         else:

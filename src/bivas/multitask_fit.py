@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import ctypes
 from functools import partial
-from itertools import pairwise
+
+from scipy.linalg.blas import daxpy, ddot
 
 from . import _sweep
 from .designs import (
     MtVariationalState,
     MultiTaskData,
     MultiTaskParams,
-    gram_views,
     mt_fit_pass,
     mt_refresh_residual,
 )
@@ -61,10 +61,9 @@ def mt_estep_sweep(state: MtVariationalState, data: MultiTaskData,
     s2, log_ratio = _slab_terms(state, data, params)
     K, L = data.K, data.L
     _sweep.check(lib.multitask_sweep(
-        L, data.tile_ptr.shape[0] - 1, (ctypes.c_int64 * L)(*data.n),
+        L, K, (ctypes.c_int64 * L)(*data.n),
         (ctypes.c_void_p * L)(*(X.ctypes.data for X in data.X)),
         data.xtx.ctypes.data, s2.ctypes.data, log_ratio.ctypes.data,
-        data.tile_ptr.ctypes.data, data.tile_grams.ctypes.data,
         _sweep.address(params.sigma_e2, (L,)), _logit(params.alpha),
         _logit(params.pi), _sweep.address(state.mu, (K, L)),
         _sweep.address(state.alpha_jk, (K, L)),
@@ -79,24 +78,12 @@ def mt_estep_sweep_python(state: MtVariationalState, data: MultiTaskData,
     """The multi-task sweep in Python, updating ``state`` in place.
 
     A feature contributes a single column per task, so the slab-mean
-    numerator is x_k'r_j + b_jk x_k'x_k against task j's residual r_j,
-    where b_j = pi alpha_j mu_j are the task's weighted coefficients;
-    there is no within-group same-task coupling to subtract.  The sweep
-    runs over the shared feature tiles (the packed arrays of
-    :class:`~bivas.designs.MultiTaskData`) with the "covariance update" of
-    :func:`~bivas.group_fit.estep_sweep_python`.  For each tile t, with
-    task j's columns X_jt, Gram block G_jt and tile-start coefficients
-    b_j_start,
-
-        c_j = X_jt' r_j + G_jt b_j_start
-
-    is formed once per task, and the numerator of feature k in task j is
-
-        c_j[k] - G_jt[k] . b_j + b_j[k] x_k'x_k,
-
-    a dot product of length m_t over the tile's current b_j.  The pi_k
-    update only rewrites b_j[k] = pi_k alpha_kj mu_kj, and after the tile
-    r_j -= X_jt (b_j - b_j_start) in one gemv per task.
+    numerator is x_kj'r_j + b_kj x_kj'x_kj against task j's residual r_j
+    (one ddot), where b = pi_k alpha_kj mu_kj are the weighted
+    coefficients at the feature's start; there is no within-group
+    same-task coupling to subtract.  Feature k updates every task, then
+    pi_k, and then r_j -= (b_kj_new - b_kj_old) x_kj in every task (one
+    daxpy each).
     """
     logit_alpha = _logit(params.alpha)
     logit_pi = _logit(params.pi)
@@ -104,60 +91,50 @@ def mt_estep_sweep_python(state: MtVariationalState, data: MultiTaskData,
     tasks = range(data.L)
 
     s2, log_ratio = _slab_terms(state, data, params)
-    xtx = data.xtx
 
     mu = state.mu
     ajk = state.alpha_jk
     pi_k = state.pi_k
+    r = state.residual
+    # row k of each (K, L) array as a list, read and written per feature
+    mu_t = mu.tolist()
+    a_t = ajk.tolist()
+    pi_t = pi_k.tolist()
+    x2_t = data.xtx.tolist()
+    s2_t = s2.tolist()
+    lr_t = log_ratio.tolist()
 
-    grams = iter(gram_views(data.tile_grams, data.tile_ptr, data.L))
-    for start, stop in pairwise(data.tile_ptr.tolist()):
-        members = slice(start, stop)
-        cols = [X[:, members] for X in data.X]
-        gram = [next(grams) for _ in tasks]
-        b_tile = pi_k[members, None] * (ajk[members] * mu[members])
-        b_start = [b_tile[:, j].copy() for j in tasks]
-        b = [bs.copy() for bs in b_start]
-        c = [(cols[j].T @ state.residual[j] + gram[j] @ b_start[j]).tolist()
-             for j in tasks]
-        b_t = b_tile.tolist()    # b_j[k] until feature k's own update
-        x2_t = xtx[members].tolist()
-        s2_t = s2[members].tolist()
-        lr_t = log_ratio[members].tolist()
-        pi_t = pi_k[members].tolist()
-        mu_t = []
-        a_t = []
-        for kk, g_rows in enumerate(zip(*gram)):
-            pk = pi_t[kk]
-            b_k, x2_k, s2_k, lr_k = b_t[kk], x2_t[kk], s2_t[kk], lr_t[kk]
-            mu_k = []
-            a_k = []
-            bracket_sum = 0.0    # sum_j alpha_kj (log(s^2/sigma_beta2) + mu^2/s^2)
-            for j in tasks:
-                x2 = x2_k[j]
-                s2_j = s2_k[j]
-                if x2 > 0.0:
-                    num = c[j][kk] - float(g_rows[j].dot(b[j])) + b_k[j] * x2
-                    mu_new = num * s2_j / sigma_e2[j]
-                else:
-                    mu_new = 0.0
-                bracket = lr_k[j] + mu_new * mu_new / s2_j
-                a_new = sigmoid(logit_alpha + 0.5 * pk * bracket)
-                mu_k.append(mu_new)
-                a_k.append(a_new)
-                bracket_sum += a_new * bracket
-            p_new = sigmoid(logit_pi + 0.5 * bracket_sum)
-            for j in tasks:
-                b[j][kk] = p_new * (a_k[j] * mu_k[j])
-            pi_t[kk] = p_new
-            mu_t.append(mu_k)
-            a_t.append(a_k)
-        mu[members] = mu_t
-        ajk[members] = a_t
-        pi_k[members] = pi_t
+    # feature k's column in every task (rows of the C-order X_j')
+    for k, cols in enumerate(zip(*(X.T for X in data.X))):
+        pk = pi_t[k]
+        x2_k, s2_k, lr_k = x2_t[k], s2_t[k], lr_t[k]
+        b_old = [pk * (a * m) for a, m in zip(a_t[k], mu_t[k])]
+        mu_k = []
+        a_k = []
+        bracket_sum = 0.0    # sum_j alpha_kj (log(s^2/sigma_beta2) + mu^2/s^2)
         for j in tasks:
-            state.residual[j] -= cols[j] @ (b[j] - b_start[j])
+            x2 = x2_k[j]
+            s2_j = s2_k[j]
+            if x2 > 0.0:
+                num = ddot(cols[j], r[j]) + b_old[j] * x2
+                mu_new = num * s2_j / sigma_e2[j]
+            else:
+                mu_new = 0.0
+            bracket = lr_k[j] + mu_new * mu_new / s2_j
+            a_new = sigmoid(logit_alpha + 0.5 * pk * bracket)
+            mu_k.append(mu_new)
+            a_k.append(a_new)
+            bracket_sum += a_new * bracket
+        p_new = sigmoid(logit_pi + 0.5 * bracket_sum)
+        for j in tasks:
+            daxpy(cols[j], r[j], a=-(p_new * (a_k[j] * mu_k[j]) - b_old[j]))
+        mu_t[k] = mu_k
+        a_t[k] = a_k
+        pi_t[k] = p_new
 
+    mu[:] = mu_t
+    ajk[:] = a_t
+    pi_k[:] = pi_t
     return state
 
 

@@ -144,6 +144,57 @@ class TestPredict:
         assert yhat_cli.shape == (1,)
         np.testing.assert_array_equal(yhat_cli, yhat_mem)
 
+    @staticmethod
+    def _rewrite(sim_dir, path, order):
+        """The simulated table without its inline group row, its columns
+        taken in ``order`` (names)."""
+        lines = (sim_dir / "data.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        pick = [header.index(name) for name in order]
+        path.write_text("\n".join(
+            ",".join(row.split(",")[i] for i in pick)
+            for row in [lines[0]] + lines[2:]) + "\n")
+
+    def test_reversed_predictor_columns(self, sim_dir, fit_dir, tmp_path):
+        # the table's predictors in the opposite order to the model's
+        header = (sim_dir / "data.csv").read_text().split("\n", 1)[0].split(",")
+        preds = [name for name in header if name.startswith("x")]
+        others = [name for name in header if not name.startswith("x")]
+        preds_out = []
+        for name, order in (("ordered", header), ("reversed",
+                                                  others + preds[::-1])):
+            data = tmp_path / f"{name}.csv"
+            self._rewrite(sim_dir, data, order)
+            out = tmp_path / f"pred_{name}.csv"
+            code = run_cli("predict", "--model", str(fit_dir / "model.json"),
+                           "--data", str(data),
+                           "--groups", str(sim_dir / "groups.csv"),
+                           "--out", str(out))
+            assert code == 0
+            preds_out.append(out.read_bytes())
+        assert preds_out[0] == preds_out[1]
+
+    def test_missing_predictor_exits_one(self, sim_dir, fit_dir, tmp_path,
+                                         capsys):
+        # x0 is in neither the table nor its group map
+        header = (sim_dir / "data.csv").read_text().split("\n", 1)[0].split(",")
+        data = tmp_path / "no_x0.csv"
+        self._rewrite(sim_dir, data, [nm for nm in header if nm != "x0"])
+        groups = tmp_path / "groups.csv"
+        groups.write_text("".join(
+            line + "\n" for line in
+            (sim_dir / "groups.csv").read_text().strip().splitlines()
+            if not line.startswith("x0,")))
+        out = tmp_path / "pred.csv"
+        code = run_cli("predict", "--model", str(fit_dir / "model.json"),
+                       "--data", str(data), "--groups", str(groups),
+                       "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {data}: no predictor column 'x0', which the "
+                       f"model needs\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_exits_one(self, sim_dir, fit_dir, tmp_path,
                                        capsys, cell):
@@ -413,6 +464,28 @@ class TestExitCodes:
         out = tmp_path / "never"
         code = run_cli("fit", "--data", str(data), "--groups", str(groups),
                        "--grid-size", "2", "--threads", "1",
+                       "--out", str(out))
+        assert code == 1
+        self._assert_one_line_error(capsys, where)
+        assert not out.exists()
+
+    def test_group_map_names_response_exits_one_on_fit_and_predict(
+            self, fit_dir, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("y,x0,x1\n" + "".join(
+            f"{i % 3}.5,{i}.0,{(7 * i) % 5}.0\n" for i in range(8)))
+        groups = tmp_path / "groups.csv"
+        groups.write_text("predictor,group\ny,a\nx0,a\nx1,b\n")
+        where = f"{groups}: row 2 names the response column 'y'"
+        out = tmp_path / "never"
+        code = run_cli("fit", "--data", str(data), "--groups", str(groups),
+                       "--grid-size", "2", "--threads", "1",
+                       "--out", str(out))
+        assert code == 1
+        self._assert_one_line_error(capsys, where)
+        assert not out.exists()
+        code = run_cli("predict", "--model", str(fit_dir / "model.json"),
+                       "--data", str(data), "--groups", str(groups),
                        "--out", str(out))
         assert code == 1
         self._assert_one_line_error(capsys, where)

@@ -1,6 +1,4 @@
 """Validation, group re-indexing, group fits and residual cache maintenance."""
-from itertools import pairwise
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from bivas import (
     refresh_residual,
     validate_design,
 )
-from bivas.designs import gram_views, group_fits, group_fits_python
+from bivas.designs import group_fits, group_fits_python
 from bivas.exceptions import (
     DimensionMismatch,
     EmptyGroup,
@@ -113,46 +111,34 @@ class TestValidateDesign:
         np.testing.assert_allclose(d.xtx, direct, rtol=1e-14, atol=0)
 
 
-class TestGroupedTiles:
-    def test_balanced_tiles_cover_each_group(self):
+class TestGroupedMembers:
+    def test_member_order_and_group_edges(self):
         # interleaved labels, so each group's members are a gather of X
         rng = np.random.default_rng(8)
         d = random_grouped(rng, n=7, sizes=[16, 7, 8, 1, 21], interleave=True)
-        widths = np.diff(d.tile_ptr)
-        grams = gram_views(d.tile_grams, d.tile_ptr)
-        assert d.group_tile_ptr[0] == 0 and d.group_tile_ptr[-1] == len(widths)
+        assert d.members.dtype == np.int64 and d.group_ptr.dtype == np.int64
+        np.testing.assert_array_equal(d.group_ptr,
+                                      np.cumsum([0, 16, 7, 8, 1, 21]))
         for k, idx in enumerate(d.group_members):
-            tiles = range(d.group_tile_ptr[k], d.group_tile_ptr[k + 1])
-            assert len(tiles) == -(-idx.shape[0] // d.n)
-            w = widths[tiles.start:tiles.stop]
-            assert w.max() <= d.n and w.max() - w.min() <= 1
-            members = [d.tile_members[d.tile_ptr[t]:d.tile_ptr[t + 1]]
-                       for t in tiles]
-            # the group's columns in column order, as views of tile_members
-            np.testing.assert_array_equal(np.concatenate(members), idx)
+            # the group's columns in column order, as views of members
+            np.testing.assert_array_equal(
+                idx, d.members[d.group_ptr[k]:d.group_ptr[k + 1]])
             np.testing.assert_array_equal(idx, np.flatnonzero(d.group_of == k))
-            assert np.shares_memory(idx, d.tile_members)
-            for t, m in zip(tiles, members):
-                cols = d.X[:, m]
-                np.testing.assert_allclose(grams[t], cols.T @ cols,
-                                           rtol=1e-14, atol=1e-14)
-        # a tile's Gram block never outgrows the columns it covers
-        assert d.tile_grams.size == int((widths ** 2).sum()) <= d.X.size
+            assert np.shares_memory(idx, d.members)
 
-    def test_with_response_shares_tiles(self):
+    def test_with_response_shares_members(self):
         rng = np.random.default_rng(9)
-        d = random_grouped(rng)
+        d = random_grouped(rng, interleave=True)
         other = d.with_response(rng.standard_normal(d.n))
-        for name in ("tile_grams", "tile_members", "tile_ptr",
-                     "group_tile_ptr", "X"):
+        for name in ("members", "group_ptr", "group_members", "X"):
             assert getattr(other, name) is getattr(d, name)
 
-    def test_no_predictors_no_tiles(self):
+    def test_no_predictors_empty_members(self):
         n = 5
         d = GroupedDesign(np.zeros(n), np.ones((n, 1)), np.empty((n, 0)),
                           np.empty(0, dtype=int))
-        assert d.tile_ptr.tolist() == [0] and d.group_tile_ptr.tolist() == [0]
-        assert d.tile_members.size == 0 and d.tile_grams.size == 0
+        assert d.members.size == 0 and d.members.dtype == np.int64
+        assert d.group_ptr.tolist() == [0] and d.group_members == []
 
 
 def _held_bytes(obj):
@@ -181,8 +167,8 @@ class TestDesignMemory:
     @pytest.mark.parametrize("standardize", [False, True],
                              ids=["raw", "standardized"])
     def test_holds_x_once(self, standardize):
-        # X, Z, y and the Gram buffer, plus O(n + p + K) numbers of
-        # per-column, per-group and per-tile caches: no copy of X
+        # X, Z and y, plus O(n + p + K) numbers of per-column and
+        # per-group caches: no copy of X and nothing of size p * n beside it
         rng = np.random.default_rng(12)
         n, sizes = 40, [90, 3, 120, 1, 45, 41]
         p = sum(sizes)
@@ -191,41 +177,21 @@ class TestDesignMemory:
                             rng.standard_normal((n, p)), labels,
                             standardize=standardize)
         assert d.p == p and d.K == len(sizes)
-        budget = d.X.nbytes + d.Z.nbytes + d.y.nbytes + d.tile_grams.nbytes \
-            + 8 * 8 * (d.n + d.p + d.K)
+        budget = d.X.nbytes + d.Z.nbytes + d.y.nbytes \
+            + 64 * (d.n + d.p + d.K)
         assert _held_bytes(d) <= budget
 
-
-class TestMultiTaskTiles:
-    def test_shared_edges_and_exact_grams(self):
-        rng = np.random.default_rng(10)
-        K = 23
-        tasks = [(rng.standard_normal(n), np.ones((n, 1)),
-                  rng.standard_normal((n, K))) for n in (9, 6, 12)]
-        data = MultiTaskData(tasks)
-        width = min(data.n)
-        widths = np.diff(data.tile_ptr)
-        assert len(widths) == -(-K // width)
-        assert data.tile_ptr[0] == 0 and data.tile_ptr[-1] == K
-        assert widths.max() <= width and widths.max() - widths.min() <= 1
-        # tile by tile, and task by task within a tile: every task's block
-        # of tile t covers the same features
-        grams = iter(gram_views(data.tile_grams, data.tile_ptr, data.L))
-        for a, b in pairwise(data.tile_ptr.tolist()):
-            for X in data.X:
-                cols = X[:, a:b]
-                np.testing.assert_allclose(next(grams), cols.T @ cols,
-                                           rtol=1e-14, atol=1e-14)
-        # no task's Gram blocks outgrow K * min n_j numbers
-        per_task = int((widths ** 2).sum())
-        assert data.tile_grams.size == data.L * per_task
-        assert per_task <= K * width
-
-    def test_no_features_no_tiles(self):
-        rng = np.random.default_rng(11)
-        data = MultiTaskData([(rng.standard_normal(5), np.ones((5, 1)),
-                               np.empty((5, 0)))])
-        assert data.tile_ptr.tolist() == [0] and data.tile_grams.size == 0
+    def test_multitask_holds_each_x_once(self):
+        # every X_j, Z_j and y_j once, plus O(L (n_j + K)) numbers; K is
+        # above every n_j, so a cache of size K * n_j would not fit
+        rng = np.random.default_rng(13)
+        K, ns = 150, (40, 25, 60)
+        data = MultiTaskData([(rng.standard_normal(n), np.ones((n, 1)),
+                               rng.standard_normal((n, K))) for n in ns])
+        assert K > max(data.n)
+        held = sum(a.nbytes for a in (*data.X, *data.Z, *data.y))
+        budget = held + 64 * data.L * (max(data.n) + K)
+        assert _held_bytes(data) <= budget
 
 
 class TestModelParams:
@@ -241,8 +207,8 @@ class TestModelParams:
 class TestGroupFits:
     @pytest.mark.parametrize("fits", sweep_cases(group_fits, group_fits_python))
     def test_matches_direct_formula(self, rng, fits):
-        # G[k] = X_k w_k from the full design, over groups wider than n
-        # (several tiles), singleton groups, a zero-norm column and p = 0
+        # G[k] = X_k w_k from the full design, over groups wider than n,
+        # singleton groups, a zero-norm column and p = 0
         cases = [dict(n=7, sizes=[16, 1, 9]), dict(n=5, sizes=[11, 5, 6]),
                  dict(n=15, sizes=[1, 1, 1, 1]),
                  dict(n=12, sizes=[3, 4], zero_col=2),

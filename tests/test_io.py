@@ -155,6 +155,18 @@ class TestParseErrors:
             bio.read_design_table(path, str(groups))
         assert str(info.value) == want
 
+    def test_group_map_names_the_response(self, tmp_path):
+        # the row is rejected, not dropped: y is neither a predictor nor
+        # left out without a word
+        path = tmp_path / "t.csv"
+        path.write_text("y,x0,x1\n1.0,2.0,3.0\n2.0,1.0,0.5\n")
+        groups = tmp_path / "g.csv"
+        groups.write_text("predictor,group\ny,a\nx0,a\nx1,b\n")
+        with pytest.raises(NonNumeric) as info:
+            bio.read_design_table(str(path), str(groups))
+        assert str(info.value) == (f"{groups}: row 2 names the response "
+                                   f"column 'y', which cannot be a predictor")
+
     @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
     def test_column_named_twice(self, tmp_path, inline):
         path, groups = self._write(tmp_path, "1.0,2.0,3.0,4.0\n", inline)

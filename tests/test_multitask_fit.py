@@ -109,8 +109,8 @@ class TestMtEstep:
 
     @staticmethod
     def _wide_tasks(rng, sizes, K):
-        """Tasks of unequal n with K > min n (several tiles), one of them
-        with a zero-norm column."""
+        """Tasks of unequal n with K > min n, one of them with a zero-norm
+        column."""
         tasks = []
         for j, n in enumerate(sizes):
             X = rng.standard_normal((n, K))
