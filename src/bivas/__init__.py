@@ -22,11 +22,9 @@ from . import exceptions, metrics, oracle, simulate
 from .designs import (
     GroupedDesign,
     ModelParams,
-    MtVariationalState,
     MultiTaskData,
     MultiTaskParams,
     VariationalState,
-    mt_refresh_residual,
     refresh_residual,
     validate_design,
 )
@@ -57,6 +55,7 @@ from .multitask_fit import (
     mt_estep_sweep,
     mt_initial_params,
     mt_mstep_update,
+    mt_refresh_residual,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +66,6 @@ __all__ = [
     "GridFit",
     "GroupedDesign",
     "ModelParams",
-    "MtVariationalState",
     "MultiTaskData",
     "MultiTaskParams",
     "PiGrid",

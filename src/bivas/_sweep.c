@@ -1,24 +1,25 @@
 /* One whole coordinate-ascent E-step sweep per call, for both EM engines,
- * and the grouped engine's group fits in one call.
+ * and the group fits of the groups that keep one, in one call.
  *
- * The sweeps make the updates of bivas.group_fit.estep_sweep_python and
- * bivas.multitask_fit.mt_estep_sweep_python, in the same order and with
- * the same formulas; the Python sweeps are the reference the tests compare
- * against, as bivas.designs.group_fits_python is for group_fits.  Each
- * coefficient is updated straight against a maintained residual: one dot
+ * The sweep makes the updates of bivas.group_fit.estep_sweep_python, in
+ * the same order and with the same formulas; the Python sweep is the
+ * reference the tests compare against, as bivas.designs.group_fits_python
+ * is for group_fits.  Coefficient c lies in row block b = block[c] (a
+ * task; a grouped design is one block) and is column col[c] of that
+ * block's Fortran-order X (it starts at Xs[b] + col[c] * ns[b]); the two
+ * arrays spare the sweep an integer division per member.  Each coefficient
+ * is updated straight against its block's maintained residual: one dot
  * product for its numerator and one axpy for its change, which is the one
- * pass over X an iteration costs.  Columns are read straight from the
- * Fortran-order design (column j starts at X + j * n) by member index.
- * The state is updated in place.  Each call allocates its own workspace
- * and keeps no static data, so concurrent calls on separate states are
- * safe (ctypes releases the GIL around them).
+ * pass over X an iteration costs.  The state is updated in place.  Each
+ * call allocates its own workspace and keeps no static data, so concurrent
+ * calls on separate states are safe (ctypes releases the GIL around them).
  *
  * Built with -ffp-contract=off, so a * b + c is never fused and each
  * expression rounds as the Python sweep's does.  Dot products keep four
  * partial sums; their rounding differs from BLAS's in the last bits only.
  *
- * Both sweeps return 0, or -1 when the workspace cannot be allocated
- * (the state is then untouched).  group_fits needs no workspace.
+ * sweep returns 0, or -1 when the workspace cannot be allocated (the state
+ * is then untouched).  group_fits needs no workspace.
  */
 #include <math.h>
 #include <stdint.h>
@@ -73,75 +74,104 @@ static void axpy(double a, const double *x, double *y, int64_t len)
         y[i] += a * x[i];
 }
 
-/* Grouped sweep.  Group k's members are members[group_ptr[k] ..
- * group_ptr[k+1]), in column order, and there is at least one.
- * group_fit is (K, n) in C order; r is the weighted residual
- * y - Z w - sum_k pi_k g_k.  The workspace e holds the group-excluded
- * residual less the group's current fit, r + pi_k g_k - g_k, kept up to
- * date member by member, so each numerator is one dot product. */
-int grouped_sweep(int64_t n, int64_t K, const double *X, const double *xtx,
-                  const double *s2, const double *log_ratio,
-                  const int64_t *members, const int64_t *group_ptr,
-                  double sigma_e2, double logit_alpha, double logit_pi,
-                  double *mu, double *ajk, double *pi_k, double *r,
-                  double *group_fit)
+/* The sweep.  Group k's members are members[group_ptr[k] .. group_ptr[k+1]),
+ * block by block in column order, and there is at least one.  rs[b] is
+ * block b's weighted residual y_b - Z_b w_b - X_b pw, pw = pi_k alpha mu,
+ * and mu, ajk, xtx, s2 and log_ratio are per coefficient.  A group with
+ * at most one member in each block (fit_row[k] < 0) keeps no fit and is
+ * updated in two passes against the residuals.  A group with several
+ * members in one block, all in that block, keeps its unweighted fit
+ * g_k = X_k alpha mu as row fit_row[k] of group_fit (C order, rows of the
+ * block's length), and its members are updated against the workspace e,
+ * r + pi_k g_k - g_k.  bivas.group_fit.estep_sweep_python gives both
+ * paths' formulas. */
+int sweep(int64_t L, int64_t K, const int64_t *ns, const double *const *Xs,
+          const int64_t *block, const int64_t *col, const double *xtx,
+          const double *s2, const double *log_ratio, const int64_t *members,
+          const int64_t *group_ptr, const int64_t *fit_row,
+          const double *sigma_e2, double logit_alpha, double logit_pi,
+          double *mu, double *ajk, double *pi_k, double *const *rs,
+          double *group_fit)
 {
-    double *e = malloc(sizeof(double) * (size_t)(n + 1));
-    if (e == NULL)
+    /* a fit group's e, or the b_old of a group's (at most L) members */
+    int64_t len = L;
+    for (int64_t b = 0; b < L; b++)
+        len = ns[b] > len ? ns[b] : len;
+    double *work = malloc(sizeof(double) * (size_t)(len + 1));
+    if (work == NULL)
         return -1;
 
     for (int64_t k = 0; k < K; k++) {
-        double *gk = group_fit + k * n;
-        double pk = pi_k[k];
-        /* put the group's weighted fit back into the residual, r holding
-         * y - Z w - sum_{k' != k} pi_k' g_k', and start e = r - g_k */
-        for (int64_t i = 0; i < n; i++) {
-            r[i] += pk * gk[i];
-            e[i] = r[i] - gk[i];
-        }
+        int64_t g0 = group_ptr[k], g1 = group_ptr[k + 1];
+        int64_t fb = block[members[g0]], fn = ns[fb];  /* a fit group's block */
+        double pk = pi_k[k], *e = work, *gk = NULL;
         double bracket_sum = 0.0;  /* sum_j alpha_jk (log(s2/sigma_beta2) + mu^2/s2) */
         double diag_sum = 0.0;     /* sum_j (alpha mu)_j^2 x_j'x_j */
-        for (int64_t jj = group_ptr[k]; jj < group_ptr[k + 1]; jj++) {
-            int64_t j = members[jj];
-            const double *x = X + j * n;
-            double x2 = xtx[j], s2_j = s2[j], mu_new = 0.0;
-            double w_old = ajk[j] * mu[j];
-            if (x2 > 0.0) {
-                double num = dot(x, e, n) + w_old * x2;
-                mu_new = num * s2_j / sigma_e2;
+        if (fit_row[k] >= 0) {
+            /* put the group's weighted fit back into the residual, r holding
+             * y - Z w - sum_{k' != k} pi_k' g_k', and start e = r - g_k */
+            gk = group_fit + fit_row[k] * fn;
+            for (int64_t i = 0; i < fn; i++) {
+                rs[fb][i] += pk * gk[i];
+                e[i] = rs[fb][i] - gk[i];
             }
-            double bracket = log_ratio[j] + mu_new * mu_new / s2_j;
+        }
+        for (int64_t jj = g0; jj < g1; jj++) {
+            int64_t c = members[jj], b = block[c], n = ns[b];
+            const double *x = Xs[b] + col[c] * n;
+            double x2 = xtx[c], s2_c = s2[c], mu_new = 0.0;
+            /* against e, a fit group's member has w = alpha mu in its
+             * numerator; against r_b, a lone member has b_old = pi_k w */
+            double old = gk ? ajk[c] * mu[c] : pk * (ajk[c] * mu[c]);
+            if (x2 > 0.0) {
+                double num = dot(x, gk ? e : rs[b], n) + old * x2;
+                mu_new = num * s2_c / sigma_e2[b];
+            }
+            double bracket = log_ratio[c] + mu_new * mu_new / s2_c;
             double a_new = sigmoid(logit_alpha + 0.5 * pk * bracket);
-            double w_new = a_new * mu_new;
-            mu[j] = mu_new;
-            ajk[j] = a_new;
+            mu[c] = mu_new;
+            ajk[c] = a_new;
             bracket_sum += a_new * bracket;
-            diag_sum += w_new * w_new * x2;
-            axpy(-(w_new - w_old), x, e, n);
+            if (gk) {
+                double w_new = a_new * mu_new;
+                diag_sum += w_new * w_new * x2;
+                axpy(-(w_new - old), x, e, n);
+            } else {
+                work[jj - g0] = old;
+            }
+        }
+        if (gk == NULL) {
+            pi_k[k] = sigmoid(logit_pi + 0.5 * bracket_sum);
+            /* r_b -= x (b_new - b_old) */
+            for (int64_t jj = g0; jj < g1; jj++) {
+                int64_t c = members[jj], b = block[c];
+                axpy(-(pi_k[k] * (ajk[c] * mu[c]) - work[jj - g0]),
+                     Xs[b] + col[c] * ns[b], rs[b], ns[b]);
+            }
+            continue;
         }
         /* e is now r less the group's new fit */
-        for (int64_t i = 0; i < n; i++)
-            gk[i] = r[i] - e[i];
-        double u = logit_pi + 0.5 * bracket_sum;
-        if (group_ptr[k + 1] - group_ptr[k] > 1)
-            u += 0.5 * (dot(gk, gk, n) - diag_sum) / sigma_e2;
-        pi_k[k] = sigmoid(u);
-        axpy(-pi_k[k], gk, r, n);
+        for (int64_t i = 0; i < fn; i++)
+            gk[i] = rs[fb][i] - e[i];
+        pi_k[k] = sigmoid(logit_pi + 0.5 * bracket_sum
+                          + 0.5 * (dot(gk, gk, fn) - diag_sum) / sigma_e2[fb]);
+        axpy(-pi_k[k], gk, rs[fb], fn);
     }
-    free(e);
+    free(work);
     return 0;
 }
 
-/* Group fits G[k] = X_k w_k for every group, without the pi_k weight.
- * Group k's members are members[group_ptr[k] .. group_ptr[k+1]), as in
- * grouped_sweep, and there is at least one.  G is (K, n) in C order and
- * is overwritten. */
-void group_fits(int64_t n, int64_t K, const double *X, const double *w,
-                const int64_t *members, const int64_t *group_ptr, double *G)
+/* The unweighted fits G[m] = X_k w_k of the groups k = fit_groups[m],
+ * m < M, of a one-block design X (n rows, Fortran order), whose
+ * coefficient c is column c; members are listed as in sweep, and w is
+ * alpha mu.  G is (M, n) in C order and is overwritten. */
+void group_fits(int64_t n, int64_t M, const double *X, const double *w,
+                const int64_t *members, const int64_t *group_ptr,
+                const int64_t *fit_groups, double *G)
 {
-    for (int64_t k = 0; k < K; k++) {
-        double *g = G + k * n;
-        int64_t jj = group_ptr[k], end = group_ptr[k + 1];
+    for (int64_t m = 0; m < M; m++) {
+        double *g = G + m * n;
+        int64_t jj = group_ptr[fit_groups[m]], end = group_ptr[fit_groups[m] + 1];
         const double *x0 = X + members[jj] * n;
         double w0 = w[members[jj]];
         for (int64_t i = 0; i < n; i++)
@@ -158,49 +188,4 @@ void group_fits(int64_t n, int64_t K, const double *X, const double *w,
         for (; jj < end; jj++)
             axpy(w[members[jj]], X + members[jj] * n, g, n);
     }
-}
-
-/* Multi-task sweep over L tasks sharing K features.  Xs[j] is task j's
- * (ns[j], K) Fortran-order design and rs[j] its weighted residual
- * y_j - Z_j w_j - X_j b_j, b = pi_k alpha mu; mu, ajk, s2, log_ratio and
- * xtx are (K, L) in C order.  Each feature updates every task, then
- * pi_k, and then takes its change of b out of every task's residual. */
-int multitask_sweep(int64_t L, int64_t K, const int64_t *ns,
-                    const double *const *Xs, const double *xtx,
-                    const double *s2, const double *log_ratio,
-                    const double *sigma_e2, double logit_alpha, double logit_pi,
-                    double *mu, double *ajk, double *pi_k, double *const *rs)
-{
-    double *b_old = malloc(sizeof(double) * (size_t)(L + 1));
-    if (b_old == NULL)
-        return -1;
-
-    for (int64_t f = 0; f < K; f++) {
-        double pk = pi_k[f];
-        double bracket_sum = 0.0;  /* sum_j alpha_kj (log(s2/sigma_beta2) + mu^2/s2) */
-        for (int64_t j = 0; j < L; j++) {
-            int64_t c = f * L + j;
-            double x2 = xtx[c], s2_j = s2[c], mu_new = 0.0;
-            b_old[j] = pk * (ajk[c] * mu[c]);
-            if (x2 > 0.0) {
-                double num = dot(Xs[j] + f * ns[j], rs[j], ns[j]) + b_old[j] * x2;
-                mu_new = num * s2_j / sigma_e2[j];
-            }
-            double bracket = log_ratio[c] + mu_new * mu_new / s2_j;
-            double a_new = sigmoid(logit_alpha + 0.5 * pk * bracket);
-            mu[c] = mu_new;
-            ajk[c] = a_new;
-            bracket_sum += a_new * bracket;
-        }
-        double p_new = sigmoid(logit_pi + 0.5 * bracket_sum);
-        pi_k[f] = p_new;
-        /* r_j -= x_kj (b_new - b_old) */
-        for (int64_t j = 0; j < L; j++) {
-            int64_t c = f * L + j;
-            axpy(-(p_new * (ajk[c] * mu[c]) - b_old[j]), Xs[j] + f * ns[j],
-                 rs[j], ns[j]);
-        }
-    }
-    free(b_old);
-    return 0;
 }

@@ -1,4 +1,4 @@
-"""Build and load the compiled E-step sweeps and group fits (``_sweep.c``).
+"""Build and load the compiled E-step sweep and group fits (``_sweep.c``).
 
 The library is compiled once with the system C compiler and cached next
 to the package's bytecode, in ``__pycache__``; when that directory cannot
@@ -12,7 +12,7 @@ builds never load a partial file.
 Nothing is built or loaded on ``import bivas``: :func:`kernel` does it on
 the first call that needs it, under a lock.  When no library can be built
 or loaded, :func:`kernel` returns None, one line on the "bivas" logger
-says why, and the engines run their Python sweeps and group-fit loop
+says why, and the engines run the Python sweep and group-fit loop
 instead.
 """
 from __future__ import annotations
@@ -33,7 +33,7 @@ logger = logging.getLogger("bivas")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
 COMPILER = "cc"
 # no -ffast-math or -march=native: the kernel must round as the Python
-# sweeps do and run on any machine that shares the cache
+# sweep does and run on any machine that shares the cache
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _i64 = ctypes.c_int64
@@ -41,11 +41,8 @@ _f64 = ctypes.c_double
 _ptr = ctypes.c_void_p
 # name -> (restype, argtypes)
 _SIGNATURES = {
-    "grouped_sweep": (ctypes.c_int,
-                      [_i64, _i64] + [_ptr] * 6 + [_f64] * 3 + [_ptr] * 5),
-    "multitask_sweep": (ctypes.c_int,
-                        [_i64, _i64] + [_ptr] * 6 + [_f64] * 2 + [_ptr] * 4),
-    "group_fits": (None, [_i64, _i64] + [_ptr] * 5),
+    "sweep": (ctypes.c_int, [_i64, _i64] + [_ptr] * 11 + [_f64] * 2 + [_ptr] * 5),
+    "group_fits": (None, [_i64, _i64] + [_ptr] * 6),
 }
 
 _lock = threading.Lock()

@@ -47,7 +47,11 @@ def _fit_settings(args) -> tuple[int, EmOptions]:
         raise InvalidCount(f"--max-iter must be >= 1, got {args.max_iter}")
     if not args.tol > 0.0:
         raise BivasError(f"--tol must be > 0, got {args.tol}")
+    if args.grid_size < 1:
+        raise InvalidCount(f"grid size must be >= 1, got {args.grid_size}")
     threads = args.threads if args.threads is not None else _default_threads()
+    if threads < 1:
+        raise InvalidCount(f"threads must be >= 1, got {threads}")
     return threads, EmOptions(max_iter=args.max_iter, rel_tol=args.tol)
 
 
@@ -196,12 +200,17 @@ def cmd_evaluate(args) -> int:
     selection_path = os.path.join(args.fit, "selection.json")
     selection = bio.read_json(selection_path, ("variables",))
     name_idx = {nm: j for j, nm in enumerate(model["predictors"])}
+    tasks = len(summary.params.omega) if summary.multitask else 0
     for v in selection["variables"]:
         bio.require_keys(selection_path, v, ("predictor", "task")
                          if summary.multitask else ("predictor",), "variables[].")
         if v["predictor"] not in name_idx:
             raise BivasError(f"{selection_path}: predictor {v['predictor']!r} "
                              "is not in model.json")
+        task = v.get("task")
+        if summary.multitask and (type(task) is not int or not 0 <= task < tasks):
+            raise BivasError(f"{selection_path}: task {task!r} is not an "
+                             f"integer in [0, {tasks})")
     truth = bio.read_json(args.truth, ("coef", "eta"))
     coef = np.asarray(truth["coef"], float)
     eta = np.asarray(truth["eta"], float)

@@ -3,16 +3,21 @@
 The two data containers (:class:`GroupedDesign`, :class:`MultiTaskData`) are
 immutable after construction and safe to share across threads.  They cache
 everything the fitting engines read repeatedly: per-column squared norms,
-the Cholesky factor of Z'Z (per task on multi-task data) and, on a grouped
-design, the members of each group as one index array with group edges,
-which the compiled kernel and the Python sweeps read alike.  The sweeps
-read each coefficient's column from X, which each container holds once,
-and nothing of size p * n is kept beside it.
-:class:`VariationalState` is the single mutable object; one EM run owns one
-state exclusively.
+the Cholesky factor of Z'Z (per task on multi-task data) and one layout
+that the kernel, the Python sweep, the fit pass and the refresh read on
+either container: each coefficient lies in a row block (``block_of``; a
+task, or the one block of a grouped design) and is column ``column_of``
+of its block's X; a multi-task feature is a group with one member per
+task.  Group members are one index array with group edges, and the
+groups with several members in a block (only a grouped design has them)
+keep a fit row.  The sweep reads each coefficient's column from X, which
+each container holds once, and nothing of size p * n is kept beside it.
+:class:`VariationalState` is the single mutable object, on both
+containers; one EM run owns one state exclusively.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -107,13 +112,15 @@ class GroupedDesign:
         applied to X (recorded so predictions can apply the same one).
 
     Cached on construction and shared by :meth:`with_response`: ``xtx``
-    (per-column squared norms), the Cholesky factor of Z'Z and the member
-    order.  ``members`` (int64) lists the columns group by group, in
-    column order within a group, and group k holds
+    (per-column squared norms), the Cholesky factor of Z'Z and the
+    layout of one row block: ``block_of`` is 0 and ``column_of`` j for
+    column j (int64).  ``members`` (int64) lists the columns group by
+    group, in column order within a group, and group k holds
     ``members[group_ptr[k]:group_ptr[k + 1]]`` (``group_ptr`` is int64,
     K + 1 edges).  ``group_members`` are each group's views of
-    ``members``.  The sweeps and :func:`group_fits` read these two arrays
-    and take each member's column from X.
+    ``members``.  The groups of two or more members, ``fit_groups``
+    (int64), keep a fit: group k's is row ``fit_row[k]`` of the state's
+    ``group_fit``, and ``fit_row`` is -1 for a singleton group.
     """
 
     def __init__(self, y, Z, X, group_of, *, group_labels=None,
@@ -164,11 +171,23 @@ class GroupedDesign:
 
         # caches used by every sweep
         self.xtx = np.einsum("ij,ij->j", self.X, self.X)
+        self.block_of = np.zeros(self.p, np.int64)
+        self.column_of = np.arange(self.p, dtype=np.int64)
         self.members = np.argsort(self.group_of, kind="stable").astype(np.int64)
         self.group_ptr = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         self.group_members = np.split(self.members, self.group_ptr[1:-1]) \
             if self.K else []
+        self.fit_groups = np.flatnonzero(sizes > 1).astype(np.int64)
+        self.fit_row = np.full(self.K, -1, np.int64)
+        self.fit_row[self.fit_groups] = np.arange(self.fit_groups.size)
         self._z_cho = _check_z_rank(self.Z)
+
+    @staticmethod
+    def per_block(value):
+        """A block-wise value (y, Z, X, omega, the residual) as a list over
+        the design's one block.  ``per_block(v.T)`` lists a coefficient
+        array's per-block coefficients on either container."""
+        return [value]
 
     def solve_z_gram(self, rhs):
         """Solve (Z'Z) w = rhs using the cached Cholesky factor."""
@@ -250,12 +269,18 @@ class VariationalState:
 
     Fields
     ------
-    mu, s2 : (p,) conditional posterior means and variances of the slab.
-    alpha_jk : (p,) variable-level posterior inclusion probabilities.
+    mu, s2 : conditional posterior means and variances of the slab, shaped
+        like the container's ``group_of``: (p,) on a grouped design, (K, L)
+        on multi-task data.
+    alpha_jk : variable-level posterior inclusion probabilities, same shape.
     pi_k : (K,) group-level posterior inclusion probabilities.
-    residual : (n,) maintained y - Z w - sum_k pi_k g_k.
-    group_fit : (K, n) C-order array whose row k is the group fit
-        g_k = sum_{j in k} alpha_jk mu_jk x_jk (*without* its pi_k weight).
+    residual : each block's maintained y - Z w - X pw, pw = pi_k alpha mu:
+        an (n,) array on a grouped design, a list of L arrays on multi-task
+        data.
+    group_fit : (M, n) C-order array whose row ``fit_row[k]`` is the group
+        fit g_k = sum_{j in k} alpha_jk mu_jk x_jk (*without* its pi_k
+        weight) of each of the M groups in ``fit_groups``; (0, n) when no
+        group keeps a fit.
     """
 
     def __init__(self, mu, s2, alpha_jk, pi_k, residual, group_fit):
@@ -263,24 +288,27 @@ class VariationalState:
         self.s2 = np.asarray(s2, float).copy()
         self.alpha_jk = clamp_prob(np.asarray(alpha_jk, float)).copy()
         self.pi_k = clamp_prob(np.asarray(pi_k, float)).copy()
-        self.residual = np.asarray(residual, float).copy()
+        self.residual = copy.deepcopy(residual)
         self.group_fit = np.array(group_fit, float, order="C")
 
     @classmethod
-    def initial(cls, data: GroupedDesign, params: ModelParams):
-        """Zero-mean start: mu = 0, alpha_jk = alpha, pi_k = pi."""
-        return cls(
-            mu=np.zeros(data.p),
-            s2=slab_variances(data, params),
-            alpha_jk=np.full(data.p, params.alpha),
-            pi_k=np.full(data.K, params.pi),
-            residual=data.y - data.Z @ params.omega,
-            group_fit=np.zeros((data.K, data.n)),
-        )
+    def initial(cls, data, params):
+        """Zero-mean start: mu = 0, alpha_jk = alpha, pi_k = pi, and each
+        block's residual y - Z omega."""
+        shape = data.group_of.shape
+        state = cls(mu=np.zeros(shape), s2=slab_variances(data, params),
+                    alpha_jk=np.full(shape, params.alpha),
+                    pi_k=np.full(data.K, params.pi), residual=data.y,
+                    group_fit=np.zeros((data.fit_groups.size,
+                                        data.per_block(data.y)[0].size)))
+        for r, Z, omega in zip(data.per_block(state.residual),
+                               data.per_block(data.Z),
+                               data.per_block(params.omega)):
+            r -= Z @ omega
+        return state
 
     def copy(self):
-        return VariationalState(self.mu, self.s2, self.alpha_jk, self.pi_k,
-                                self.residual, self.group_fit)
+        return copy.deepcopy(self)
 
 
 def slab_variances(data, params):
@@ -291,9 +319,11 @@ def slab_variances(data, params):
     return np.where(data.xtx > 0.0, params.sigma_e2 / denom, params.sigma_beta2)
 
 
-def group_fits(data: GroupedDesign, w, out=None):
-    """Every group's fit g_k = X_k w_k (without its pi_k weight), as the
-    rows of a (K, n) C-order array; ``w`` is the (p,) vector alpha mu.
+def group_fits(data, w, out=None):
+    """The fit g_k = X_k w_k (without its pi_k weight) of every group that
+    keeps one, as the rows of an (M, n) C-order array, row ``fit_row[k]``
+    for group k; ``w`` is alpha mu, shaped like ``data.group_of``.  Only
+    a grouped design, one block, has such groups.
 
     One call of the compiled ``group_fits`` (``_sweep.c``, outside the
     GIL) when :func:`bivas._sweep.kernel` could build or load it, and
@@ -301,75 +331,92 @@ def group_fits(data: GroupedDesign, w, out=None):
     Writes into ``out`` when given (a writable C-contiguous float64
     array), else into a new array; returns it.
     """
+    X = data.per_block(data.X)[0]
+    shape = (data.fit_groups.size, X.shape[0])
     if out is None:
-        out = np.empty((data.K, data.n))
+        out = np.empty(shape)
     lib = _sweep.kernel()
-    if lib is None:
+    if lib is None or not shape[0]:     # the loop does nothing on no groups
         return group_fits_python(data, w, out)
     w = np.ascontiguousarray(w, dtype=np.float64)
-    if w.shape != (data.p,):
-        raise ValueError(f"w has shape {w.shape}, expected ({data.p},)")
-    lib.group_fits(data.n, data.K, data.X.ctypes.data, w.ctypes.data,
+    if w.shape != data.group_of.shape:
+        raise ValueError(f"w has shape {w.shape}, expected {data.group_of.shape}")
+    lib.group_fits(shape[1], shape[0], X.ctypes.data, w.ctypes.data,
                    data.members.ctypes.data, data.group_ptr.ctypes.data,
-                   _sweep.address(out, (data.K, data.n)))
+                   data.fit_groups.ctypes.data, _sweep.address(out, shape))
     return out
 
 
-def group_fits_python(data: GroupedDesign, w, out):
+def group_fits_python(data, w, out):
     """:func:`group_fits` as one gemv per group over its columns of X: the
     fallback and the tests' reference."""
-    for k, idx in enumerate(data.group_members):
-        out[k] = data.X[:, idx] @ w[idx]
+    for row, k in enumerate(data.fit_groups):
+        idx = data.group_members[k]
+        out[row] = data.X[:, idx] @ w[idx]
     return out
 
 
 class GroupFits(NamedTuple):
-    """One fit pass over a grouped state (:func:`fit_pass`)."""
+    """One fit pass over a state (:func:`fit_pass`)."""
 
-    group_fit: np.ndarray   # (K, n) C order, row k = g_k = X_k w_k
-    fit: np.ndarray         # (n,) X pw = sum_k pi_k g_k
-    cross: float            # the bound's within-group cross term
+    group_fit: np.ndarray   # (M, n) C order, row fit_row[k] = g_k = X_k w_k
+    fit: list               # per block, its fit X pw
+    cross: list             # per block, the bound's within-group cross term
 
 
-def fit_pass(state: VariationalState, data: GroupedDesign,
-             out=None) -> GroupFits:
-    """The group fits g_k = X_k w_k, w = alpha mu, from one
-    :func:`group_fits` call (into ``out`` when given), with the fit
-    X pw = sum_k pi_k g_k and the within-group cross term they give.
+def fit_pass(state: VariationalState, data, out=None) -> GroupFits:
+    """Every block's fit X pw, pw = pi_k w and w = alpha mu, with the
+    fits g_k = X_k w_k of the groups that keep one, from one
+    :func:`group_fits` call (into ``out`` when given), and the
+    within-group cross term they give.
 
-    Evaluated from (mu, alpha_jk, pi_k) alone: the maintained
-    ``state.group_fit`` and ``state.residual`` are not read, so a bound
-    built on it stays a pure function of the state.  The cross term is
+    The groups that keep no fit enter their blocks' fits through one gemv
+    per block over their coefficients (skipped when every group keeps a
+    fit); a group that keeps one enters through pi_k g_k.  Evaluated from
+    (mu, alpha_jk, pi_k) alone: the maintained ``state.group_fit`` and
+    ``state.residual`` are not read, so a bound built on it stays a pure
+    function of the state.  The cross term is
 
         sum_k (pi_k - pi_k^2) sum_{j != j'} w_j w_j' x_j'x_j'
           = sum_k (pi_k - pi_k^2) (|g_k|^2 - sum_{j in k} w_j^2 x_j'x_j)
 
-    over the groups of two or more members.
+    over the groups that keep a fit; it is 0 for a group with at most one
+    member per block.
     """
     w = state.alpha_jk * state.mu
     fits = group_fits(data, w, out)
-    pi = state.pi_k
-    multi = data.group_sizes > 1
-    g = fits[multi]
-    pairs = np.einsum("ij,ij->i", g, g) - np.bincount(
-        data.group_of, weights=w ** 2 * data.xtx, minlength=data.K)[multi]
-    cross = float(((pi - pi ** 2)[multi] * pairs).sum())
-    return GroupFits(fits, pi @ fits, cross)
+    kept = fits.shape[0]        # the groups that keep a fit
+    lone = state.pi_k[data.group_of] * w
+    if kept:
+        lone[data.fit_row[data.group_of] >= 0] = 0.0   # they enter as pi_k g_k
+    fit = [X @ v if kept < data.K else np.zeros(X.shape[0])
+           for X, v in zip(data.per_block(data.X), data.per_block(lone.T))]
+    cross = [0.0] * len(fit)
+    if kept:
+        pi = state.pi_k[data.fit_groups]
+        fit[0] += pi @ fits
+        pairs = np.einsum("ij,ij->i", fits, fits) - np.bincount(
+            data.group_of.ravel(), weights=(w ** 2 * data.xtx).ravel(),
+            minlength=data.K)[data.fit_groups]
+        cross[0] = float(((pi - pi ** 2) * pairs).sum())
+    return GroupFits(fits, fit, cross)
 
 
-def refresh_residual(state: VariationalState, data: GroupedDesign,
-                     params: ModelParams, *,
+def refresh_residual(state: VariationalState, data, params, *,
                      fits: GroupFits | None = None) -> VariationalState:
-    """Recompute ``group_fit`` and ``residual`` = y - Z omega -
-    sum_k pi_k g_k from scratch, in place, from ``fits`` (the iteration's
-    :func:`fit_pass`; run here when None).
+    """Recompute ``group_fit`` and every block's ``residual`` =
+    y - Z omega - X pw from scratch, in place, from ``fits`` (the
+    iteration's :func:`fit_pass`; run here when None).
 
     Idempotent; used to wash out floating-point drift accumulated by the
     incremental updates inside the coordinate sweeps.
     """
     fits = fit_pass(state, data) if fits is None else fits
     state.group_fit[:] = fits.group_fit
-    state.residual[:] = data.y - data.Z @ params.omega - fits.fit
+    for r, y, Z, omega, fit in zip(
+            data.per_block(state.residual), data.per_block(data.y),
+            data.per_block(data.Z), data.per_block(params.omega), fits.fit):
+        r[:] = y - Z @ omega - fit
     return state
 
 
@@ -384,9 +431,13 @@ class MultiTaskData:
     is the same conceptual feature, so every X_j must have K columns.
 
     Cached on construction: ``xtx``, the (K, L) squared column norms
-    (column j for task j, the layout of the (K, L) state arrays), and per
-    task j the Cholesky factor of Z_j'Z_j.  The sweeps read feature k of
-    task j as the column ``X[j][:, k]``.
+    (column j for task j, the layout of the (K, L) state arrays), per task
+    j the Cholesky factor of Z_j'Z_j, and the layout.  Feature k is group
+    k, with one member per task: coefficient (k, j) lies in block j
+    (``block_of``) and is column k (``column_of``) of X_j.  ``group_of``,
+    ``block_of`` and ``column_of`` are (K, L) int64 like the state arrays,
+    and ``members``/``group_ptr`` list each group's members in task order
+    by flat index, as on a grouped design.  No group keeps a fit.
     """
 
     def __init__(self, tasks, *, predictor_names=None, covariate_names=None):
@@ -431,6 +482,15 @@ class MultiTaskData:
         self.K = int(K)
         self.xtx = np.stack([np.einsum("ij,ij->j", X, X) for X in self.X],
                             axis=1)
+        self.group_of = np.repeat(np.arange(self.K, dtype=np.int64),
+                                  self.L).reshape(self.K, self.L)
+        self.block_of = np.tile(np.arange(self.L, dtype=np.int64), (self.K, 1))
+        self.column_of = self.group_of
+        self.members = np.arange(self.K * self.L, dtype=np.int64)
+        self.group_ptr = np.arange(0, self.K * self.L + 1, self.L,
+                                   dtype=np.int64)
+        self.fit_groups = np.empty(0, np.int64)
+        self.fit_row = np.full(self.K, -1, np.int64)
         self.predictor_names = list(predictor_names) if predictor_names is not None \
             else [f"x{k}" for k in range(self.K)]
         self.covariate_names = list(covariate_names) if covariate_names is not None \
@@ -440,6 +500,12 @@ class MultiTaskData:
         if self._z_cho[task] is None:
             return np.zeros(0)
         return cho_solve(self._z_cho[task], rhs, check_finite=False)
+
+    @staticmethod
+    def per_block(value):
+        """A per-task list (y, Z, X, omega, the residual), or an array whose
+        rows are per task, as a list over the blocks."""
+        return list(value)
 
 
 @dataclass
@@ -458,51 +524,3 @@ class MultiTaskParams:
         self.sigma_beta2 = floor_var(np.asarray(self.sigma_beta2, float).ravel())
         self.sigma_e2 = floor_var(np.asarray(self.sigma_e2, float).ravel())
         self.omega = [np.asarray(w, float).ravel() for w in self.omega]
-
-
-class MtVariationalState:
-    """Multi-task variational state: (K, L) coefficient arrays, shared pi_k.
-
-    ``residual[j]`` maintains y_j - Z_j w_j - sum_k pi_k alpha_jk mu_jk x_jk.
-    """
-
-    def __init__(self, mu, s2, alpha_jk, pi_k, residual):
-        self.mu = np.asarray(mu, float).copy()
-        self.s2 = np.asarray(s2, float).copy()
-        self.alpha_jk = clamp_prob(np.asarray(alpha_jk, float)).copy()
-        self.pi_k = clamp_prob(np.asarray(pi_k, float)).copy()
-        self.residual = [np.asarray(r, float).copy() for r in residual]
-
-    @classmethod
-    def initial(cls, data: MultiTaskData, params: MultiTaskParams):
-        K, L = data.K, data.L
-        return cls(
-            mu=np.zeros((K, L)),
-            s2=slab_variances(data, params),
-            alpha_jk=np.full((K, L), params.alpha),
-            pi_k=np.full(K, params.pi),
-            residual=[data.y[j] - data.Z[j] @ params.omega[j] for j in range(L)],
-        )
-
-    def copy(self):
-        return MtVariationalState(self.mu, self.s2, self.alpha_jk, self.pi_k,
-                                  self.residual)
-
-
-def mt_fit_pass(state: MtVariationalState, data: MultiTaskData) -> list:
-    """Each task's fit X_j pw_j, pw = pi_k alpha_jk mu_jk, evaluated from
-    (mu, alpha_jk, pi_k) alone (the multi-task :func:`fit_pass`)."""
-    pw = state.pi_k[:, None] * (state.alpha_jk * state.mu)    # (K, L)
-    return [X @ pw[:, j] for j, X in enumerate(data.X)]
-
-
-def mt_refresh_residual(state: MtVariationalState, data: MultiTaskData,
-                        params: MultiTaskParams, *,
-                        fits: list | None = None) -> MtVariationalState:
-    """Recompute every per-task residual from scratch, in place, from
-    ``fits`` (the iteration's :func:`mt_fit_pass`; run here when None)."""
-    fits = mt_fit_pass(state, data) if fits is None else fits
-    for j in range(data.L):
-        state.residual[j][:] = data.y[j] - data.Z[j] @ params.omega[j] \
-            - fits[j]
-    return state

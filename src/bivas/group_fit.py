@@ -6,23 +6,25 @@ One EM iteration is one full coordinate-ascent sweep over all coefficients
 lower bound over its own block with everything else held fixed, so the
 bound is non-decreasing across iterations up to floating-point noise.
 
-Both engines' sweeps run in one call of a small C kernel (``_sweep.c``)
-that makes the Python sweeps' updates in the same order, without holding
-the GIL.  Each EM iteration then forms the fits X pw once, in a fit
-pass that the M-step, the bound and the residual refresh share
-(:func:`run_em`); the grouped engine's pass reads every group's fit
-X_k w_k from one call of the same kernel
+The sweep (:func:`estep_sweep`) serves both engines (see
+:mod:`bivas.multitask_fit`) in one call of a small C kernel
+(``_sweep.c``) that makes :func:`estep_sweep_python`'s updates in the
+same order, without holding the GIL.  Each EM iteration then forms
+the fits X pw once, in a fit pass that the M-step, the bound and the
+residual refresh share (:func:`run_em`); the pass reads the fits X_k w_k
+of the groups with several members from one call of the same kernel
 (:func:`~bivas.designs.group_fits`).  The kernel is compiled with the
 system C compiler (``cc``) on the first call of a process that finds no
 cached copy, and cached in the package's ``__pycache__`` or, when that
 cannot be written, in ``~/.cache/bivas`` (see :mod:`bivas._sweep`).
-Without a compiler or a cache the engines run :func:`estep_sweep_python`,
-:func:`~bivas.multitask_fit.mt_estep_sweep_python` and
-:func:`~bivas.designs.group_fits_python`, which are also the kernel's
-reference in the tests, and log one warning on the "bivas" logger.
+Without a compiler or a cache the engines run :func:`estep_sweep_python`
+and :func:`~bivas.designs.group_fits_python`, which are also the
+kernel's reference in the tests, and log one warning on the "bivas"
+logger.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -128,9 +130,8 @@ def _slab_terms(state, data, params):
     return s2, np.log(s2 / params.sigma_beta2)
 
 
-def estep_sweep(state: VariationalState, data: GroupedDesign,
-                params: ModelParams) -> VariationalState:
-    """One full coordinate-ascent sweep, updating ``state`` in place.
+def estep_sweep(state: VariationalState, data, params) -> VariationalState:
+    """One full coordinate-ascent sweep on either container, in place.
 
     Runs the compiled sweep (``_sweep.c``, one call per sweep, outside
     the GIL) when :func:`bivas._sweep.kernel` could build or load it, and
@@ -142,114 +143,132 @@ def estep_sweep(state: VariationalState, data: GroupedDesign,
     if lib is None:
         return estep_sweep_python(state, data, params)
     s2, log_ratio = _slab_terms(state, data, params)
-    p, K, n = data.p, data.K, data.n
-    _sweep.check(lib.grouped_sweep(
-        n, K, data.X.ctypes.data, data.xtx.ctypes.data, s2.ctypes.data,
-        log_ratio.ctypes.data, data.members.ctypes.data,
-        data.group_ptr.ctypes.data, params.sigma_e2, _logit(params.alpha),
-        _logit(params.pi), _sweep.address(state.mu, (p,)),
-        _sweep.address(state.alpha_jk, (p,)), _sweep.address(state.pi_k, (K,)),
-        _sweep.address(state.residual, (n,)),
-        _sweep.address(state.group_fit, (K, n))))
+    Xs, rs = data.per_block(data.X), data.per_block(state.residual)
+    L, K, shape = len(Xs), data.K, data.group_of.shape
+    sigma_e2 = np.atleast_1d(params.sigma_e2)
+    _sweep.check(lib.sweep(
+        L, K, (ctypes.c_int64 * L)(*(X.shape[0] for X in Xs)),
+        (ctypes.c_void_p * L)(*(X.ctypes.data for X in Xs)),
+        data.block_of.ctypes.data, data.column_of.ctypes.data,
+        data.xtx.ctypes.data, s2.ctypes.data, log_ratio.ctypes.data,
+        data.members.ctypes.data, data.group_ptr.ctypes.data,
+        data.fit_row.ctypes.data, _sweep.address(sigma_e2, (L,)),
+        _logit(params.alpha), _logit(params.pi),
+        _sweep.address(state.mu, shape), _sweep.address(state.alpha_jk, shape),
+        _sweep.address(state.pi_k, (K,)),
+        (ctypes.c_void_p * L)(*(_sweep.address(r, (X.shape[0],))
+                                for r, X in zip(rs, Xs, strict=True))),
+        _sweep.address(state.group_fit, (data.fit_groups.size, Xs[0].shape[0]))))
     return state
 
 
-def estep_sweep_python(state: VariationalState, data: GroupedDesign,
-                       params: ModelParams) -> VariationalState:
+def estep_sweep_python(state: VariationalState, data, params) -> VariationalState:
     """The coordinate sweep in Python, updating ``state`` in place.
 
-    Groups are visited in index order and members in index order within
-    each group.  For coefficient (j, k) the slab posterior is
-    N(mu_jk, s_jk^2) with
+    Groups are visited in index order and members in ``members`` order
+    within each group (column order on a grouped design, task order on
+    multi-task data).  For coefficient c, column x of block b, the slab
+    posterior is N(mu_c, s_c^2) with
 
-        s_jk^2 = sigma_e2 / (x'x + sigma_e2 / sigma_beta2)
-        mu_jk  = s_jk^2 / sigma_e2 * (x'(y - Z w)
-                 - sum over other groups of their weighted fits' overlap
-                 - sum over other members of this group's overlap)
+        s_c^2 = sigma_e2_b / (x'x + sigma_e2_b / sigma_beta2_b)
+        mu_c  = s_c^2 / sigma_e2_b * (x'(y_b - Z_b w_b)
+                - sum over other groups of their weighted fits' overlap
+                - sum over other members of this group's overlap)
 
-    computed from the maintained residual.  With r the global weighted
-    residual, g_k the unweighted group fit and w = alpha mu, the residual
-    buffer first takes back the group's fit, r += pi_k g_k, and a work
-    vector starts at e = r - g_k.  Member j's numerator is then
-
-        x_j'e + w_j x_j'x_j
-
-    (one ddot), and after its update e -= (w_j_new - w_j_old) x_j (one
-    daxpy), so e stays r less the group's current fit and an update reads
-    two length-n vectors.  The variable logit is
-    v = logit(alpha) + pi_k/2 (log(s^2/sigma_beta2) + mu^2/s^2).  After the
-    members, g_k = r - e, and the group logit sums the same bracket over
-    members weighted by alpha_jk plus the within-group coupling correction
+    computed from the block's maintained residual r_b.  The variable logit
+    is v = logit(alpha) + pi_k/2 (log(s^2/sigma_beta2) + mu^2/s^2), and the
+    group logit sums the same bracket over members weighted by alpha_jk:
 
         u_k = logit(pi) + 1/2 sum_j alpha_jk (log(s^2/sigma_beta2)
               + mu^2/s^2) + P_k / (2 sigma_e2),
         P_k = sum_{j != j'} (alpha mu)_j (alpha mu)_j' x_j' x_j
-            = |g_k|^2 - sum_j (alpha mu)_j^2 x_j'x_j.
+            = |g_k|^2 - sum_j (alpha mu)_j^2 x_j'x_j,
 
-    The P_k term makes pi_k the exact maximizer of the bound over its
-    coordinate (it vanishes for orthogonal within-group columns and for
-    singleton groups, where the formula reduces to the plain bracket sum);
-    without it the bound can decrease when group members correlate.
+    with g_k = X_k (alpha mu)_k the group's unweighted fit.  P_k sums over
+    pairs of members in one block; it makes pi_k the exact maximizer of the
+    bound over its coordinate (it vanishes for orthogonal within-group
+    columns); without it the bound can decrease when group members
+    correlate.  A group takes one of two paths:
 
-    During group k's members the residual buffer holds the group-excluded
-    residual r + pi_k g_k; it is restored when pi_k is re-weighted at the
-    end of the group.
+    * at most one member per block (every multi-task feature and every
+      singleton group): P_k = 0, and member j's numerator is
+      x_j'r_b + b_j x_j'x_j (one ddot), b = pi_k alpha mu being its
+      weighted coefficient at the group's start.  After every member and
+      pi_k, each member takes r_b -= (b_new - b_old) x_j (one daxpy).
+      The group keeps no fit.
+    * several members in one block: the residual buffer first takes back
+      the group's kept fit, r += pi_k g_k, and a work vector starts at
+      e = r - g_k.  Member j's numerator is then x_j'e + w_j x_j'x_j
+      (one ddot), w = alpha mu, and after its update
+      e -= (w_j_new - w_j_old) x_j (one daxpy), so e stays r less the
+      group's current fit.  After the members, g_k = r - e, and the
+      residual gives back pi_k g_k with the new pi_k.
     """
-    sigma_e2 = params.sigma_e2
     logit_alpha = _logit(params.alpha)
     logit_pi = _logit(params.pi)
+    sigma_e2 = np.atleast_1d(params.sigma_e2).tolist()
 
     s2, log_ratio = _slab_terms(state, data, params)
 
-    columns = data.X.T    # row j is column j of X, contiguous
-    mu = state.mu
-    ajk = state.alpha_jk
+    # row j of X.T is column j of X, contiguous
+    columns = [X.T for X in data.per_block(data.X)]
+    rs = data.per_block(state.residual)
     pi_k = state.pi_k
-    r = state.residual
-    xtx = data.xtx
+    # every per-coefficient array as a flat list, read and written per member
+    mu_t = state.mu.ravel().tolist()
+    a_t = state.alpha_jk.ravel().tolist()
+    x2_t, s2_t, lr_t, block, col = (a.ravel().tolist() for a in (
+        data.xtx, s2, log_ratio, data.block_of, data.column_of))
+    members, ptr = data.members.tolist(), data.group_ptr.tolist()
 
-    for k, members in enumerate(data.group_members):
-        gk = state.group_fit[k]
+    for k, row in enumerate(data.fit_row.tolist()):
+        group = members[ptr[k]:ptr[k + 1]]
         pk = float(pi_k[k])
-
-        # exclude this group's weighted fit; r now holds y - Zw - sum_{k'!=k}
-        r += pk * gk
-        e = r - gk
-        w_old = (ajk[members] * mu[members]).tolist()
-        x2_g = xtx[members].tolist()
-        s2_g = s2[members].tolist()
-        lr_g = log_ratio[members].tolist()
-        mu_g = []
-        a_g = []
+        fit = row >= 0
+        if fit:
+            # exclude this group's weighted fit; r now holds
+            # y - Zw - sum_{k'!=k}, and e is r less the group's fit
+            b = block[group[0]]
+            r, gk, se2 = rs[b], state.group_fit[row], sigma_e2[b]
+            r += pk * gk
+            e = r - gk
         bracket_sum = 0.0    # sum_j alpha_jk (log(s^2/sigma_beta2) + mu^2/s^2)
         diag_sum = 0.0       # sum_j (alpha mu)_j^2 x_j'x_j
-        for jj, j in enumerate(members.tolist()):
-            x = columns[j]
-            x2 = x2_g[jj]
-            s2_j = s2_g[jj]
+        lone = []            # (c, x, r_b, b_old) of each member of a lone group
+        for c in group:
+            b, x2, s2_c = block[c], x2_t[c], s2_t[c]
+            x = columns[b][col[c]]
+            # against e, a fit group's member has w = alpha mu in its
+            # numerator; against r_b, a lone member has b = pi_k w
+            old = a_t[c] * mu_t[c] if fit else pk * (a_t[c] * mu_t[c])
             if x2 > 0.0:
-                num = ddot(x, e) + w_old[jj] * x2
-                mu_new = num * s2_j / sigma_e2
+                num = ddot(x, e if fit else rs[b]) + old * x2
+                mu_new = num * s2_c / sigma_e2[b]
             else:
                 mu_new = 0.0
-            bracket = lr_g[jj] + mu_new * mu_new / s2_j
+            bracket = lr_t[c] + mu_new * mu_new / s2_c
             a_new = sigmoid(logit_alpha + 0.5 * pk * bracket)
-            w_new = a_new * mu_new
-            mu_g.append(mu_new)
-            a_g.append(a_new)
+            mu_t[c] = mu_new
+            a_t[c] = a_new
             bracket_sum += a_new * bracket
-            diag_sum += w_new * w_new * x2
-            daxpy(x, e, a=-(w_new - w_old[jj]))
-        mu[members] = mu_g
-        ajk[members] = a_g
+            if fit:
+                w_new = a_new * mu_new
+                diag_sum += w_new * w_new * x2
+                daxpy(x, e, a=-(w_new - old))
+            else:
+                lone.append((c, x, rs[b], old))
+        if not fit:
+            pi_k[k] = sigmoid(logit_pi + 0.5 * bracket_sum)
+            for c, x, r_b, old in lone:
+                daxpy(x, r_b, a=-(pi_k[k] * (a_t[c] * mu_t[c]) - old))
+            continue
         np.subtract(r, e, out=gk)
-
-        u = logit_pi + 0.5 * bracket_sum
-        if len(members) > 1:
-            u += 0.5 * (float(gk @ gk) - diag_sum) / sigma_e2
-        pi_k[k] = sigmoid(u)
+        pi_k[k] = sigmoid(logit_pi + 0.5 * bracket_sum
+                          + 0.5 * (float(gk @ gk) - diag_sum) / se2)
         r -= pi_k[k] * gk
 
+    state.mu[...] = np.reshape(mu_t, state.mu.shape)
+    state.alpha_jk[...] = np.reshape(a_t, state.alpha_jk.shape)
     return state
 
 
@@ -260,7 +279,7 @@ def within_group_cross(state: VariationalState, data: GroupedDesign) -> float:
 
     evaluated from scratch through one pass of group fits X_k w_k (see
     :func:`~bivas.designs.fit_pass`)."""
-    return fit_pass(state, data).cross
+    return fit_pass(state, data).cross[0]
 
 
 def _moments(state, pi_of):
@@ -338,10 +357,10 @@ def elbo(state: VariationalState, data: GroupedDesign,
     ``fits``, the iteration's :func:`~bivas.designs.fit_pass`, run here
     when None) plus the indicator KL terms."""
     fits = fit_pass(state, data) if fits is None else fits
-    return _task_bound(data.y, data.Z, fits.fit, data.xtx, params.omega,
+    return _task_bound(data.y, data.Z, fits.fit[0], data.xtx, params.omega,
                        params.sigma_e2, params.sigma_beta2,
                        _moments(state, state.pi_k[data.group_of]),
-                       fits.cross) + _indicator_kl(state, params)
+                       fits.cross[0]) + _indicator_kl(state, params)
 
 
 def mstep_update(state: VariationalState, data: GroupedDesign,
@@ -354,9 +373,9 @@ def mstep_update(state: VariationalState, data: GroupedDesign,
     (:func:`_prior_means`)."""
     fits = fit_pass(state, data) if fits is None else fits
     omega, sigma_e2, sigma_beta2 = _task_mstep(
-        data.y, data.Z, fits.fit, data.solve_z_gram, data.xtx,
+        data.y, data.Z, fits.fit[0], data.solve_z_gram, data.xtx,
         _moments(state, state.pi_k[data.group_of]), params.sigma_beta2,
-        fits.cross)
+        fits.cross[0])
     alpha, pi = _prior_means(state, params, opts.fix_pi)
     return ModelParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
                        sigma_e2=sigma_e2, omega=omega)
@@ -399,10 +418,12 @@ def run_em(data, params, state, opts: EmOptions | None,
 def em_fit(data: GroupedDesign, init: ModelParams,
            opts: EmOptions | None = None) -> EmResult:
     """Alternate coordinate sweeps and M-steps until the bound stalls
-    (:func:`run_em`).  Every iteration's group fits go into one buffer.
-    The returned trace is non-decreasing up to 1e-8 * (1 + |L|) slack.
+    (:func:`run_em`).  The fit pass writes the group fits straight into
+    the state's ``group_fit``, which the refresh that follows it would
+    overwrite with the same rows, so a fit holds no second copy.  The
+    returned trace is non-decreasing up to 1e-8 * (1 + |L|) slack.
     """
-    fits_buffer = np.empty((data.K, data.n))
-    return run_em(data, init, VariationalState.initial(data, init), opts,
-                  estep_sweep, partial(fit_pass, out=fits_buffer),
-                  mstep_update, refresh_residual, elbo)
+    state = VariationalState.initial(data, init)
+    return run_em(data, init, state, opts, estep_sweep,
+                  partial(fit_pass, out=state.group_fit), mstep_update,
+                  refresh_residual, elbo)

@@ -39,10 +39,10 @@ def fdr_power(selected, truth_nonzero, total: int | None = None):
         selected = np.nonzero(selected)[0]
     if truth_nonzero.dtype == bool:
         truth_nonzero = np.nonzero(truth_nonzero)[0]
-    sel = set(map(tuple, selected.reshape(len(selected), -1).tolist())) \
-        if selected.ndim > 1 else set(selected.tolist())
-    pos = set(map(tuple, truth_nonzero.reshape(len(truth_nonzero), -1).tolist())) \
-        if truth_nonzero.ndim > 1 else set(truth_nonzero.tolist())
+    # rows of an (m, 2) array of index pairs become tuples; an empty one,
+    # (0, 2), becomes the empty set
+    sel = {tuple(i) if isinstance(i, list) else i for i in selected.tolist()}
+    pos = {tuple(i) if isinstance(i, list) else i for i in truth_nonzero.tolist()}
     tp = len(sel & pos)
     fp = len(sel) - tp
     fdr = fp / max(1, fp + tp)

@@ -212,11 +212,12 @@ def test_criterion_4_residual_identity():
                            max_group=4, rho=rho)
         params = initial_params(d, pi=0.4)
         state = random_state(rng, d, params)
-        for k in range(d.K):
-            for pos in d.group_members[k]:
+        for k, idx in enumerate(d.group_members):
+            gk = d.X[:, idx] @ (state.alpha_jk[idx] * state.mu[idx])
+            for pos in idx:
                 x = d.X[:, pos]
                 cached = float(x @ state.residual) \
-                    + (state.pi_k[k] - 1.0) * float(x @ state.group_fit[k]) \
+                    + (state.pi_k[k] - 1.0) * float(x @ gk) \
                     + state.alpha_jk[pos] * state.mu[pos] * d.xtx[pos]
                 direct = direct_numerator(state, d, params, k, pos)
                 rel = abs(cached - direct) / (1.0 + abs(direct))

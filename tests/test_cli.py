@@ -37,6 +37,20 @@ def fit_dir(sim_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def mt_dirs(tmp_path_factory):
+    """A two-task simulation with active features, and its multifit."""
+    sim = tmp_path_factory.mktemp("mtsim")
+    assert run_cli("simulate", "--n", "60,50", "--k-groups", "8", "--pi", "0.5",
+                   "--alpha", "0.8", "--snr", "2.0", "--seed", "3",
+                   "--out", str(sim)) == 0
+    fit = tmp_path_factory.mktemp("mtfit")
+    assert run_cli("multifit", "--task-data", str(sim / "task0.csv"),
+                   "--task-data", str(sim / "task1.csv"), "--grid-size", "3",
+                   "--threads", "1", "--out", str(fit)) == 0
+    return sim, fit
+
+
 class TestSimulate:
     def test_artifacts_exist(self, sim_dir):
         for name in ("data.csv", "groups.csv", "truth.json"):
@@ -315,6 +329,65 @@ class TestMultifit:
         assert np.abs(yhat_cli - yhat_mem).max() == 0.0
 
 
+class TestEvaluateMultifit:
+    def test_selecting_nothing_scores_zero(self, mt_dirs, tmp_path):
+        # a threshold below every local fdr selects no variable; the empty
+        # (0, 2) index array still counts as a selection
+        sim, _ = mt_dirs
+        fit = tmp_path / "fit"
+        assert run_cli("multifit", "--task-data", str(sim / "task0.csv"),
+                       "--task-data", str(sim / "task1.csv"),
+                       "--grid-size", "3", "--threads", "1", "--fdr", "1e-13",
+                       "--out", str(fit)) == 0
+        assert json.loads((fit / "selection.json").read_text())["variables"] == []
+        assert np.any(np.asarray(
+            json.loads((sim / "truth.json").read_text())["coef"]) != 0.0)
+        metrics = tmp_path / "metrics.csv"
+        assert run_cli("evaluate", "--fit", str(fit), "--truth",
+                       str(sim / "truth.json"), "--out", str(metrics)) == 0
+        header, row = metrics.read_text().splitlines()[:2]
+        got = dict(zip(header.split(","), row.split(",")))
+        assert float(got["fdr"]) == 0.0 and float(got["power"]) == 0.0
+
+    def test_no_active_feature_exits_one(self, tmp_path, capsys):
+        # this draw has no active feature, so the fit selects nothing and
+        # the truth has no positive: a one-line error, not a traceback
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        assert run_cli("simulate", "--n", "60,50", "--k-groups", "8",
+                       "--out", str(sim)) == 0
+        assert not np.any(json.loads((sim / "truth.json").read_text())["eta"])
+        assert run_cli("multifit", "--task-data", str(sim / "task0.csv"),
+                       "--task-data", str(sim / "task1.csv"),
+                       "--grid-size", "3", "--threads", "1",
+                       "--out", str(fit)) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--fit", str(fit), "--truth",
+                       str(sim / "truth.json"),
+                       "--out", str(tmp_path / "m.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("task", ["a", 2, -1, 1.0, True])
+    def test_bad_task_exits_one(self, mt_dirs, tmp_path, capsys, task):
+        sim, fit_dir = mt_dirs
+        fit = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit)
+        path = fit / "selection.json"
+        selection = json.loads(path.read_text())
+        predictor = json.loads((fit / "model.json").read_text())["predictors"][0]
+        selection["variables"].append({"predictor": predictor, "task": task})
+        path.write_text(json.dumps(selection))
+        capsys.readouterr()
+        code = run_cli("evaluate", "--fit", str(fit),
+                       "--truth", str(sim / "truth.json"),
+                       "--out", str(tmp_path / "metrics.csv"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: task ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "metrics.csv").exists()
+
+
 class TestThreadsDefault:
     def test_env_var_fallback(self, monkeypatch):
         from bivas.cli import _default_threads
@@ -369,6 +442,20 @@ class TestExitCodes:
                        "--max-iter", "0", "--out", str(tmp_path / "o"))
         assert code == 1
         self._assert_one_line_error(capsys, "--max-iter")
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("fit", "--threads", "threads must be >= 1"),
+        ("fit", "--grid-size", "grid size must be >= 1"),
+        ("multifit", "--threads", "threads must be >= 1"),
+        ("multifit", "--grid-size", "grid size must be >= 1")])
+    def test_zero_count_exits_one_before_parsing(self, tmp_path, capsys,
+                                                 command, flag, message):
+        data = "--data" if command == "fit" else "--task-data"
+        code = run_cli(command, data, str(tmp_path / "missing.csv"),
+                       flag, "0", "--out", str(tmp_path / "o"))
+        assert code == 1
+        self._assert_one_line_error(capsys, message)
+        assert not (tmp_path / "o").exists()
 
     def test_negative_tol_exits_one_before_parsing(self, tmp_path, capsys):
         code = run_cli("multifit", "--task-data", str(tmp_path / "absent.csv"),

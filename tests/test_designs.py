@@ -221,11 +221,16 @@ class TestGroupFits:
                 X[:, zero_col] = 0.0
                 d = GroupedDesign(d.y, d.Z, X, d.group_of)
             w = rng.standard_normal(d.p)
-            out = np.full((d.K, d.n), np.nan)
+            out = np.full((d.fit_groups.size, d.n), np.nan)
             got = fits(d, w, out)
             assert got is out
-            want = np.array([d.X[:, idx] @ w[idx] for idx in d.group_members])
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            # a row for each group of two or more members, and none else
+            assert d.fit_groups.tolist() == np.flatnonzero(d.group_sizes > 1).tolist()
+            for k in d.fit_groups:
+                idx = d.group_members[k]
+                want = d.X[:, idx] @ w[idx]
+                assert np.abs(got[d.fit_row[k]] - want).max() \
+                    <= 1e-12 * np.abs(want).max()
         n = 6
         d = GroupedDesign(np.arange(n, dtype=float), np.ones((n, 1)),
                           np.empty((n, 0)), np.empty(0, dtype=int))

@@ -1,0 +1,197 @@
+"""Differential checks of both engines over tiny degenerate designs.
+
+Hypothesis draws designs of at most 12 rows and 12 columns with zero-norm
+and duplicated columns, singleton and multi-member groups interleaved in
+column order, and multi-task data of 1-3 tasks of unequal size.  The
+draws are derandomized and no example database is kept, so the suite
+sees the same examples on every run.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bivas import (
+    EmOptions,
+    GroupedDesign,
+    MultiTaskData,
+    VariationalState,
+    elbo,
+    em_fit,
+    estep_sweep,
+    initial_params,
+    mstep_update,
+    mt_elbo,
+    mt_em_fit,
+    mt_estep_sweep,
+    mt_initial_params,
+    mt_mstep_update,
+    mt_refresh_residual,
+    refresh_residual,
+)
+from bivas.designs import clamp_prob, fit_pass, reindex_groups
+from bivas.group_fit import estep_sweep_python, run_em
+from bivas.oracle import exact_log_marginal
+
+from conftest import HAVE_COMPILER
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+
+
+@st.composite
+def columns(draw, n, p):
+    """(n, p) Gaussian columns; some zeroed, some copies of another."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((n, p))
+    for op, j, src in draw(st.lists(st.tuples(
+            st.sampled_from(["zero", "copy"]), st.integers(0, p - 1),
+            st.integers(0, p - 1)), max_size=3)):
+        X[:, j] = 0.0 if op == "zero" else X[:, src]
+    return X, rng
+
+
+def _response(rng, X):
+    coef = rng.standard_normal(X.shape[1]) * (rng.random(X.shape[1]) < 0.5)
+    return X @ coef + rng.standard_normal(X.shape[0])
+
+
+@st.composite
+def grouped_designs(draw, max_p=12, max_slots=12):
+    """A design whose labels, drawn per column, make singleton and
+    multi-member groups in any order; K + p stays within ``max_slots``."""
+    n = draw(st.integers(3, 12))
+    p = draw(st.integers(1, min(max_p, max_slots - 1)))
+    labels = draw(st.lists(st.integers(0, min(p, max_slots - p) - 1),
+                           min_size=p, max_size=p))
+    X, rng = draw(columns(n, p))
+    group_of, _ = reindex_groups(labels)
+    return GroupedDesign(_response(rng, X), np.ones((n, 1)), X, group_of)
+
+
+@st.composite
+def multitask_data(draw, max_tasks=3):
+    """1-3 tasks of unequal size sharing up to 12 features."""
+    K = draw(st.integers(1, 12))
+    ns = draw(st.lists(st.integers(3, 12), min_size=1, max_size=max_tasks,
+                       unique=True))
+    tasks = []
+    for n in ns:
+        X, rng = draw(columns(n, K))
+        tasks.append((_response(rng, X), np.ones((n, 1)), X))
+    return MultiTaskData(tasks)
+
+
+def _random_state(data, params, seed):
+    """Any valid state, its caches refreshed."""
+    rng = np.random.default_rng(seed)
+    state = VariationalState.initial(data, params)
+    state.mu[:] = rng.standard_normal(state.mu.shape)
+    state.alpha_jk[:] = clamp_prob(rng.random(state.mu.shape))
+    state.pi_k[:] = clamp_prob(rng.random(data.K))
+    refresh_residual(state, data, params)
+    return state
+
+
+def _close(got, want, tol):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = 1.0 + np.abs(want).max(initial=0.0)
+    assert np.abs(got - want).max(initial=0.0) <= tol * scale
+
+
+def _start(data, pi):
+    if isinstance(data, MultiTaskData):
+        return mt_initial_params(data, pi)
+    return initial_params(data, pi)
+
+
+@pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+@SETTINGS
+@given(data=st.one_of(grouped_designs(), multitask_data()),
+       pi=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1))
+def test_compiled_and_python_sweeps_agree(data, pi, seed):
+    params = _start(data, pi)
+    compiled = _random_state(data, params, seed)
+    python = compiled.copy()
+    for _ in range(3):
+        estep_sweep(compiled, data, params)
+        estep_sweep_python(python, data, params)
+    for field in ("mu", "s2", "alpha_jk", "pi_k", "group_fit"):
+        _close(getattr(compiled, field), getattr(python, field), 1e-12)
+    for got, want in zip(data.per_block(compiled.residual),
+                         data.per_block(python.residual)):
+        _close(got, want, 1e-12)
+
+
+@SETTINGS
+@given(design=grouped_designs(), pi=st.floats(0.05, 0.95))
+def test_one_task_fit_equals_singleton_groups(design, pi):
+    single = GroupedDesign(design.y, design.Z, design.X, np.arange(design.p))
+    opts = EmOptions(max_iter=50)
+    g = em_fit(single, initial_params(single, pi), opts)
+    m = mt_em_fit(MultiTaskData([(design.y, design.Z, design.X)]),
+                  mt_initial_params(MultiTaskData(
+                      [(design.y, design.Z, design.X)]), pi), opts)
+    assert g.iterations == m.iterations
+    _close(m.elbo_trace, g.elbo_trace, 1e-12)
+    for field in ("mu", "alpha_jk"):
+        _close(getattr(m.state, field)[:, 0], getattr(g.state, field), 1e-12)
+    _close(m.state.pi_k, g.state.pi_k, 1e-12)
+
+
+def _direct_residuals(state, data, params):
+    """y - Z omega - X pw per block, straight from the state."""
+    pw = state.pi_k[data.group_of] * state.alpha_jk * state.mu
+    return [y - Z @ omega - X @ v for y, Z, X, omega, v in zip(
+        data.per_block(data.y), data.per_block(data.Z), data.per_block(data.X),
+        data.per_block(params.omega), data.per_block(pw.T))]
+
+
+def _checked_fit(data, pi):
+    """One fit through run_em, checking after every sweep and every refresh
+    that each block's residual is y - Z omega - X pw and each kept group
+    fit is X_k alpha mu."""
+    multitask = isinstance(data, MultiTaskData)
+    sweep = mt_estep_sweep if multitask else estep_sweep
+    refresh = mt_refresh_residual if multitask else refresh_residual
+
+    def check(state, params):
+        for got, want in zip(data.per_block(state.residual),
+                             _direct_residuals(state, data, params)):
+            _close(got, want, 1e-10)
+        w = state.alpha_jk * state.mu
+        for k in data.fit_groups:
+            idx = data.group_members[k]
+            _close(state.group_fit[data.fit_row[k]], data.X[:, idx] @ w[idx],
+                   1e-10)
+
+    def checked_sweep(state, data, params):
+        sweep(state, data, params)
+        check(state, params)
+
+    def checked_refresh(state, data, params, *, fits):
+        refresh(state, data, params, fits=fits)
+        check(state, params)
+
+    init = _start(data, pi)
+    return run_em(data, init, VariationalState.initial(data, init),
+                  EmOptions(max_iter=100), checked_sweep, fit_pass,
+                  mt_mstep_update if multitask else mstep_update,
+                  checked_refresh, mt_elbo if multitask else elbo)
+
+
+@SETTINGS
+@given(data=st.one_of(grouped_designs(), multitask_data()),
+       pi=st.floats(0.05, 0.95))
+def test_residual_identity_and_monotone_trace(data, pi):
+    result = _checked_fit(data, pi)
+    trace = result.elbo_trace
+    assert np.all(np.diff(trace) >= -1e-8 * (1.0 + np.abs(trace[1:])))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(design=grouped_designs(max_p=7, max_slots=10), pi=st.floats(0.05, 0.95))
+def test_bound_below_exact_marginal(design, pi):
+    result = em_fit(design, initial_params(design, pi), EmOptions(max_iter=100))
+    assert result.elbo <= exact_log_marginal(design, result.params) + 1e-8

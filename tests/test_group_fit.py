@@ -2,6 +2,7 @@
 import ctypes
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,8 +154,9 @@ class TestEstepSweep:
             refresh_residual(state, d, params)
             for got, want in ((swept.group_fit, state.group_fit),
                               (swept.residual, state.residual)):
-                scale = 1.0 + np.abs(want).max()
-                assert np.abs(got - want).max() / scale < 1e-10
+                # group_fit has no rows on a design of singleton groups
+                scale = 1.0 + np.abs(want).max(initial=0.0)
+                assert np.abs(got - want).max(initial=0.0) / scale < 1e-10
 
     def test_residual_identity(self, rng):
         # cached numerator x'r + (pi_k - 1) x'g_k + alpha mu x'x equals the
@@ -163,11 +165,12 @@ class TestEstepSweep:
             d = random_grouped(rng, n=30, rho=rho)
             params = initial_params(d, pi=0.4)
             state = random_state(rng, d, params)
-            for k in range(d.K):
-                for pos in d.group_members[k]:
+            for k, idx in enumerate(d.group_members):
+                gk = d.X[:, idx] @ (state.alpha_jk[idx] * state.mu[idx])
+                for pos in idx:
                     x = d.X[:, pos]
                     cached = float(x @ state.residual) \
-                        + (state.pi_k[k] - 1.0) * float(x @ state.group_fit[k]) \
+                        + (state.pi_k[k] - 1.0) * float(x @ gk) \
                         + state.alpha_jk[pos] * state.mu[pos] * d.xtx[pos]
                     direct = direct_numerator(state, d, params, k, pos)
                     assert abs(cached - direct) / (1.0 + abs(direct)) < 1e-10
@@ -449,3 +452,44 @@ class TestEmFit:
             EmOptions(max_iter=0)
         with pytest.raises(ValueError):
             EmOptions(rel_tol=0.0)
+
+
+class TestFitMemory:
+    """The peak of one whole fit, its state and every buffer included,
+    besides the design it reads."""
+
+    @staticmethod
+    def _peak(d):
+        init = initial_params(d, pi=0.2)
+        em_fit(d, init, EmOptions(max_iter=2))    # first-call allocations
+        tracemalloc.start()
+        try:
+            em_fit(d, init, EmOptions(max_iter=20))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _design(group_of, n=200):
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((n, group_of.size))
+        y = X[:, :5].sum(axis=1) + rng.standard_normal(n)
+        return GroupedDesign(y, np.ones((n, 1)), X, group_of)
+
+    def test_singleton_groups_keep_no_group_fit(self):
+        # O(p + n): nothing of size K * n = p * n
+        n, p = 200, 1000
+        d = self._design(np.arange(p), n)
+        assert self._peak(d) <= 256 * (p + n)
+
+    def test_mixed_groups_keep_one_row_per_multi_member_group(self):
+        # 50 groups of four and 800 singletons, interleaved: one n-row per
+        # group of several members, and O(p + n) besides
+        n = 200
+        group_of = np.concatenate([np.repeat(np.arange(50), 4),
+                                   np.arange(50, 850)])
+        group_of = np.random.default_rng(5).permutation(group_of)
+        d = self._design(group_of, n)
+        multi = int((d.group_sizes > 1).sum())
+        assert multi == 50
+        assert self._peak(d) <= 8 * n * multi + 256 * (d.p + n)

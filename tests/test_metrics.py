@@ -88,6 +88,15 @@ class TestFdrPower:
         fdr, power = fdr_power(sel, tru)
         assert fdr == 0.5 and power == 0.5
 
+    def test_empty_index_pairs(self):
+        # a multi-task selection of nothing, or a truth with no nonzero
+        # coefficient, is an empty (0, 2) array of pairs
+        empty = np.empty((0, 2), dtype=int)
+        pairs = np.array([[0, 1], [3, 0]])
+        assert fdr_power(empty, pairs) == (0.0, 0.0)
+        assert fdr_power(pairs, empty) == (1.0, 0.0)
+        assert fdr_power(empty, empty) == (0.0, 0.0)
+
 
 class TestCoefMse:
     def test_exact_recovery(self):

@@ -9,9 +9,9 @@ from bivas import (
     EmOptions,
     GroupedDesign,
     ModelParams,
-    MtVariationalState,
     MultiTaskData,
     MultiTaskParams,
+    VariationalState,
     elbo,
     em_fit,
     initial_params,
@@ -23,12 +23,12 @@ from bivas import (
     mt_refresh_residual,
 )
 from bivas.designs import clamp_prob
-from bivas.multitask_fit import mt_estep_sweep_python
+from bivas.group_fit import estep_sweep_python
 from bivas.oracle import exact_log_marginal
 
 from conftest import manual_em, mt_direct_sweep, random_multitask, sweep_cases
 
-SWEEPS = sweep_cases(mt_estep_sweep, mt_estep_sweep_python)
+SWEEPS = sweep_cases(mt_estep_sweep, estep_sweep_python)
 
 
 def _singleton_pair(rng, n=40, K=8):
@@ -46,8 +46,8 @@ class TestSingleTaskReduction:
         pi0 = 0.3
         mparams = mt_initial_params(mdata, pi=pi0)
         gparams = initial_params(gdesign, pi=pi0)
-        mstate = MtVariationalState.initial(mdata, mparams)
-        from bivas import VariationalState, estep_sweep
+        mstate = VariationalState.initial(mdata, mparams)
+        from bivas import estep_sweep
         gstate = VariationalState.initial(gdesign, gparams)
         mt_estep_sweep(mstate, mdata, mparams)
         estep_sweep(gstate, gdesign, gparams)
@@ -75,12 +75,11 @@ class TestSingleTaskReduction:
                               sigma_beta2=float(mparams.sigma_beta2[0]),
                               sigma_e2=float(mparams.sigma_e2[0]),
                               omega=mparams.omega[0])
-        mstate = MtVariationalState.initial(mdata, mparams)
+        mstate = VariationalState.initial(mdata, mparams)
         mstate.mu[:, 0] = rng.standard_normal(mdata.K)
         mstate.alpha_jk[:, 0] = clamp_prob(rng.random(mdata.K))
         mstate.pi_k[:] = clamp_prob(rng.random(mdata.K))
         mt_refresh_residual(mstate, mdata, mparams)
-        from bivas import VariationalState
         gstate = VariationalState.initial(gdesign, gparams)
         gstate.mu[:] = mstate.mu[:, 0]
         gstate.s2[:] = mstate.s2[:, 0]
@@ -102,7 +101,7 @@ class TestMtEstep:
         params = MultiTaskParams(alpha=0.0, pi=0.27,
                                  sigma_beta2=base.sigma_beta2,
                                  sigma_e2=base.sigma_e2, omega=base.omega)
-        state = MtVariationalState.initial(data, params)
+        state = VariationalState.initial(data, params)
         sweep(state, data, params)
         assert np.all(state.alpha_jk < 1e-9)
         np.testing.assert_allclose(state.pi_k, 0.27, atol=1e-9)
@@ -130,7 +129,7 @@ class TestMtEstep:
         assert all(data.K > min(data.n) for data in draws[4:])
         for data in draws:
             params = mt_initial_params(data, pi=float(rng.uniform(0.2, 0.6)))
-            state = MtVariationalState.initial(data, params)
+            state = VariationalState.initial(data, params)
             state.mu[:] = 0.4 * rng.standard_normal((data.K, data.L))
             state.alpha_jk[:] = clamp_prob(rng.random((data.K, data.L)))
             state.pi_k[:] = clamp_prob(rng.random(data.K))
@@ -167,7 +166,7 @@ class TestMtElbo:
                  for j in range(data.L)]
         params = MultiTaskParams(alpha=0.2, pi=0.2, sigma_beta2=[1.0, 1.0],
                                  sigma_e2=[1.2, 0.7], omega=omega)
-        state = MtVariationalState.initial(data, params)
+        state = VariationalState.initial(data, params)
         for j in range(data.L):
             resid = data.y[j] - data.Z[j] @ omega[j]
             expected += -0.5 * data.n[j] * math.log(
@@ -191,7 +190,7 @@ class TestMtMstep:
     def test_alpha_averages_over_all_entries(self, rng):
         data = random_multitask(rng, L=3, K=4)
         params = mt_initial_params(data, pi=0.3)
-        state = MtVariationalState.initial(data, params)
+        state = VariationalState.initial(data, params)
         state.alpha_jk[:] = 0.25
         mt_refresh_residual(state, data, params)
         new = mt_mstep_update(state, data, params, EmOptions())
@@ -206,7 +205,7 @@ class TestMtMstep:
         data = MultiTaskData([(y, np.ones((n, 1)), X)])
         params = MultiTaskParams(alpha=0.5, pi=0.5, sigma_beta2=[1.0],
                                  sigma_e2=[1.0], omega=[np.zeros(1)])
-        state = MtVariationalState.initial(data, params)
+        state = VariationalState.initial(data, params)
         state.mu[:, 0] = coef
         state.alpha_jk[:] = 1.0 - 1e-12
         state.pi_k[:] = 1.0 - 1e-12
@@ -296,7 +295,7 @@ class TestMtEmFit:
             opts = EmOptions(max_iter=60)
             res = mt_em_fit(data, init, opts)
             params, state, trace = manual_em(
-                data, init, MtVariationalState.initial(data, init), opts,
+                data, init, VariationalState.initial(data, init), opts,
                 mt_estep_sweep, mt_mstep_update, mt_refresh_residual, mt_elbo)
             assert trace.shape == res.elbo_trace.shape
             assert np.allclose(res.elbo_trace, trace, rtol=1e-12, atol=0.0)
