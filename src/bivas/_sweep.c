@@ -1,5 +1,6 @@
 /* One whole coordinate-ascent E-step sweep per call, for both EM engines,
- * and the group fits of the groups that keep one, in one call.
+ * the group fits of the groups that keep one, in one call, and the parse
+ * of one plain numeric row of a data table.
  *
  * The sweep makes the updates of bivas.group_fit.estep_sweep_python, in
  * the same order and with the same formulas; the Python sweep is the
@@ -19,7 +20,7 @@
  * partial sums; their rounding differs from BLAS's in the last bits only.
  *
  * sweep returns 0, or -1 when the workspace cannot be allocated (the state
- * is then untouched).  group_fits needs no workspace.
+ * is then untouched).  group_fits and parse_row need no workspace.
  */
 #include <math.h>
 #include <stdint.h>
@@ -188,4 +189,68 @@ void group_fits(int64_t n, int64_t M, const double *X, const double *w,
         for (; jj < end; jj++)
             axpy(w[members[jj]], X + members[jj] * n, g, n);
     }
+}
+
+/* The end of the digit run that starts at p (p itself when there is none). */
+static const char *digits(const char *p, const char *end)
+{
+    while (p < end && *p >= '0' && *p <= '9')
+        p++;
+    return p;
+}
+
+/* Parse one data row, line[0 .. len), of exactly width cells separated by
+ * the byte delim, into out[0 .. width).  The row may end in "\n" or "\r\n".
+ * Each cell must be [-+]?digits[.digits][(e|E)[-+]?digits], which covers
+ * every double repr writes, and strtod must stop exactly at the cell's end
+ * (so a locale with another decimal point fails) with a finite value.
+ * strtod rounds correctly, as Python's float() does, so both give the same
+ * double.  line[len] must be readable and must not continue a number, as
+ * the NUL that ends a Python bytes object.  Returns 0 when the whole row
+ * parsed, or -1 at the first cell or ending it does not accept; out is
+ * then partly written.  bivas.io's Python parser reads on from a row
+ * this one rejects, and writes every message. */
+int parse_row(const char *line, int64_t len, int64_t delim, int64_t width,
+              double *out)
+{
+    const char *p = line, *end = line + len;
+    if (end > p && end[-1] == '\n') {
+        end--;
+        if (end > p && end[-1] == '\r')
+            end--;
+    }
+    for (int64_t j = 0; j < width; j++) {
+        const char *cell = p, *stop;
+        if (p < end && (*p == '+' || *p == '-'))
+            p++;
+        stop = digits(p, end);
+        if (stop == p)
+            return -1;
+        p = stop;
+        if (p < end && *p == '.') {
+            stop = digits(p + 1, end);
+            if (stop == p + 1)
+                return -1;
+            p = stop;
+        }
+        if (p < end && (*p == 'e' || *p == 'E')) {
+            const char *q = p + 1;
+            if (q < end && (*q == '+' || *q == '-'))
+                q++;
+            stop = digits(q, end);
+            if (stop == q)
+                return -1;
+            p = stop;
+        }
+        /* the cell ends at the delimiter, or the last one at the row's end */
+        if (j + 1 < width ? p == end || *p != (char)delim : p != end)
+            return -1;
+        char *parsed_end;
+        double v = strtod(cell, &parsed_end);
+        if (parsed_end != p || !isfinite(v))
+            return -1;
+        out[j] = v;
+        p++;
+    }
+    return 0;
 }

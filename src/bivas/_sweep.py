@@ -1,4 +1,5 @@
-"""Build and load the compiled E-step sweep and group fits (``_sweep.c``).
+"""Build and load the compiled E-step sweep, group fits and table-row
+parse (``_sweep.c``).
 
 The library is compiled once with the system C compiler and cached next
 to the package's bytecode, in ``__pycache__``; when that directory cannot
@@ -7,17 +8,20 @@ only when the current user owns it and no one else can write to it.  The
 file name carries a hash of the source, the compiler and the flags, so an
 edited source or another flag set builds a new library.  The compiler
 writes to a temporary name that is then moved into place, so concurrent
-builds never load a partial file.
+builds never load a partial file.  A build into the package's own
+``__pycache__`` removes the libraries of earlier sources there; the
+per-user cache is never pruned, since other installs may share it.
 
 Nothing is built or loaded on ``import bivas``: :func:`kernel` does it on
 the first call that needs it, under a lock.  When no library can be built
 or loaded, :func:`kernel` returns None, one line on the "bivas" logger
-says why, and the engines run the Python sweep and group-fit loop
-instead.
+says why, the engines run the Python sweep and group-fit loop, and
+:func:`bivas.io.read_design_table` parses every row in Python.
 """
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import logging
 import os
@@ -43,6 +47,7 @@ _ptr = ctypes.c_void_p
 _SIGNATURES = {
     "sweep": (ctypes.c_int, [_i64, _i64] + [_ptr] * 11 + [_f64] * 2 + [_ptr] * 5),
     "group_fits": (None, [_i64, _i64] + [_ptr] * 6),
+    "parse_row": (ctypes.c_int, [_ptr, _i64, _i64, _i64, _ptr]),
 }
 
 _lock = threading.Lock()
@@ -87,17 +92,32 @@ def _build(path):
             os.remove(tmp)
 
 
+def _prune(cache, keep):
+    """Remove every library in ``cache`` but ``keep``: they were built from
+    earlier sources, which no longer load from this directory.  A file that
+    a concurrent build removed first, or that cannot be removed, stays."""
+    for path in glob.glob(os.path.join(cache, "_sweep-*.so")):
+        if os.path.basename(path) != keep:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+
+
 def _load():
     with open(SOURCE, "rb") as fh:
         digest = hashlib.sha256(fh.read())
     digest.update("\0".join((COMPILER,) + FLAGS).encode())
     name = f"_sweep-{digest.hexdigest()[:16]}.so"
-    cache = next((d for d in cache_dirs() if _private_dir(d)), None)
+    dirs = cache_dirs()
+    cache = next((d for d in dirs if _private_dir(d)), None)
     if cache is None:
         raise OSError("no private cache directory")
     path = os.path.join(cache, name)
     if not os.path.exists(path):
         _build(path)
+        if cache == dirs[0]:
+            _prune(cache, name)
     lib = ctypes.CDLL(path)
     for fn, (restype, argtypes) in _SIGNATURES.items():
         getattr(lib, fn).argtypes = argtypes
@@ -114,8 +134,9 @@ def kernel():
                 try:
                     _loaded = _load()
                 except (OSError, subprocess.SubprocessError) as exc:
-                    logger.warning("compiled E-step sweep unavailable (%s); "
-                                   "using the Python sweeps", exc)
+                    logger.warning("compiled E-step sweep and table parse "
+                                   "unavailable (%s); using the Python sweeps "
+                                   "and table parser", exc)
                     _loaded = False
     return _loaded if _loaded is not False else None
 

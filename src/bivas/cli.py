@@ -15,7 +15,13 @@ import numpy as np
 
 from . import io as bio
 from .designs import GroupedDesign
-from .exceptions import BivasError, InvalidCount, InvalidThreshold, NonNumeric
+from .exceptions import (
+    BivasError,
+    DegenerateLabels,
+    InvalidCount,
+    InvalidThreshold,
+    NonNumeric,
+)
 from .grid import GridFit, aggregate, make_pi_grid, predict, run_grid, select
 from .group_fit import EmOptions
 from .metrics import auc, coef_mse, fdr_power
@@ -194,6 +200,19 @@ def cmd_predict(args) -> int:
     return 0
 
 
+# metrics that `evaluate` leaves empty when a replicate's truth makes them
+# undefined; an empty cell in any other column is a broken file
+OPTIONAL_METRICS = ("auc", "group_auc")
+
+
+def _defined_auc(scores, labels):
+    """The AUC, or None (an empty cell) when the labels are all of one kind."""
+    try:
+        return auc(scores, labels)
+    except DegenerateLabels:
+        return None
+
+
 def cmd_evaluate(args) -> int:
     model = bio.read_model(os.path.join(args.fit, "model.json"))
     summary = bio.summary_from_model(model)
@@ -230,8 +249,8 @@ def cmd_evaluate(args) -> int:
         true_idx = np.nonzero(nonzero)[0]
     fdr, power = fdr_power(selected, true_idx)
     row = {
-        "auc": auc(scores, nonzero),
-        "group_auc": auc(pi_tilde, eta > 0),
+        "auc": _defined_auc(scores, nonzero),
+        "group_auc": _defined_auc(pi_tilde, eta > 0),
         "fdr": fdr,
         "power": power,
         "mse": coef_mse(effect, coef),
@@ -244,7 +263,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Aggregate replicate metrics files into a mean/sd table."""
+    """Aggregate replicate metrics files into a mean/sd table.  An empty
+    AUC cell (undefined for its replicate) is skipped, so ``n`` counts the
+    rows that hold a value."""
     import csv as _csv
 
     values: dict[str, list[float]] = {}
@@ -257,6 +278,8 @@ def cmd_report(args) -> int:
                     if key not in values:
                         values[key] = []
                         order.append(key)
+                    if val == "" and key in OPTIONAL_METRICS:
+                        continue
                     try:
                         values[key].append(float(val))
                     except (TypeError, ValueError):
@@ -268,6 +291,9 @@ def cmd_report(args) -> int:
         writer.writerow(["metric", "mean", "sd", "n"])
         for key in order:
             arr = np.asarray(values[key])
+            if arr.size == 0:
+                writer.writerow([key, "", "", 0])
+                continue
             writer.writerow([key, repr(float(arr.mean())),
                              repr(float(arr.std(ddof=1) if arr.size > 1 else 0.0)),
                              arr.size])

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _sweep
 from .designs import (
     GroupedDesign,
     ModelParams,
@@ -42,6 +43,13 @@ def _fmt(x) -> str:
 def _rows(fh, path: str):
     """The non-blank rows of an open delimited table, read lazily."""
     return (row for row in csv.reader(fh, delimiter=_delimiter(path)) if row)
+
+
+def _tee(lines, taken: list):
+    """Yield ``lines``, appending each to ``taken``."""
+    for line in lines:
+        taken.append(line)
+        yield line
 
 
 def read_table(path: str):
@@ -105,12 +113,12 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
     a table without the response column loads with y = 0 (prediction-only
     data; needs the sidecar group map, since the inline marker lives in the
     response cell).  No two header cells may hold the same name, and every
-    cell must parse as a finite number.  Data rows
-    are parsed as they are read (:func:`_parse_rows`), so no row is held
-    as strings.
+    cell must parse as a finite number.  Data rows are parsed as they are
+    read (:func:`_read_rows`), so no row is held as strings.
     """
     with open(data_path, newline="") as fh:
-        rows = _rows(fh, data_path)
+        taken = []      # the lines csv has read since the header
+        rows = _rows(_tee(fh, taken), data_path)
         header = next(rows, None)
         if header is None:
             raise NonNumeric(f"{data_path}: empty table")
@@ -127,14 +135,14 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
 
         inline: dict = {}
         first_line = 2      # row number of the first data row, for messages
+        taken.clear()
         first = next(rows, [])
         if resp_idx is not None \
                 and first[resp_idx:resp_idx + 1] == [GROUP_ROW_MARKER]:
             inline = {name: cell for name, cell in zip(header, first)
                       if name != response and cell != ""}
             first_line = 3
-        elif first:
-            rows = itertools.chain([first], rows)
+            taken.clear()
         if groups_path is not None:
             group_label_of = read_group_map(groups_path, response)   # sidecar wins
         elif inline:
@@ -148,7 +156,8 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
             raise DimensionMismatch(
                 f"{data_path}: group map names absent from table: {missing}"
             )
-        parsed = _parse_rows(rows, header, data_path, first_line)
+        parsed = _read_rows(itertools.chain(taken, fh), header, data_path,
+                            first_line)
 
     pred_names = [name for name in header
                   if name != response and name in group_label_of]
@@ -166,16 +175,42 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
     return DesignTable(y, Z, X, groups, pred_names, covar_names)
 
 
-def _parse_rows(rows, header, path: str, first_line: int) -> np.ndarray:
-    """The data rows as an (n, len(header)) float array, each row parsed
-    as it is read; rows are numbered from ``first_line`` in messages.
+def _read_rows(lines, header, path: str, first_line: int) -> np.ndarray:
+    """The data rows in the physical ``lines`` of a table as an
+    (n, len(header)) float array; the first row is row ``first_line``.
+
+    The compiled kernel parses each line while it is a row of plain finite
+    numbers (``parse_row`` in ``_sweep.c`` says which are plain), giving
+    the doubles ``float()`` gives.  From the first line it does not take,
+    or from the start when there is no kernel, :func:`_parse_rows` reads
+    on, so every message comes from it.
+    """
+    width, parsed = len(header), []
+    lib = _sweep.kernel()
+    if lib is not None:
+        parse, delim = lib.parse_row, ord(_delimiter(path))
+        for line in lines:
+            raw = line.encode()
+            row = np.empty(width)
+            if parse(raw, len(raw), delim, width, row.ctypes.data) != 0:
+                lines = itertools.chain([line], lines)
+                break
+            parsed.append(row)
+    return _parse_rows(_rows(lines, path), header, path,
+                       first_line + len(parsed), parsed)
+
+
+def _parse_rows(rows, header, path: str, first_line: int,
+                parsed: list) -> np.ndarray:
+    """The rows already ``parsed`` and then ``rows``, each parsed as it is
+    read, as an (n, len(header)) float array; ``rows`` are numbered from
+    ``first_line`` in messages.
 
     A row of the wrong length or with a cell that is not a number fails at
     once.  A non-finite cell fails only after every row has parsed, naming
     the first one.
     """
     width = len(header)
-    parsed = []
     bad = None      # (row number, column, cell) of the first non-finite cell
     for line, row in enumerate(rows, start=first_line):
         where = f"{path}: row {line}"

@@ -349,9 +349,10 @@ class TestEvaluateMultifit:
         got = dict(zip(header.split(","), row.split(",")))
         assert float(got["fdr"]) == 0.0 and float(got["power"]) == 0.0
 
-    def test_no_active_feature_exits_one(self, tmp_path, capsys):
+    def test_no_active_feature_writes_a_row(self, tmp_path):
         # this draw has no active feature, so the fit selects nothing and
-        # the truth has no positive: a one-line error, not a traceback
+        # the truth has no positive: both AUCs are undefined and their
+        # cells stay empty, while fdr, power and mse are written
         sim, fit = tmp_path / "sim", tmp_path / "fit"
         assert run_cli("simulate", "--n", "60,50", "--k-groups", "8",
                        "--out", str(sim)) == 0
@@ -360,12 +361,39 @@ class TestEvaluateMultifit:
                        "--task-data", str(sim / "task1.csv"),
                        "--grid-size", "3", "--threads", "1",
                        "--out", str(fit)) == 0
-        capsys.readouterr()
+        metrics = tmp_path / "m.csv"
         assert run_cli("evaluate", "--fit", str(fit), "--truth",
-                       str(sim / "truth.json"),
-                       "--out", str(tmp_path / "m.csv")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+                       str(sim / "truth.json"), "--out", str(metrics)) == 0
+        header, row = metrics.read_text().splitlines()
+        got = dict(zip(header.split(","), row.split(",")))
+        assert got["auc"] == "" and got["group_auc"] == ""
+        assert float(got["fdr"]) == 0.0 and float(got["power"]) == 0.0
+        assert float(got["mse"]) >= 0.0
+
+    def test_report_counts_only_defined_values(self, mt_dirs, tmp_path):
+        # one replicate with both AUCs, one without: report averages each
+        # metric over the rows that hold it
+        sim, fit = mt_dirs
+        defined, undefined = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("evaluate", "--fit", str(fit), "--truth",
+                       str(sim / "truth.json"), "--out", str(defined)) == 0
+        header, row = defined.read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        cells["auc"] = cells["group_auc"] = ""
+        undefined.write_text(header + "\n" + ",".join(cells.values()) + "\n")
+        report = tmp_path / "report.csv"
+        assert run_cli("report", "--metrics", str(defined), str(undefined),
+                       "--out", str(report)) == 0
+        rows = {ln.split(",")[0]: ln.split(",")
+                for ln in report.read_text().splitlines()[1:]}
+        want = dict(zip(header.split(","), row.split(",")))
+        assert rows["auc"][1:] == [want["auc"], "0.0", "1"]
+        assert rows["group_auc"][3] == "1" and rows["fdr"][3] == "2"
+
+        only = tmp_path / "report-undefined.csv"
+        assert run_cli("report", "--metrics", str(undefined),
+                       "--out", str(only)) == 0
+        assert "auc,,,0" in only.read_text().splitlines()
 
     @pytest.mark.parametrize("task", ["a", 2, -1, 1.0, True])
     def test_bad_task_exits_one(self, mt_dirs, tmp_path, capsys, task):

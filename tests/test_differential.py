@@ -15,6 +15,7 @@ from bivas import (
     EmOptions,
     GroupedDesign,
     MultiTaskData,
+    MultiTaskParams,
     VariationalState,
     elbo,
     em_fit,
@@ -195,3 +196,66 @@ def test_residual_identity_and_monotone_trace(data, pi):
 def test_bound_below_exact_marginal(design, pi):
     result = em_fit(design, initial_params(design, pi), EmOptions(max_iter=100))
     assert result.elbo <= exact_log_marginal(design, result.params) + 1e-8
+
+
+
+def _permuted(data, params, rng, across):
+    """The same model with its columns permuted, within groups (a grouped
+    design's columns shuffled, each keeping its group; a multi-task
+    feature's members, its tasks, reordered) or across them (the order of
+    the groups, or of the multi-task features, shuffled).  Returns the
+    permuted (data, params) and the original indices of its coefficient
+    rows, its groups and its blocks."""
+    if isinstance(data, MultiTaskData):
+        rows = rng.permutation(data.K) if across else np.arange(data.K)
+        blocks = np.arange(data.L) if across else rng.permutation(data.L)
+        moved = MultiTaskData([(data.y[j], data.Z[j], data.X[j][:, rows])
+                               for j in blocks])
+        return moved, MultiTaskParams(
+            alpha=params.alpha, pi=params.pi,
+            sigma_beta2=params.sigma_beta2[blocks],
+            sigma_e2=params.sigma_e2[blocks],
+            omega=[params.omega[j] for j in blocks]), rows, rows, blocks
+    rows = rng.permutation(data.p)
+    relabel = rng.permutation(data.K) if across else np.arange(data.K)
+    moved = GroupedDesign(data.y, data.Z, data.X[:, rows],
+                          relabel[data.group_of[rows]])
+    return moved, params, rows, np.argsort(relabel), np.zeros(1, int)
+
+
+@SETTINGS
+@given(data=st.one_of(grouped_designs(), multitask_data()),
+       pi=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1),
+       across=st.booleans())
+def test_bound_and_mstep_invariant_under_permuted_columns(data, pi, seed,
+                                                           across):
+    # the bound, the M-step and the refreshed residual do not depend on the
+    # order of the columns within a group, nor on the order of the groups
+    multitask = isinstance(data, MultiTaskData)
+    bound, mstep = (mt_elbo, mt_mstep_update) if multitask \
+        else (elbo, mstep_update)
+    params = _start(data, pi)
+    state = _random_state(data, params, seed)
+    moved, moved_params, rows, groups, blocks = _permuted(
+        data, params, np.random.default_rng(seed), across)
+    moved_state = VariationalState.initial(moved, moved_params)
+    for field in ("mu", "s2", "alpha_jk"):
+        value = getattr(state, field)[rows]
+        getattr(moved_state, field)[:] = value[:, blocks] if multitask else value
+    moved_state.pi_k[:] = state.pi_k[groups]
+    refresh_residual(moved_state, moved, moved_params)
+
+    _close(bound(moved_state, moved, moved_params),
+           bound(state, data, params), 1e-10)
+    got = mstep(moved_state, moved, moved_params, EmOptions())
+    want = mstep(state, data, params, EmOptions())
+    for field in ("alpha", "pi"):
+        _close(getattr(got, field), getattr(want, field), 1e-10)
+    for field in ("sigma_e2", "sigma_beta2"):
+        _close(np.atleast_1d(getattr(got, field)),
+               np.atleast_1d(getattr(want, field))[blocks], 1e-10)
+    for b, j in enumerate(blocks):
+        _close(moved.per_block(got.omega)[b], data.per_block(want.omega)[j],
+               1e-10)
+        _close(moved.per_block(moved_state.residual)[b],
+               data.per_block(state.residual)[j], 1e-10)

@@ -93,6 +93,32 @@ class TestEstepSweep:
         assert private.stat().st_mode & 0o777 == 0o700
 
     @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+    def test_build_prunes_only_the_package_cache(self, tmp_path, monkeypatch):
+        # a build into the package's own cache removes the libraries of
+        # earlier sources there; the per-user cache, which other installs
+        # may share, keeps every library
+        package, user = tmp_path / "package", tmp_path / "user"
+        for cache in (package, user):
+            cache.mkdir(mode=0o700)
+            for stale in ("_sweep-0123456789abcdef.so", "_sweep-old.so.tmp",
+                          "other.so"):
+                (cache / stale).write_bytes(b"")
+        monkeypatch.setattr(_sweep, "cache_dirs",
+                            lambda: [str(package), str(user)])
+        monkeypatch.setattr(_sweep, "_loaded", None)
+        assert _sweep.kernel() is not None
+        built = [f.name for f in package.glob("_sweep-*.so")]
+        assert len(built) == 1 and built[0] != "_sweep-0123456789abcdef.so"
+        assert sorted(f.name for f in package.iterdir()) \
+            == sorted(built + ["_sweep-old.so.tmp", "other.so"])
+
+        package.chmod(0o770)          # no longer private: build into user
+        monkeypatch.setattr(_sweep, "_loaded", None)
+        assert _sweep.kernel() is not None
+        assert (user / "_sweep-0123456789abcdef.so").exists()
+        assert (user / built[0]).exists()
+
+    @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
     def test_kernel_rejects_arrays_it_cannot_update_in_place(self, rng):
         d = random_grouped(rng, n=20, sizes=[3, 2])
         params = initial_params(d, pi=0.4)
