@@ -21,6 +21,11 @@
  *
  * sweep returns 0, or -1 when the workspace cannot be allocated (the state
  * is then untouched).  group_fits and parse_row need no workspace.
+ *
+ * parse_row rounds a cell of at most 19 significant digits and a decimal
+ * exponent within +-27 (every cell repr writes for a magnitude in
+ * [1e-11, 1e28), and zero) in 64- and 128-bit integers, and hands any
+ * other cell to strtod.
  */
 #include <math.h>
 #include <stdint.h>
@@ -191,25 +196,94 @@ void group_fits(int64_t n, int64_t M, const double *X, const double *w,
     }
 }
 
-/* The end of the digit run that starts at p (p itself when there is none). */
-static const char *digits(const char *p, const char *end)
+#define MAX_DIGITS 19       /* any 19 decimal digits fit a uint64_t */
+#define MAX_EXACT_EXP 27    /* 5^27 < 2^63 */
+#define EXP_CAP 100000      /* an exponent read stops growing here */
+
+/* Append the digit c to a cell's significant digits: nd of them, the
+ * first MAX_DIGITS kept in w.  Leading zeros are not significant. */
+static inline void take(uint64_t *w, int64_t *nd, char c)
 {
-    while (p < end && *p >= '0' && *p <= '9')
-        p++;
-    return p;
+    if (*nd > 0 || c != '0') {
+        if (++*nd <= MAX_DIGITS)
+            *w = *w * 10 + (uint64_t)(c - '0');
+    }
 }
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[MAX_EXACT_EXP + 1] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL,
+    390625ULL, 1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL,
+    1220703125ULL, 6103515625ULL, 30517578125ULL, 152587890625ULL,
+    762939453125ULL, 3814697265625ULL, 19073486328125ULL,
+    95367431640625ULL, 476837158203125ULL, 2384185791015625ULL,
+    11920928955078125ULL, 59604644775390625ULL, 298023223876953125ULL,
+    1490116119384765625ULL, 7450580596923828125ULL,
+};
+
+/* The double nearest to m 2^e, ties to even, for m > 0; when sticky,
+ * the value lies a little above m 2^e (by less than 2^e), and m has more
+ * than 53 bits.  Every m and e passed here give a normal double, so ldexp
+ * scales exactly. */
+static double nearest(u128 m, int sticky, int e)
+{
+    uint64_t hi = (uint64_t)(m >> 64);
+    int bits = hi ? 128 - __builtin_clzll(hi)
+                   : 64 - __builtin_clzll((uint64_t)m);
+    if (bits <= 53)
+        return ldexp((double)(uint64_t)m, e);
+    int shift = bits - 53;
+    uint64_t top = (uint64_t)(m >> shift);
+    u128 rest = m & (((u128)1 << shift) - 1), half = (u128)1 << (shift - 1);
+    if (rest > half || (rest == half && (sticky || (top & 1))))
+        top++;
+    return ldexp((double)top, e + shift);
+}
+
+/* 10^k for k <= 22: exact doubles, since 5^22 < 2^53 */
+static const double POW10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12,
+    1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/* w 10^q rounded to nearest, ties to even, for 0 < w < 10^MAX_DIGITS and
+ * |q| <= MAX_EXACT_EXP: the exact case of Clinger (1990).  When w and
+ * 10^|q| are both exact doubles, one multiplication or division rounds
+ * correctly.  Otherwise, in integers: for q >= 0 the product w 5^q is
+ * exact in 128 bits.  For q < 0, w 10^q = (w 2^s / 5^-q) 2^(q-s), and s
+ * puts the top bit of w 2^s at bit 63 + (bit length of 5^-q): the
+ * quotient then has 63 or 64 bits, so one 128-by-64 division makes it,
+ * and its remainder is the sticky bit. */
+static double decimal_to_double(uint64_t w, int q)
+{
+    if (w <= (1ULL << 53) && q >= -22 && q <= 22)
+        return q < 0 ? (double)w / POW10[-q] : (double)w * POW10[q];
+    if (q >= 0)
+        return nearest((u128)w * POW5[q], 0, q);
+    uint64_t d = POW5[-q];
+    int s = 63 + __builtin_clzll(w) - __builtin_clzll(d);
+    u128 num = (u128)w << s, quo = num / d;
+    return nearest(quo, num - quo * d != 0, q - s);
+}
+#endif
 
 /* Parse one data row, line[0 .. len), of exactly width cells separated by
  * the byte delim, into out[0 .. width).  The row may end in "\n" or "\r\n".
  * Each cell must be [-+]?digits[.digits][(e|E)[-+]?digits], which covers
- * every double repr writes, and strtod must stop exactly at the cell's end
- * (so a locale with another decimal point fails) with a finite value.
- * strtod rounds correctly, as Python's float() does, so both give the same
- * double.  line[len] must be readable and must not continue a number, as
- * the NUL that ends a Python bytes object.  Returns 0 when the whole row
- * parsed, or -1 at the first cell or ending it does not accept; out is
- * then partly written.  bivas.io's Python parser reads on from a row
- * this one rejects, and writes every message. */
+ * every double repr writes, and must be finite.  One pass over a cell
+ * reads its significant digits w and decimal exponent q.  A zero is a
+ * signed zero; w 10^q with at most MAX_DIGITS digits and |q| <=
+ * MAX_EXACT_EXP is rounded in integers (decimal_to_double), which needs
+ * no locale; any other cell goes to strtod, which must stop exactly at the
+ * cell's end (so a locale with another decimal point fails there).  Both
+ * round correctly, as Python's float() does, so all give the same double.
+ * line[len] must be readable and must not continue a number, as the NUL
+ * that ends a Python bytes object.  Returns 0 when the whole row parsed,
+ * or -1 at the first cell or ending it does not accept; out is then
+ * partly written.  bivas.io's Python parser reads on from a row this one
+ * rejects, and writes every message. */
 int parse_row(const char *line, int64_t len, int64_t delim, int64_t width,
               double *out)
 {
@@ -220,35 +294,51 @@ int parse_row(const char *line, int64_t len, int64_t delim, int64_t width,
             end--;
     }
     for (int64_t j = 0; j < width; j++) {
-        const char *cell = p, *stop;
+        const char *cell = p, *run;
+        uint64_t w = 0;
+        int64_t nd = 0, q = 0, e = 0;   /* the cell is w 10^q while nd fits */
+        int neg = 0;
         if (p < end && (*p == '+' || *p == '-'))
-            p++;
-        stop = digits(p, end);
-        if (stop == p)
+            neg = *p++ == '-';
+        for (run = p; p < end && *p >= '0' && *p <= '9'; p++)
+            take(&w, &nd, *p);
+        if (p == run)
             return -1;
-        p = stop;
         if (p < end && *p == '.') {
-            stop = digits(p + 1, end);
-            if (stop == p + 1)
+            for (run = ++p; p < end && *p >= '0' && *p <= '9'; p++, q--)
+                take(&w, &nd, *p);
+            if (p == run)
                 return -1;
-            p = stop;
         }
         if (p < end && (*p == 'e' || *p == 'E')) {
-            const char *q = p + 1;
-            if (q < end && (*q == '+' || *q == '-'))
-                q++;
-            stop = digits(q, end);
-            if (stop == q)
+            int eneg = 0;
+            if (++p < end && (*p == '+' || *p == '-'))
+                eneg = *p++ == '-';
+            /* past EXP_CAP, e is not the exponent: strtod takes the cell */
+            for (run = p; p < end && *p >= '0' && *p <= '9'; p++)
+                e = e < EXP_CAP ? e * 10 + (*p - '0') : e;
+            if (p == run)
                 return -1;
-            p = stop;
+            q += eneg ? -e : e;
         }
         /* the cell ends at the delimiter, or the last one at the row's end */
         if (j + 1 < width ? p == end || *p != (char)delim : p != end)
             return -1;
-        char *parsed_end;
-        double v = strtod(cell, &parsed_end);
-        if (parsed_end != p || !isfinite(v))
-            return -1;
+        double v;
+        if (nd == 0) {
+            v = neg ? -0.0 : 0.0;
+#ifdef __SIZEOF_INT128__
+        } else if (nd <= MAX_DIGITS && e < EXP_CAP && q >= -MAX_EXACT_EXP
+                   && q <= MAX_EXACT_EXP) {
+            v = decimal_to_double(w, (int)q);
+            v = neg ? -v : v;
+#endif
+        } else {
+            char *parsed_end;
+            v = strtod(cell, &parsed_end);
+            if (parsed_end != p || !isfinite(v))
+                return -1;
+        }
         out[j] = v;
         p++;
     }

@@ -191,11 +191,16 @@ def cmd_predict(args) -> int:
     table = bio.read_design_table(args.data, args.groups,
                                   response=args.response,
                                   require_response=False)
-    X = _align_predictors(table, model["predictors"], args.data)
+    # a matrix product rounds by the layout of its operands, and a design
+    # holds its columns in Fortran order: predict from the same layout
+    X = np.array(_align_predictors(table, model["predictors"], args.data),
+                 order="F")
     std = model.get("standardize")
     if std is not None:
-        X = (X - np.asarray(std["center"])) / np.asarray(std["scale"])
-    yhat = predict(bio.summary_from_model(model), table.Z, X, task=args.task)
+        X -= np.asarray(std["center"])
+        X /= np.asarray(std["scale"])
+    yhat = predict(bio.summary_from_model(model), np.asfortranarray(table.Z),
+                   X, task=args.task)
     bio.write_predictions_csv(args.out, yhat)
     return 0
 

@@ -58,7 +58,9 @@ def _as_float_array(a, name):
         out = np.asarray(a, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise NonNumeric(f"{name} contains non-numeric entries: {exc}") from None
-    if out.size and not np.all(np.isfinite(out)):
+    # min and max are NaN when any entry is, and infinite when one is: the
+    # check needs no mask the size of the array
+    if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
         raise NaNPresent(f"{name} contains NaN or infinite entries")
     return out
 
@@ -214,7 +216,7 @@ def validate_design(y, Z, X, groups, *, standardize=False,
     re-indexed densely to [0, K) in order of first appearance.  When
     ``standardize`` is true, predictor columns are centered and scaled to
     unit standard deviation (constant columns are centered only) and the
-    transform is recorded on the design.
+    transform is recorded on the design; ``X`` itself is never written.
     """
     X = _as_float_array(X, "X")
     if X.ndim == 1:
@@ -228,10 +230,17 @@ def validate_design(y, Z, X, groups, *, standardize=False,
 
     x_center = x_scale = None
     if standardize and X.shape[1]:
+        # the design's own Fortran copy, standardized in place; the moments
+        # are numpy's over each contiguous column of it, whatever X's
+        # layout, and std takes a few columns at a time, so its temporary
+        # stays small beside the copy
+        X = np.array(X, order="F")
         x_center = X.mean(axis=0)
-        sd = X.std(axis=0)
+        sd = np.concatenate([block.std(axis=0) for block in np.array_split(
+            X, max(1, X.size // 8192), axis=1)])
         x_scale = np.where(sd > 0, sd, 1.0)
-        X = (X - x_center) / x_scale
+        X -= x_center
+        X /= x_scale
 
     return GroupedDesign(
         y, Z, X, group_of,

@@ -114,7 +114,9 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
     data; needs the sidecar group map, since the inline marker lives in the
     response cell).  No two header cells may hold the same name, and every
     cell must parse as a finite number.  Data rows are parsed as they are
-    read (:func:`_read_rows`), so no row is held as strings.
+    read (:func:`_read_rows`), so no row is held as strings.  y, and Z or X
+    when their columns are adjacent in the header, are views of the one
+    parsed block.
     """
     with open(data_path, newline="") as fh:
         taken = []      # the lines csv has read since the header
@@ -165,14 +167,22 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
                    if name != response and name not in group_label_of]
     n = parsed.shape[0]
     y = parsed[:, resp_idx] if resp_idx is not None else np.zeros(n)
-    X = parsed[:, [column[nm] for nm in pred_names]]
+    X = _columns(parsed, [column[nm] for nm in pred_names])
     if covar_names:
-        Z = parsed[:, [column[nm] for nm in covar_names]]
+        Z = _columns(parsed, [column[nm] for nm in covar_names])
     else:
         Z = np.ones((n, 1))
         covar_names = ["intercept"]
     groups = [group_label_of[nm] for nm in pred_names]
     return DesignTable(y, Z, X, groups, pred_names, covar_names)
+
+
+def _columns(parsed: np.ndarray, idx: list) -> np.ndarray:
+    """``parsed[:, idx]``: a view when ``idx`` is a run of adjacent
+    columns in order, so the block is not copied, and a copy otherwise."""
+    if idx and idx == list(range(idx[0], idx[0] + len(idx))):
+        return parsed[:, idx[0]:idx[0] + len(idx)]
+    return parsed[:, idx]
 
 
 def _read_rows(lines, header, path: str, first_line: int) -> np.ndarray:
@@ -181,9 +191,10 @@ def _read_rows(lines, header, path: str, first_line: int) -> np.ndarray:
 
     The compiled kernel parses each line while it is a row of plain finite
     numbers (``parse_row`` in ``_sweep.c`` says which are plain), giving
-    the doubles ``float()`` gives.  From the first line it does not take,
-    or from the start when there is no kernel, :func:`_parse_rows` reads
-    on, so every message comes from it.
+    the doubles ``float()`` gives: it rounds most cells itself, in integer
+    arithmetic, and hands the rest to ``strtod``.  From the first line it
+    does not take, or from the start when there is no kernel,
+    :func:`_parse_rows` reads on, so every message comes from it.
     """
     width, parsed = len(header), []
     lib = _sweep.kernel()

@@ -89,6 +89,36 @@ class TestValidateDesign:
         assert np.allclose(d.X.std(axis=0), 1.0, atol=1e-12)
         assert d.x_center is not None and d.x_scale is not None
 
+    @pytest.mark.parametrize("n,p", [(1, 3), (9, 1), (130, 2), (40, 300),
+                                     (400, 100), (9000, 3)])
+    @pytest.mark.parametrize("layout", ["C", "F", "view"])
+    def test_standardize_bits_and_caller_array(self, n, p, layout):
+        # the moments are numpy's mean and std over the columns of a
+        # Fortran-order X, whatever the layout given: a table's predictors
+        # arrive as a row-major view of its parsed block, and were a
+        # Fortran-order copy of it before.  Only the design's own copy is
+        # standardized.
+        rng = np.random.default_rng(6)
+        block = rng.standard_normal((n, p + 3)) \
+            * 10.0 ** rng.integers(-3, 4, p + 3)
+        block[:, 2] = 2.5                         # a constant column
+        X = {"C": np.ascontiguousarray(block[:, 2:-1]),
+             "F": np.asfortranarray(block[:, 2:-1]),
+             "view": block[:, 2:-1]}[layout]
+        held, given = block.copy(), X.copy(order="A")
+        ref = np.asfortranarray(X)
+        center, sd = ref.mean(axis=0), ref.std(axis=0)
+        scale = np.where(sd > 0, sd, 1.0)
+        Z = np.ones((n, 1)) if n > 1 else np.zeros((n, 0))   # r < n
+        d = validate_design(rng.standard_normal(n), Z, X, np.zeros(p, int),
+                            standardize=True)
+        assert d.x_center.tobytes() == center.tobytes()
+        assert d.x_scale.tobytes() == scale.tobytes()
+        assert d.X.tobytes(order="F") \
+            == ((ref - center) / scale).tobytes(order="F")
+        assert block.tobytes() == held.tobytes()
+        assert X.tobytes(order="A") == given.tobytes(order="A")
+
     def test_reindex_bijection_preserves_sizes(self):
         rng = np.random.default_rng(4)
         labels = rng.integers(100, 120, 50).tolist()

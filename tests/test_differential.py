@@ -21,6 +21,7 @@ from bivas import (
     em_fit,
     estep_sweep,
     initial_params,
+    make_pi_grid,
     mstep_update,
     mt_elbo,
     mt_em_fit,
@@ -149,7 +150,7 @@ def _direct_residuals(state, data, params):
         data.per_block(params.omega), data.per_block(pw.T))]
 
 
-def _checked_fit(data, pi):
+def _checked_fit(data, pi, fix_pi=False):
     """One fit through run_em, checking after every sweep and every refresh
     that each block's residual is y - Z omega - X pw and each kept group
     fit is X_k alpha mu."""
@@ -177,18 +178,20 @@ def _checked_fit(data, pi):
 
     init = _start(data, pi)
     return run_em(data, init, VariationalState.initial(data, init),
-                  EmOptions(max_iter=100), checked_sweep, fit_pass,
-                  mt_mstep_update if multitask else mstep_update,
+                  EmOptions(max_iter=100, fix_pi=fix_pi), checked_sweep,
+                  fit_pass, mt_mstep_update if multitask else mstep_update,
                   checked_refresh, mt_elbo if multitask else elbo)
+
+
+def _assert_monotone(trace):
+    assert np.all(np.diff(trace) >= -1e-8 * (1.0 + np.abs(trace[1:])))
 
 
 @SETTINGS
 @given(data=st.one_of(grouped_designs(), multitask_data()),
        pi=st.floats(0.05, 0.95))
 def test_residual_identity_and_monotone_trace(data, pi):
-    result = _checked_fit(data, pi)
-    trace = result.elbo_trace
-    assert np.all(np.diff(trace) >= -1e-8 * (1.0 + np.abs(trace[1:])))
+    _assert_monotone(_checked_fit(data, pi).elbo_trace)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -197,6 +200,51 @@ def test_bound_below_exact_marginal(design, pi):
     result = em_fit(design, initial_params(design, pi), EmOptions(max_iter=100))
     assert result.elbo <= exact_log_marginal(design, result.params) + 1e-8
 
+
+
+@st.composite
+def constant_response(draw):
+    """A design whose response is one value in every row."""
+    design = draw(grouped_designs(max_p=7, max_slots=10))
+    value = draw(st.sampled_from([0.0, 1.0, -3.5]))
+    return design.with_response(np.full(design.n, value))
+
+
+@st.composite
+def wide_one_group(draw):
+    """More columns than rows, all in one group."""
+    n = draw(st.integers(3, 6))
+    p = draw(st.integers(n + 1, 9))
+    X, rng = draw(columns(n, p))
+    return GroupedDesign(_response(rng, X), np.ones((n, 1)), X,
+                         np.zeros(p, int))
+
+
+def _every_check(data, pi, fix_pi=False):
+    """The residual identity, a monotone trace and, on a grouped design,
+    the bound below the exact log marginal."""
+    result = _checked_fit(data, pi, fix_pi)
+    _assert_monotone(result.elbo_trace)
+    if isinstance(data, GroupedDesign):
+        assert result.elbo <= exact_log_marginal(data, result.params) + 1e-8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(design=st.one_of(constant_response(), wide_one_group()),
+       pi=st.floats(0.05, 0.95))
+def test_constant_response_and_wide_group(design, pi):
+    _every_check(design, pi)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(data=st.one_of(grouped_designs(max_p=7, max_slots=10),
+                      multitask_data()),
+       top=st.booleans())
+def test_pi_held_at_a_grid_endpoint(data, top):
+    # the grid's first and last prior, 1/(K+1) and 1/2, held fixed as a
+    # grid run holds it
+    _every_check(data, make_pi_grid(data.K, 2).values[-1 if top else 0],
+                 fix_pi=True)
 
 
 def _permuted(data, params, rng, across):

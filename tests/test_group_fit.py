@@ -2,6 +2,7 @@
 import ctypes
 import math
 import re
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,17 @@ class TestKernelBindings:
             assert argtypes == [
                 ctypes.c_void_p if "*" in param else self.KINDS[param.split()[-2]]
                 for param in params.split(",")], name
+
+    @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+    def test_source_compiles_without_warnings(self, tmp_path):
+        # with the library's own flags: a signedness or narrowing slip in
+        # the kernel's integer code fails here
+        done = subprocess.run(
+            [_sweep.COMPILER, *_sweep.FLAGS, "-Wall", "-Wextra",
+             "-Wconversion", "-Werror", "-o", str(tmp_path / "gate.so"),
+             _sweep.SOURCE, "-lm"], capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 class TestEstepSweep:

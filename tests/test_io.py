@@ -1,5 +1,6 @@
 """Table parsing, group declarations and artifact round trips."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,47 @@ class TestDesignRoundTrip:
         assert d.r == 1
         assert np.all(d.Z == 1.0)
         assert d.covariate_names == ["intercept"]
+
+
+    @pytest.mark.parametrize("header", ["y,x0,x1,z", "x0,y,z,x1",
+                                        "z,x1,x0,y", "y,z,x1,x0"])
+    def test_predictor_columns_in_any_order(self, tmp_path, header):
+        # a run of adjacent predictor columns is read as a slice of the
+        # parsed block, any other set as a copy; both give the same table
+        names = header.split(",")
+        values = np.arange(1.0, 13.0).reshape(3, 4)
+        path, groups = tmp_path / "t.csv", tmp_path / "g.csv"
+        path.write_text(header + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in values.tolist()))
+        groups.write_text("predictor,group\nx0,a\nx1,b\n")
+        table = bio.read_design_table(str(path), str(groups))
+        col = dict(zip(names, values.T))
+        assert table.predictor_names == [nm for nm in names if nm[0] == "x"]
+        np.testing.assert_array_equal(
+            table.X, np.column_stack([col[nm] for nm in table.predictor_names]))
+        np.testing.assert_array_equal(table.Z, col["z"][:, None])
+        np.testing.assert_array_equal(table.y, col["y"])
+
+    def test_standardized_load_peaks_near_two_tables(self, tmp_path):
+        # the parsed block, then the design's own Fortran copy of X
+        # standardized in place: no copy of the predictors sliced out of
+        # the block, and no temporary of their size beside both
+        rng = np.random.default_rng(7)
+        n, p = 1000, 300
+        design = validate_design(rng.standard_normal(n), np.ones((n, 1)),
+                                 rng.standard_normal((n, p)),
+                                 np.arange(p) // 10)
+        path, groups = str(tmp_path / "d.csv"), str(tmp_path / "g.csv")
+        bio.write_design_csv(path, design)
+        bio.write_group_map(groups, design)
+        bio.load_design(path, groups, standardize=True)   # kernel built
+        tracemalloc.start()
+        try:
+            loaded = bio.load_design(path, groups, standardize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * loaded.X.nbytes
 
 
 class TestParseErrors:

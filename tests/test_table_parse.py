@@ -88,6 +88,111 @@ class TestParseRow:
         assert bits(parse_row("1.0\t-2e-3\r\n", 2, "\t")) == bits([1.0, -2e-3])
 
 
+def same_as_float(cells):
+    """Parse ``cells`` as one long row, in one call, and compare each value
+    with float()'s, bit for bit."""
+    got = parse_row(",".join(cells), len(cells))
+    assert got is not None
+    want = [float(c) for c in cells]
+    bad = [(c, g, w) for c, g, w in zip(cells, got, want)
+           if bits([g]) != bits([w])]
+    assert bad == [], bad[:5]
+
+
+def _with_point(digits, places):
+    """The integer string ``digits`` with its last ``places`` digits after a
+    decimal point."""
+    if places == 0:
+        return digits
+    digits = digits.rjust(places + 1, "0")
+    return digits[:-places] + "." + digits[-places:]
+
+
+@needs_kernel
+class TestExactConversion:
+    """Cells of at most 19 significant digits and a decimal exponent within
+    +-27 are rounded in integers (``decimal_to_double``), the rest by
+    strtod; each row holds about 100k cells at the edges of those cases."""
+
+    def test_ties_and_their_neighbours(self):
+        # (2^53 + 2i + 1) 2^-j lies halfway between two doubles; written
+        # exactly it must round to even, and one unit more or less in its
+        # last digit must round away from the tie
+        rng = np.random.default_rng(1)
+        cells = []
+        for j in range(5):
+            for i in rng.integers(0, 2 ** 52, 7000):
+                w = (2 ** 53 + 2 * int(i) + 1) * 5 ** j
+                cells += [_with_point(str(w + d), j) for d in (0, -1, 1)]
+        same_as_float(cells)
+
+    def test_next_to_two_to_the_53(self):
+        cells = [repr(2 ** 53 + d) for d in range(-3, 4)]
+        cells += [c + ".0" for c in cells] + [c + "e0" for c in cells]
+        cells += ["9007199254740993e-16", "90071992547409930e-1",
+                  "-9007199254740993"]
+        same_as_float(cells)
+
+    def test_nineteen_against_twenty_digits(self):
+        # 19 significant digits take the integer path, 20 go to strtod;
+        # a trailing zero counts as a digit
+        rng = np.random.default_rng(2)
+        cells = []
+        for q in rng.integers(-30, 31, 25000):
+            w = str(int(rng.integers(10 ** 18, 10 ** 19, dtype=np.uint64)))
+            cells += [f"{w}e{q}", f"{w}{int(rng.integers(10))}e{q - 1}",
+                      f"{w}0e{q - 1}", _with_point(w + "0", 1)]
+        cells += ["18446744073709551615", "18446744073709551616",
+                  "9999999999999999999", "10000000000000000000",
+                  "1844674407370955161.5", "18446744073709551615e-27"]
+        same_as_float(cells)
+
+    def test_exponents_at_the_edges(self):
+        # the decimal exponent at +-22 (the last exact power of ten as a
+        # double), +-27 (the last on the integer path) and +-28, whether
+        # it comes from the exponent, the fraction or both
+        rng = np.random.default_rng(3)
+        cells = []
+        for q in rng.choice([-28, -27, -23, -22, -21, 21, 22, 23, 27, 28],
+                            12500):
+            nd = int(rng.integers(1, 20))
+            w = str(int(rng.integers(10 ** (nd - 1), 10 ** nd,
+                                     dtype=np.uint64)))
+            places = int(rng.integers(0, nd + 1))
+            cells += [f"{w}e{q}", f"{_with_point(w, places)}e{q + places}"]
+        same_as_float(cells)
+
+    def test_leading_and_trailing_zeros(self):
+        # leading zeros are not significant digits; trailing ones are
+        rng = np.random.default_rng(4)
+        cells = ["000123.4500", "-00.0012e3", "0" * 30 + "1234",
+                 "0." + "0" * 26 + "1", "0." + "0" * 27 + "1",
+                 "0." + "0" * 30 + "12345678901234567890"]
+        for _ in range(20000):
+            nd = int(rng.integers(1, 20))
+            w = str(int(rng.integers(10 ** (nd - 1), 10 ** nd,
+                                     dtype=np.uint64)))
+            lead, trail = (int(k) for k in rng.integers(0, 12, 2))
+            text = "0" * lead + _with_point(w + "0" * trail,
+                                            int(rng.integers(0, nd + trail)))
+            cells += [text, "-" + text, f"{text}e{int(rng.integers(-9, 9))}"]
+        same_as_float(cells)
+
+    def test_zeros_keep_their_sign(self):
+        cells = ["-0.0", "-0e5", "0e-400", "0", "+0", "-0", "0.000",
+                 "-000.000e999", "0e99999999999999999999", "+0.0E-0"]
+        same_as_float(cells)
+        assert [np.signbit(v) for v in parse_row(",".join(cells), 10)] \
+            == [c.startswith("-") for c in cells]
+
+    def test_exponent_past_the_integer_path(self):
+        # a long fraction against an exponent past 10^5: the exponent read
+        # stops growing there, so such a cell must go to strtod
+        tiny = "0." + "0" * 99999 + "1"
+        assert bits(parse_row(tiny + "e100005", 1)) == bits([1e5])
+        assert parse_row(tiny + "e1000000", 1) is None
+
+
 def _write(tmp_path, header, body, *, inline, suffix=".csv"):
     """A table of ``header`` (x0 and x1 are the predictors) and ``body``,
     with an inline group row or a sidecar map."""
