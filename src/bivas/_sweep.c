@@ -11,13 +11,24 @@
  * arrays spare the sweep an integer division per member.  Each coefficient
  * is updated straight against its block's maintained residual: one dot
  * product for its numerator and one axpy for its change, which is the one
- * pass over X an iteration costs.  The state is updated in place.  Each
- * call allocates its own workspace and keeps no static data, so concurrent
- * calls on separate states are safe (ctypes releases the GIL around them).
+ * pass over X an iteration costs.  The state is updated in place, and
+ * sweep leaves in group_fit each kept group's fit X_k alpha mu formed anew
+ * from the swept alpha mu: a group adds each member's column to its row
+ * while that column is still in cache, in group_fits's order (fit_step),
+ * so the row equals group_fits's bit for bit and the EM loop's fit pass
+ * reads it instead of passing over X again.  Each call allocates its own
+ * workspace and keeps no static data, so concurrent calls on separate
+ * states are safe (ctypes releases the GIL around them).
  *
- * Built with -ffp-contract=off, so a * b + c is never fused and each
- * expression rounds as the Python sweep's does.  Dot products keep four
- * partial sums; their rounding differs from BLAS's in the last bits only.
+ * Built with -O3 -ffp-contract=off: a * b + c is never fused, and each
+ * expression rounds as the Python sweep's does; the vectorizer packs
+ * elementwise loops into SSE2 pairs, which round each element as the
+ * scalar code does.  Dot products keep four partial sums; their rounding
+ * differs from BLAS's in the last bits only.  Only axpy takes restrict
+ * (no caller passes it overlapping x and y): it runs at least once per
+ * coefficient, and without restrict gcc tests the two for overlap before
+ * its vector loop on every call; dot stores nothing, and fit_step's own
+ * loops run once per four members, so their test costs little.
  *
  * sweep returns 0, or -1 when the workspace cannot be allocated (the state
  * is then untouched).  group_fits and parse_row need no workspace.
@@ -67,7 +78,8 @@ static double dot(const double *a, const double *b, int64_t len)
 }
 
 /* y += a * x */
-static void axpy(double a, const double *x, double *y, int64_t len)
+static void axpy(double a, const double *restrict x, double *restrict y,
+                 int64_t len)
 {
     int64_t i = 0;
     for (; i + 4 <= len; i += 4) {
@@ -80,6 +92,44 @@ static void axpy(double a, const double *x, double *y, int64_t len)
         y[i] += a * x[i];
 }
 
+/* One step of a group's fit g = X_k w_k over its members t = 0 .. size-1,
+ * in members order, taken once member t's w is final.  x[3] and w[3] are
+ * member t's column and weight, and x[0..3) and w[0..3) members t-3 .. t-1's
+ * (see shift).  Member 0 sets g = w0 x0; each block of four members after
+ * it adds (w1 x1 + w2 x2) + (w3 x3 + w4 x4) at its fourth member, so one
+ * pass over g takes four columns; the members after the last whole block
+ * add w x one by one.  group_fits and sweep both build their fits here, so
+ * the two give the same bits. */
+static void fit_step(int64_t t, int64_t size, const double *const *x,
+                     const double *w, double *g, int64_t n)
+{
+    if (t == 0) {
+        for (int64_t i = 0; i < n; i++)
+            g[i] = w[3] * x[3][i];
+    } else if (t > (size - 1) / 4 * 4) {
+        axpy(w[3], x[3], g, n);
+    } else if (t % 4 == 0) {
+        for (int64_t i = 0; i < n; i++)
+            g[i] += (w[0] * x[0][i] + w[1] * x[1][i])
+                    + (w[2] * x[2][i] + w[3] * x[3][i]);
+    }
+}
+
+/* Move fit_step's window of the last four members on by one, putting the
+ * next member's column and weight at its end.  Folded into fit_step, the
+ * sweep ran about 9 % slower on a grouped design (n = 500, groups of 20,
+ * gcc 12). */
+static void shift(const double **x, double *w, const double *next_x,
+                  double next_w)
+{
+    for (int j = 0; j < 3; j++) {
+        x[j] = x[j + 1];
+        w[j] = w[j + 1];
+    }
+    x[3] = next_x;
+    w[3] = next_w;
+}
+
 /* The sweep.  Group k's members are members[group_ptr[k] .. group_ptr[k+1]),
  * block by block in column order, and there is at least one.  rs[b] is
  * block b's weighted residual y_b - Z_b w_b - X_b pw, pw = pi_k alpha mu,
@@ -89,8 +139,9 @@ static void axpy(double a, const double *x, double *y, int64_t len)
  * members in one block, all in that block, keeps its unweighted fit
  * g_k = X_k alpha mu as row fit_row[k] of group_fit (C order, rows of the
  * block's length), and its members are updated against the workspace e,
- * r + pi_k g_k - g_k.  bivas.group_fit.estep_sweep_python gives both
- * paths' formulas. */
+ * r + pi_k g_k - g_k.  pi_k and the residual take the new fit as r - e;
+ * the row takes it as fit_step builds it.
+ * bivas.group_fit.estep_sweep_python gives both paths' formulas. */
 int sweep(int64_t L, int64_t K, const int64_t *ns, const double *const *Xs,
           const int64_t *block, const int64_t *col, const double *xtx,
           const double *s2, const double *log_ratio, const int64_t *members,
@@ -111,11 +162,14 @@ int sweep(int64_t L, int64_t K, const int64_t *ns, const double *const *Xs,
         int64_t g0 = group_ptr[k], g1 = group_ptr[k + 1];
         int64_t fb = block[members[g0]], fn = ns[fb];  /* a fit group's block */
         double pk = pi_k[k], *e = work, *gk = NULL;
+        const double *win_x[4] = {NULL, NULL, NULL, NULL};  /* fit_step's */
+        double win_w[4] = {0.0, 0.0, 0.0, 0.0};
         double bracket_sum = 0.0;  /* sum_j alpha_jk (log(s2/sigma_beta2) + mu^2/s2) */
         double diag_sum = 0.0;     /* sum_j (alpha mu)_j^2 x_j'x_j */
         if (fit_row[k] >= 0) {
             /* put the group's weighted fit back into the residual, r holding
-             * y - Z w - sum_{k' != k} pi_k' g_k', and start e = r - g_k */
+             * y - Z w - sum_{k' != k} pi_k' g_k', and start e = r - g_k;
+             * the row g_k then takes the group's new fit */
             gk = group_fit + fit_row[k] * fn;
             for (int64_t i = 0; i < fn; i++) {
                 rs[fb][i] += pk * gk[i];
@@ -142,6 +196,9 @@ int sweep(int64_t L, int64_t K, const int64_t *ns, const double *const *Xs,
                 double w_new = a_new * mu_new;
                 diag_sum += w_new * w_new * x2;
                 axpy(-(w_new - old), x, e, n);
+                /* the new fit takes x while it is still in cache */
+                shift(win_x, win_w, x, w_new);
+                fit_step(jj - g0, g1 - g0, win_x, win_w, gk, n);
             } else {
                 work[jj - g0] = old;
             }
@@ -156,12 +213,14 @@ int sweep(int64_t L, int64_t K, const int64_t *ns, const double *const *Xs,
             }
             continue;
         }
-        /* e is now r less the group's new fit */
+        /* e is r less the group's new fit, and r - e that fit as the
+         * incremental updates left it: pi_k and the residual take this one,
+         * and the row keeps the one fit_step built */
         for (int64_t i = 0; i < fn; i++)
-            gk[i] = rs[fb][i] - e[i];
+            e[i] = rs[fb][i] - e[i];
         pi_k[k] = sigmoid(logit_pi + 0.5 * bracket_sum
-                          + 0.5 * (dot(gk, gk, fn) - diag_sum) / sigma_e2[fb]);
-        axpy(-pi_k[k], gk, rs[fb], fn);
+                          + 0.5 * (dot(e, e, fn) - diag_sum) / sigma_e2[fb]);
+        axpy(-pi_k[k], e, rs[fb], fn);
     }
     free(work);
     return 0;
@@ -176,23 +235,13 @@ void group_fits(int64_t n, int64_t M, const double *X, const double *w,
                 const int64_t *fit_groups, double *G)
 {
     for (int64_t m = 0; m < M; m++) {
-        double *g = G + m * n;
-        int64_t jj = group_ptr[fit_groups[m]], end = group_ptr[fit_groups[m] + 1];
-        const double *x0 = X + members[jj] * n;
-        double w0 = w[members[jj]];
-        for (int64_t i = 0; i < n; i++)
-            g[i] = w0 * x0[i];
-        /* four columns per pass over g */
-        for (jj++; jj + 4 <= end; jj += 4) {
-            const double *x1 = X + members[jj] * n, *x2 = X + members[jj + 1] * n;
-            const double *x3 = X + members[jj + 2] * n, *x4 = X + members[jj + 3] * n;
-            double w1 = w[members[jj]], w2 = w[members[jj + 1]];
-            double w3 = w[members[jj + 2]], w4 = w[members[jj + 3]];
-            for (int64_t i = 0; i < n; i++)
-                g[i] += (w1 * x1[i] + w2 * x2[i]) + (w3 * x3[i] + w4 * x4[i]);
+        int64_t g0 = group_ptr[fit_groups[m]], g1 = group_ptr[fit_groups[m] + 1];
+        const double *win_x[4] = {NULL, NULL, NULL, NULL};
+        double win_w[4] = {0.0, 0.0, 0.0, 0.0};
+        for (int64_t jj = g0; jj < g1; jj++) {
+            shift(win_x, win_w, X + members[jj] * n, w[members[jj]]);
+            fit_step(jj - g0, g1 - g0, win_x, win_w, G + m * n, n);
         }
-        for (; jj < end; jj++)
-            axpy(w[members[jj]], X + members[jj] * n, g, n);
     }
 }
 

@@ -37,8 +37,9 @@ logger = logging.getLogger("bivas")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
 COMPILER = "cc"
 # no -ffast-math or -march=native: the kernel must round as the Python
-# sweep does and run on any machine that shares the cache
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# sweep does and run on any machine that shares the cache; -O3 packs the
+# elementwise loops into SSE2 pairs, which round each element as before
+FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 _i64 = ctypes.c_int64
 _f64 = ctypes.c_double
@@ -118,6 +119,11 @@ def _load():
         _build(path)
         if cache == dirs[0]:
             _prune(cache, name)
+    return open_library(path)
+
+
+def open_library(path):
+    """Load the library built at ``path`` with every function's bindings."""
     lib = ctypes.CDLL(path)
     for fn, (restype, argtypes) in _SIGNATURES.items():
         getattr(lib, fn).argtypes = argtypes

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from . import _sweep
 from .exceptions import (
@@ -76,6 +77,15 @@ def _check_z_rank(Z):
                 f"{_Z_RANK_RTOL:g} x largest {eigs[-1]:.3e}"
             )
     return cho_factor(gram) if gram.size else None
+
+
+def _solve_cho(cho, rhs):
+    """Solve (Z'Z) w = rhs from ``cho``, the factor of :func:`_check_z_rank`
+    (None when Z has no columns), through LAPACK's dpotrs, where
+    ``cho_solve`` ends, without its checks (the wrapper checks shapes)."""
+    if cho is None:
+        return np.zeros(0)
+    return dpotrs(cho[0], rhs, lower=cho[1])[0]
 
 
 def reindex_groups(labels):
@@ -193,9 +203,7 @@ class GroupedDesign:
 
     def solve_z_gram(self, rhs):
         """Solve (Z'Z) w = rhs using the cached Cholesky factor."""
-        if self._z_cho is None:
-            return np.zeros(0)
-        return cho_solve(self._z_cho, rhs, check_finite=False)
+        return _solve_cho(self._z_cho, rhs)
 
     def with_response(self, y):
         """Return a copy sharing all X/Z caches but carrying a new response."""
@@ -328,40 +336,37 @@ def slab_variances(data, params):
     return np.where(data.xtx > 0.0, params.sigma_e2 / denom, params.sigma_beta2)
 
 
-def group_fits(data, w, out=None):
+def group_fits(data, w):
     """The fit g_k = X_k w_k (without its pi_k weight) of every group that
-    keeps one, as the rows of an (M, n) C-order array, row ``fit_row[k]``
-    for group k; ``w`` is alpha mu, shaped like ``data.group_of``.  Only
-    a grouped design, one block, has such groups.
+    keeps one, as the rows of a new (M, n) C-order array, row
+    ``fit_row[k]`` for group k; ``w`` is alpha mu, shaped like
+    ``data.group_of``.  Only a grouped design, one block, has such groups.
 
     One call of the compiled ``group_fits`` (``_sweep.c``, outside the
     GIL) when :func:`bivas._sweep.kernel` could build or load it, and
     :func:`group_fits_python` otherwise.
-    Writes into ``out`` when given (a writable C-contiguous float64
-    array), else into a new array; returns it.
     """
-    X = data.per_block(data.X)[0]
-    shape = (data.fit_groups.size, X.shape[0])
-    if out is None:
-        out = np.empty(shape)
     lib = _sweep.kernel()
-    if lib is None or not shape[0]:     # the loop does nothing on no groups
-        return group_fits_python(data, w, out)
+    if lib is None or not data.fit_groups.size:   # the loop does nothing then
+        return group_fits_python(data, w)
     w = np.ascontiguousarray(w, dtype=np.float64)
     if w.shape != data.group_of.shape:
         raise ValueError(f"w has shape {w.shape}, expected {data.group_of.shape}")
-    lib.group_fits(shape[1], shape[0], X.ctypes.data, w.ctypes.data,
+    out = np.empty((data.fit_groups.size, data.n))
+    lib.group_fits(data.n, out.shape[0], data.X.ctypes.data, w.ctypes.data,
                    data.members.ctypes.data, data.group_ptr.ctypes.data,
-                   data.fit_groups.ctypes.data, _sweep.address(out, shape))
+                   data.fit_groups.ctypes.data, out.ctypes.data)
     return out
 
 
-def group_fits_python(data, w, out):
+def group_fits_python(data, w):
     """:func:`group_fits` as one gemv per group over its columns of X: the
     fallback and the tests' reference."""
+    X = data.per_block(data.X)[0]
+    out = np.empty((data.fit_groups.size, X.shape[0]))
     for row, k in enumerate(data.fit_groups):
         idx = data.group_members[k]
-        out[row] = data.X[:, idx] @ w[idx]
+        out[row] = X[:, idx] @ w[idx]
     return out
 
 
@@ -373,18 +378,20 @@ class GroupFits(NamedTuple):
     cross: list             # per block, the bound's within-group cross term
 
 
-def fit_pass(state: VariationalState, data, out=None) -> GroupFits:
+def fit_pass(state: VariationalState, data, group_fit=None) -> GroupFits:
     """Every block's fit X pw, pw = pi_k w and w = alpha mu, with the
-    fits g_k = X_k w_k of the groups that keep one, from one
-    :func:`group_fits` call (into ``out`` when given), and the
-    within-group cross term they give.
+    fits g_k = X_k w_k of the groups that keep one, and the within-group
+    cross term they give.
 
-    The groups that keep no fit enter their blocks' fits through one gemv
-    per block over their coefficients (skipped when every group keeps a
-    fit); a group that keeps one enters through pi_k g_k.  Evaluated from
-    (mu, alpha_jk, pi_k) alone: the maintained ``state.group_fit`` and
-    ``state.residual`` are not read, so a bound built on it stays a pure
-    function of the state.  The cross term is
+    ``group_fit`` holds the g_k when they are already formed from the
+    state's w, as the sweep leaves them in ``state.group_fit``.  When
+    None, one :func:`group_fits` call forms them, and the pass is
+    evaluated from (mu, alpha_jk, pi_k) alone: the maintained
+    ``state.group_fit`` and ``state.residual`` are not read, so a bound
+    built on it stays a pure function of the state.  The groups that keep
+    no fit enter their blocks' fits through one gemv per block over their
+    coefficients (skipped when every group keeps a fit); a group that
+    keeps one enters through pi_k g_k.  The cross term is
 
         sum_k (pi_k - pi_k^2) sum_{j != j'} w_j w_j' x_j'x_j'
           = sum_k (pi_k - pi_k^2) (|g_k|^2 - sum_{j in k} w_j^2 x_j'x_j)
@@ -393,7 +400,7 @@ def fit_pass(state: VariationalState, data, out=None) -> GroupFits:
     member per block.
     """
     w = state.alpha_jk * state.mu
-    fits = group_fits(data, w, out)
+    fits = group_fits(data, w) if group_fit is None else group_fit
     kept = fits.shape[0]        # the groups that keep a fit
     lone = state.pi_k[data.group_of] * w
     if kept:
@@ -506,9 +513,8 @@ class MultiTaskData:
             else [[f"z{j}" for j in range(r)] for r in self.r]
 
     def solve_z_gram(self, task, rhs):
-        if self._z_cho[task] is None:
-            return np.zeros(0)
-        return cho_solve(self._z_cho[task], rhs, check_finite=False)
+        """Solve (Z_j'Z_j) w = rhs for task j using its cached factor."""
+        return _solve_cho(self._z_cho[task], rhs)
 
     @staticmethod
     def per_block(value):

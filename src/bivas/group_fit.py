@@ -9,25 +9,25 @@ bound is non-decreasing across iterations up to floating-point noise.
 The sweep (:func:`estep_sweep`) serves both engines (see
 :mod:`bivas.multitask_fit`) in one call of a small C kernel
 (``_sweep.c``) that makes :func:`estep_sweep_python`'s updates in the
-same order, without holding the GIL.  Each EM iteration then forms
-the fits X pw once, in a fit pass that the M-step, the bound and the
-residual refresh share (:func:`run_em`); the pass reads the fits X_k w_k
-of the groups with several members from one call of the same kernel
-(:func:`~bivas.designs.group_fits`).  The kernel is compiled with the
-system C compiler (``cc``) on the first call of a process that finds no
-cached copy, and cached in the package's ``__pycache__`` or, when that
-cannot be written, in ``~/.cache/bivas`` (see :mod:`bivas._sweep`).
-Without a compiler or a cache the engines run :func:`estep_sweep_python`
-and :func:`~bivas.designs.group_fits_python`, which are also the
-kernel's reference in the tests, and log one warning on the "bivas"
-logger.
+same order, without holding the GIL.  The sweep also leaves the fits
+X_k w_k of the groups with several members, formed anew, in the state's
+``group_fit``, as :func:`~bivas.designs.group_fits` would form them.
+Each EM iteration then forms the fits X pw once, in a fit pass that the
+M-step, the bound and the residual refresh share (:func:`run_em`); in
+:func:`em_fit` the pass reads those rows, so an iteration passes over X
+once, in the sweep.  The kernel is compiled with the system C compiler
+(``cc``) on the first call of a process that finds no cached copy, and
+cached in the package's ``__pycache__`` or, when that cannot be written,
+in ``~/.cache/bivas`` (see :mod:`bivas._sweep`).  Without a compiler or
+a cache the engines run :func:`estep_sweep_python` and
+:func:`~bivas.designs.group_fits_python`, which are also the kernel's
+reference in the tests, and log one warning on the "bivas" logger.
 """
 from __future__ import annotations
 
 import ctypes
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
@@ -201,8 +201,12 @@ def estep_sweep_python(state: VariationalState, data, params) -> VariationalStat
       e = r - g_k.  Member j's numerator is then x_j'e + w_j x_j'x_j
       (one ddot), w = alpha mu, and after its update
       e -= (w_j_new - w_j_old) x_j (one daxpy), so e stays r less the
-      group's current fit.  After the members, g_k = r - e, and the
-      residual gives back pi_k g_k with the new pi_k.
+      group's current fit.  After the members, r - e is that fit: it
+      gives pi_k, and the residual gives back pi_k (r - e) with the new
+      pi_k.  The group's row of ``group_fit`` then takes g_k = X_k w_k
+      formed anew, as :func:`~bivas.designs.group_fits` forms it (here
+      one gemv, as :func:`~bivas.designs.group_fits_python`), for the EM
+      loop's fit pass to read (:func:`em_fit`).
     """
     logit_alpha = _logit(params.alpha)
     logit_pi = _logit(params.pi)
@@ -262,10 +266,13 @@ def estep_sweep_python(state: VariationalState, data, params) -> VariationalStat
             for c, x, r_b, old in lone:
                 daxpy(x, r_b, a=-(pi_k[k] * (a_t[c] * mu_t[c]) - old))
             continue
-        np.subtract(r, e, out=gk)
+        np.subtract(r, e, out=e)
         pi_k[k] = sigmoid(logit_pi + 0.5 * bracket_sum
-                          + 0.5 * (float(gk @ gk) - diag_sum) / se2)
-        r -= pi_k[k] * gk
+                          + 0.5 * (float(e @ e) - diag_sum) / se2)
+        r -= pi_k[k] * e
+        idx = data.group_members[k]
+        gk[:] = data.X[:, idx] @ np.multiply([a_t[c] for c in group],
+                                             [mu_t[c] for c in group])
 
     state.mu[...] = np.reshape(mu_t, state.mu.shape)
     state.alpha_jk[...] = np.reshape(a_t, state.alpha_jk.shape)
@@ -386,12 +393,13 @@ def run_em(data, params, state, opts: EmOptions | None,
     """The EM loop shared by both engines.
 
     Runs up to ``opts.max_iter`` rounds of ``sweep`` (one coordinate
-    sweep, in place), ``fit_pass`` (the fits X pw, computed once from
-    (mu, alpha_jk, pi_k)), ``mstep`` (new parameters), ``refresh``
-    (residual caches recomputed from scratch) and ``bound`` (the evidence
-    lower bound).  The last three share the one fit pass, passed as
-    ``fits``: the fits depend on neither omega nor the variances, so the
-    M-step leaves them as they are.  Convergence is declared when the
+    sweep, in place), ``fit_pass`` (the fits X pw, formed once from
+    (mu, alpha_jk, pi_k) and, where ``sweep`` leaves them, the group fits
+    in ``state.group_fit``), ``mstep`` (new parameters), ``refresh``
+    (residual caches recomputed from those fits) and ``bound`` (the
+    evidence lower bound).  The last three share the one fit pass, passed
+    as ``fits``: the fits depend on neither omega nor the variances, so
+    the M-step leaves them as they are.  Convergence is declared when the
     relative bound change |dL| / (1 + |L|) drops below ``opts.rel_tol``.
     """
     if opts is None:
@@ -415,15 +423,21 @@ def run_em(data, params, state, opts: EmOptions | None,
                     converged=converged)
 
 
+def _swept_fit_pass(state, data):
+    """:func:`~bivas.designs.fit_pass` over the group fits that the sweep
+    has just left in ``state.group_fit``."""
+    return fit_pass(state, data, state.group_fit)
+
+
 def em_fit(data: GroupedDesign, init: ModelParams,
            opts: EmOptions | None = None) -> EmResult:
     """Alternate coordinate sweeps and M-steps until the bound stalls
-    (:func:`run_em`).  The fit pass writes the group fits straight into
-    the state's ``group_fit``, which the refresh that follows it would
-    overwrite with the same rows, so a fit holds no second copy.  The
-    returned trace is non-decreasing up to 1e-8 * (1 + |L|) slack.
+    (:func:`run_em`).  The fit pass reads the group fits the sweep leaves
+    in ``state.group_fit``, bit for bit those of
+    :func:`~bivas.designs.group_fits`, so it makes no pass over X of its
+    own.  The returned trace is non-decreasing up to 1e-8 * (1 + |L|)
+    slack.
     """
-    state = VariationalState.initial(data, init)
-    return run_em(data, init, state, opts, estep_sweep,
-                  partial(fit_pass, out=state.group_fit), mstep_update,
+    return run_em(data, init, VariationalState.initial(data, init), opts,
+                  estep_sweep, _swept_fit_pass, mstep_update,
                   refresh_residual, elbo)

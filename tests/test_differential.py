@@ -247,6 +247,48 @@ def test_pi_held_at_a_grid_endpoint(data, top):
                  fix_pi=True)
 
 
+def _perturbed(params, multitask):
+    """Copies of ``params`` with one of omega's entries, sigma_e2 or
+    sigma_beta2 (one task's, on multi-task data) moved by +-1e-6 of
+    itself (omega by 1e-6 (1 + |omega|))."""
+    def copy(**fields):
+        base = {name: getattr(params, name) for name in
+                ("alpha", "pi", "sigma_beta2", "sigma_e2", "omega")}
+        return type(params)(**{**base, **fields})
+
+    omegas = params.omega if multitask else [params.omega]
+    for sign in (1.0, -1.0):
+        for j, omega in enumerate(omegas):
+            for r in range(omega.size):
+                moved = [w.copy() for w in omegas]
+                moved[j][r] += sign * 1e-6 * (1.0 + abs(omega[r]))
+                yield copy(omega=moved if multitask else moved[0])
+        for name in ("sigma_e2", "sigma_beta2"):
+            value = np.atleast_1d(getattr(params, name))
+            for j in range(value.size):
+                moved = value.copy()
+                moved[j] *= 1.0 + sign * 1e-6
+                yield copy(**{name: moved if multitask else moved[0]})
+
+
+@SETTINGS
+@given(data=st.one_of(grouped_designs(), multitask_data()),
+       pi=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1))
+def test_mstep_output_is_stationary(data, pi, seed):
+    # omega, sigma_e2 and sigma_beta2 from the M-step maximize the bound at
+    # the swept state: no small move of one of them raises it
+    multitask = isinstance(data, MultiTaskData)
+    sweep, mstep, bound = (mt_estep_sweep, mt_mstep_update, mt_elbo) \
+        if multitask else (estep_sweep, mstep_update, elbo)
+    params = _start(data, pi)
+    state = _random_state(data, params, seed)
+    sweep(state, data, params)
+    params = mstep(state, data, params, EmOptions())
+    best = bound(state, data, params)
+    for moved in _perturbed(params, multitask):
+        assert bound(state, data, moved) - best <= 1e-9 * (1.0 + abs(best))
+
+
 def _permuted(data, params, rng, across):
     """The same model with its columns permuted, within groups (a grouped
     design's columns shuffled, each keeping its group; a multi-task

@@ -18,6 +18,7 @@ from bivas import (
     estep_sweep,
     initial_params,
     mstep_update,
+    mt_initial_params,
     refresh_residual,
 )
 from bivas import _sweep, designs
@@ -33,6 +34,7 @@ from conftest import (
     fitted_tiny,
     manual_em,
     random_grouped,
+    random_multitask,
     random_state,
     sweep_cases,
 )
@@ -82,6 +84,69 @@ class TestKernelBindings:
              _sweep.SOURCE, "-lm"], capture_output=True, text=True,
             timeout=300)
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+    def test_optimized_build_changes_no_bit(self, rng, tmp_path, monkeypatch):
+        # restrict and the vectorizer must round every element as the
+        # unoptimized code does: the library built with the kernel's flags
+        # and one built at -O0 give the same sweeps, group fits and parsed
+        # cells, bit for bit
+        path = str(tmp_path / "unoptimized.so")
+        done = subprocess.run(
+            [_sweep.COMPILER, "-O0", "-shared", "-fPIC", "-ffp-contract=off",
+             "-o", path, _sweep.SOURCE, "-lm"], capture_output=True,
+            text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        libs = (_sweep.kernel(), _sweep.open_library(path))
+        grouped = random_grouped(rng, n=13, sizes=[9, 1, 6, 2, 5, 3, 1, 17],
+                                 rho=0.5, interleave=True)
+        for data, start in ((grouped, initial_params),
+                            (random_multitask(rng, L=3, K=9),
+                             mt_initial_params)):
+            params = start(data, pi=0.3)
+            state = VariationalState.initial(data, params)
+            state.mu[:] = rng.standard_normal(state.mu.shape)
+            state.alpha_jk[:] = clamp_prob(rng.random(state.mu.shape))
+            state.pi_k[:] = clamp_prob(rng.random(data.K))
+            refresh_residual(state, data, params)
+            swept = [state.copy() for _ in libs]
+            for lib, s in zip(libs, swept):
+                monkeypatch.setattr(_sweep, "_loaded", lib)
+                for _ in range(3):
+                    estep_sweep(s, data, params)
+            for field in ("mu", "alpha_jk", "pi_k", "group_fit"):
+                assert np.array_equal(getattr(swept[0], field),
+                                      getattr(swept[1], field)), field
+            for got, want in zip(data.per_block(swept[0].residual),
+                                 data.per_block(swept[1].residual)):
+                assert np.array_equal(got, want)
+        w = rng.standard_normal(grouped.p)
+        fits = []
+        for lib in libs:
+            monkeypatch.setattr(_sweep, "_loaded", lib)
+            fits.append(designs.group_fits(grouped, w))
+        assert np.array_equal(*fits)
+
+        # cells on both sides of the integer path's limits, as in
+        # test_table_parse.TestExactConversion, and repr of any double
+        cells = [repr(float(v)) for v in rng.standard_normal(3000)
+                 * 10.0 ** rng.integers(-320, 300, 3000)]
+        for j in range(5):
+            for i in rng.integers(0, 2 ** 52, 1000):
+                digits = str((2 ** 53 + 2 * int(i) + 1) * 5 ** j)
+                cells += [f"{digits}e-{j}", f"{int(digits) + 1}e-{j}"]
+        for q in rng.integers(-30, 31, 2000):
+            digits = str(int(rng.integers(10 ** 18, 10 ** 19, dtype=np.uint64)))
+            cells += [f"{digits}e{q}", f"-{digits}7e{q - 1}",
+                      f"{digits[:3]}.{digits[3:]}E{q}"]
+        raw = ",".join(cells).encode()
+        parsed = []
+        for lib in libs:
+            out = np.empty(len(cells))
+            assert lib.parse_row(raw, len(raw), ord(","), len(cells),
+                                 out.ctypes.data) == 0
+            parsed.append(out.tobytes())
+        assert parsed[0] == parsed[1]
 
 
 class TestEstepSweep:
@@ -195,6 +260,31 @@ class TestEstepSweep:
                 # group_fit has no rows on a design of singleton groups
                 scale = 1.0 + np.abs(want).max(initial=0.0)
                 assert np.abs(got - want).max(initial=0.0) / scale < 1e-10
+
+    @pytest.mark.parametrize("sweep,fits,tol", [
+        pytest.param(estep_sweep, designs.group_fits, 0.0, id="compiled",
+                     marks=pytest.mark.skipif(not HAVE_COMPILER,
+                                              reason="no C compiler")),
+        pytest.param(estep_sweep_python, designs.group_fits_python, 1e-12,
+                     id="python")])
+    def test_sweep_leaves_fresh_group_fits(self, rng, sweep, fits, tol):
+        # each kept group's row after a sweep is its fit formed anew from
+        # the swept alpha mu, as the fit pass forms it: bit for bit on the
+        # compiled path, over every group size mod 4, groups wider than n,
+        # interleaved group ids and singleton groups
+        cases = [dict(n=30, sizes=[2, 3, 4, 5, 6, 7, 8, 9, 1, 1]),
+                 dict(n=6, sizes=[14, 1, 9, 2]),
+                 dict(n=11, sizes=[5, 1, 8, 3, 1, 13], interleave=True),
+                 dict(n=20, sizes=[6, 4, 7], rho=0.6)]
+        for case in cases:
+            d = random_grouped(rng, **case)
+            params = initial_params(d, pi=0.4)
+            state = random_state(rng, d, params)
+            for _ in range(3):
+                sweep(state, d, params)
+                want = fits(d, state.alpha_jk * state.mu)
+                scale = np.abs(want).max()
+                assert np.abs(state.group_fit - want).max() <= tol * scale
 
     def test_residual_identity(self, rng):
         # cached numerator x'r + (pi_k - 1) x'g_k + alpha mu x'x equals the
@@ -450,7 +540,10 @@ class TestEmFit:
                                       getattr(params, field)), field
 
     @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
-    def test_one_group_fit_pass_per_iteration(self, rng, monkeypatch):
+    def test_no_group_fits_pass_inside_em_fit(self, rng, monkeypatch):
+        # the fit pass of each iteration reads the group fits the sweep
+        # left; the bound evaluated from scratch afterwards forms them
+        # itself and gives the trace's last value exactly
         calls = []
         real = designs.group_fits
 
@@ -463,7 +556,9 @@ class TestEmFit:
         res = em_fit(d, initial_params(d, pi=0.3), EmOptions())
         assert _sweep.kernel() is not None
         assert res.iterations > 1
-        assert len(calls) == res.iterations
+        assert calls == []
+        assert elbo(res.state, d, res.params) == res.elbo
+        assert len(calls) == 1
 
     def test_interleaved_groups_match_group_order(self, rng, kernel_path):
         # group ids interleaved in column order, two groups wider than n:
