@@ -22,7 +22,7 @@ from .exceptions import (
     InvalidThreshold,
     NonNumeric,
 )
-from .grid import GridFit, aggregate, make_pi_grid, predict, run_grid, select
+from .grid import aggregate, make_pi_grid, predict, run_grid, select
 from .group_fit import EmOptions
 from .metrics import auc, coef_mse, fdr_power
 from .simulate import SimConfig, gen_multitask, simulate_dataset
@@ -74,49 +74,42 @@ def _add_fit_flags(sub):
     sub.add_argument("--out", default=".", help="output directory")
 
 
-def _write_fit_artifacts(outdir, gridfit: GridFit, design, args,
-                         options: dict):
-    os.makedirs(outdir, exist_ok=True)
+def _fit_and_write(args, data, threads, em_options, **options) -> int:
+    """Fit the grid on either container and write its artifacts to
+    ``args.out``; ``options`` go into model.json after the fit flags."""
+    gridfit = run_grid(data, make_pi_grid(data.K, args.grid_size),
+                       em_options, threads=threads)
+    os.makedirs(args.out, exist_ok=True)
     summary = aggregate(gridfit)
     report = select(summary, args.fdr)
-    bio.write_json(os.path.join(outdir, "model.json"),
-                   bio.model_to_dict(gridfit, summary, design, options))
-    bio.write_json(os.path.join(outdir, "selection.json"),
-                   bio.selection_to_dict(report, summary, design))
+    options = {"grid_size": args.grid_size, "fdr": args.fdr, "tol": args.tol,
+               "max_iter": args.max_iter, **options}
+    bio.write_json(os.path.join(args.out, "model.json"),
+                   bio.model_to_dict(gridfit, summary, data, options))
+    bio.write_json(os.path.join(args.out, "selection.json"),
+                   bio.selection_to_dict(report, summary, data))
     if not gridfit.multitask:
-        bio.write_posterior_csv(os.path.join(outdir, "posterior.csv"),
-                                summary, design)
-        bio.write_groups_csv(os.path.join(outdir, "groups.csv"),
-                             summary, design)
+        bio.write_posterior_csv(os.path.join(args.out, "posterior.csv"),
+                                summary, data)
+        bio.write_groups_csv(os.path.join(args.out, "groups.csv"),
+                             summary, data)
+    return 0
 
 
 def cmd_fit(args) -> int:
     threads, em_options = _fit_settings(args)
     design = bio.load_design(args.data, args.groups, response=args.response,
                              standardize=args.standardize)
-    grid = make_pi_grid(design.K, args.grid_size)
-    gridfit = run_grid(design, grid, em_options, threads=threads)
-    options = {
-        "grid_size": args.grid_size, "fdr": args.fdr, "tol": args.tol,
-        "max_iter": args.max_iter,
-        "standardize": bool(args.standardize), "response": args.response,
-    }
-    _write_fit_artifacts(args.out, gridfit, design, args, options)
-    return 0
+    return _fit_and_write(args, design, threads, em_options,
+                          standardize=bool(args.standardize),
+                          response=args.response)
 
 
 def cmd_multifit(args) -> int:
     threads, em_options = _fit_settings(args)
     data = bio.load_multitask(args.task_data, response=args.response)
-    grid = make_pi_grid(data.K, args.grid_size)
-    gridfit = run_grid(data, grid, em_options, threads=threads)
-    options = {
-        "grid_size": args.grid_size, "fdr": args.fdr, "tol": args.tol,
-        "max_iter": args.max_iter,
-        "response": args.response, "tasks": len(args.task_data),
-    }
-    _write_fit_artifacts(args.out, gridfit, data, args, options)
-    return 0
+    return _fit_and_write(args, data, threads, em_options,
+                          response=args.response, tasks=len(args.task_data))
 
 
 def _simulate_settings(args) -> list[int]:

@@ -1,17 +1,19 @@
 """Domain types and validation for grouped and multi-task regression data.
 
 The two data containers (:class:`GroupedDesign`, :class:`MultiTaskData`) are
-immutable after construction and safe to share across threads.  They cache
-everything the fitting engines read repeatedly: per-column squared norms,
-the Cholesky factor of Z'Z (per task on multi-task data) and one layout
-that the kernel, the Python sweep, the fit pass and the refresh read on
-either container: each coefficient lies in a row block (``block_of``; a
-task, or the one block of a grouped design) and is column ``column_of``
-of its block's X; a multi-task feature is a group with one member per
-task.  Group members are one index array with group edges, and the
-groups with several members in a block (only a grouped design has them)
-keep a fit row.  The sweep reads each coefficient's column from X, which
-each container holds once, and nothing of size p * n is kept beside it.
+immutable after construction and safe to share across threads.  Each task
+(a grouped design has one) is checked and laid out by one helper, which
+also factors its Z'Z.  The containers cache everything the EM engine
+(:mod:`bivas.group_fit`) reads repeatedly: per-column squared norms, the
+Cholesky factors, the parameter class it fits, and one layout that the
+kernel, the Python sweep, the fit pass and the refresh read on either
+container: each coefficient lies in a row block (``block_of``; a task, or
+the one block of a grouped design) and is column ``column_of`` of its
+block's X; a multi-task feature is a group with one member per task.
+Group members are one index array with group edges, and the groups with
+several members in a block (only a grouped design has them) keep a fit
+row.  The sweep reads each coefficient's column from X, which each
+container holds once, and nothing of size p * n is kept beside it.
 :class:`VariationalState` is the single mutable object, on both
 containers; one EM run owns one state exclusively.
 """
@@ -66,26 +68,94 @@ def _as_float_array(a, name):
     return out
 
 
-def _check_z_rank(Z):
-    """Return the Cholesky factor of Z'Z, raising RankDeficientZ when singular."""
+def _task(y, Z, X, where=""):
+    """One task's arrays, checked -> (y, Z, X, Cholesky factor of Z'Z or
+    None when r = 0): finite floats, y flat, Z in C and X in Fortran order
+    (a vector is one column), rows agreeing, r < n and Z'Z of full rank
+    (smallest eigenvalue at least _Z_RANK_RTOL x largest).  ``where``
+    ("task t: ") starts every message."""
+    y = _as_float_array(y, where + "y").ravel()
+    Z = np.ascontiguousarray(_as_float_array(Z, where + "Z"))
+    X = np.asfortranarray(_as_float_array(X, where + "X"))
+    Z = Z[:, None] if Z.ndim == 1 else Z
+    X = np.asfortranarray(X[:, None]) if X.ndim == 1 else X
+    n, r = y.shape[0], Z.shape[1]
+    if Z.shape[0] != n or X.shape[0] != n:
+        raise DimensionMismatch(f"{where}rows disagree: y has {n}, Z has "
+                                f"{Z.shape[0]}, X has {X.shape[0]}")
+    if r >= n:
+        raise DimensionMismatch(f"{where}need r < n, got r={r}, n={n}")
+    if not r:
+        return y, Z, X, None
     gram = Z.T @ Z
-    if gram.size:
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] < _Z_RANK_RTOL * max(eigs[-1], 0.0) or eigs[0] <= 0.0:
-            raise RankDeficientZ(
-                f"Z'Z smallest eigenvalue {eigs[0]:.3e} below "
-                f"{_Z_RANK_RTOL:g} x largest {eigs[-1]:.3e}"
-            )
-    return cho_factor(gram) if gram.size else None
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs[0] < _Z_RANK_RTOL * max(eigs[-1], 0.0) or eigs[0] <= 0.0:
+        raise RankDeficientZ(f"{where}Z'Z smallest eigenvalue {eigs[0]:.3e} "
+                             f"below {_Z_RANK_RTOL:g} x largest {eigs[-1]:.3e}")
+    return y, Z, X, cho_factor(gram)
 
 
 def _solve_cho(cho, rhs):
-    """Solve (Z'Z) w = rhs from ``cho``, the factor of :func:`_check_z_rank`
+    """Solve (Z'Z) w = rhs from ``cho``, the factor of :func:`_task`
     (None when Z has no columns), through LAPACK's dpotrs, where
     ``cho_solve`` ends, without its checks (the wrapper checks shapes)."""
     if cho is None:
         return np.zeros(0)
     return dpotrs(cho[0], rhs, lower=cho[1])[0]
+
+
+@dataclass
+class ModelParams:
+    """Model parameters: inclusion priors, variances and fixed effects.
+
+    ``alpha`` and ``pi`` are clamped to [PROB_EPS, 1 - PROB_EPS] and the
+    variances floored at VAR_FLOOR on construction.
+    """
+
+    alpha: float
+    pi: float
+    sigma_beta2: float
+    sigma_e2: float
+    omega: np.ndarray
+
+    def __post_init__(self):
+        self.alpha = float(clamp_prob(self.alpha))
+        self.pi = float(clamp_prob(self.pi))
+        self.sigma_beta2 = float(floor_var(self.sigma_beta2))
+        self.sigma_e2 = float(floor_var(self.sigma_e2))
+        self.omega = np.asarray(self.omega, dtype=np.float64).ravel()
+
+    @classmethod
+    def from_tasks(cls, alpha, pi, tasks):
+        """From the priors and the one task's (omega, sigma_e2, sigma_beta2)."""
+        ((omega, sigma_e2, sigma_beta2),) = tasks
+        return cls(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
+                   sigma_e2=sigma_e2, omega=omega)
+
+
+@dataclass
+class MultiTaskParams:
+    """Shared inclusion priors with per-task variances and fixed effects."""
+
+    alpha: float
+    pi: float
+    sigma_beta2: np.ndarray   # (L,)
+    sigma_e2: np.ndarray      # (L,)
+    omega: list = field(default_factory=list)   # L vectors, lengths r_j
+
+    def __post_init__(self):
+        self.alpha = float(clamp_prob(self.alpha))
+        self.pi = float(clamp_prob(self.pi))
+        self.sigma_beta2 = floor_var(np.asarray(self.sigma_beta2, float).ravel())
+        self.sigma_e2 = floor_var(np.asarray(self.sigma_e2, float).ravel())
+        self.omega = [np.asarray(w, float).ravel() for w in self.omega]
+
+    @classmethod
+    def from_tasks(cls, alpha, pi, tasks):
+        """From the priors and each task's (omega, sigma_e2, sigma_beta2)."""
+        omega, sigma_e2, sigma_beta2 = zip(*tasks)
+        return cls(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
+                   sigma_e2=sigma_e2, omega=list(omega))
 
 
 def reindex_groups(labels):
@@ -132,29 +202,19 @@ class GroupedDesign:
     K + 1 edges).  ``group_members`` are each group's views of
     ``members``.  The groups of two or more members, ``fit_groups``
     (int64), keep a fit: group k's is row ``fit_row[k]`` of the state's
-    ``group_fit``, and ``fit_row`` is -1 for a singleton group.
+    ``group_fit``, and ``fit_row`` is -1 for a singleton group.  The EM
+    engine (:mod:`bivas.group_fit`) sees one task, and fits
+    ``_params``, :class:`ModelParams`.
     """
+
+    _params = ModelParams
 
     def __init__(self, y, Z, X, group_of, *, group_labels=None,
                  predictor_names=None, covariate_names=None,
                  x_center=None, x_scale=None):
-        self.y = _as_float_array(y, "y").ravel()
-        self.Z = np.ascontiguousarray(_as_float_array(Z, "Z"))
-        if self.Z.ndim == 1:
-            self.Z = self.Z[:, None]
-        self.X = np.asfortranarray(_as_float_array(X, "X"))
-        if self.X.ndim == 1:
-            self.X = np.asfortranarray(self.X[:, None])
-        self.n = self.y.shape[0]
-        if self.Z.shape[0] != self.n or self.X.shape[0] != self.n:
-            raise DimensionMismatch(
-                f"rows disagree: y has {self.n}, Z has {self.Z.shape[0]}, "
-                f"X has {self.X.shape[0]}"
-            )
-        self.r = self.Z.shape[1]
+        self.y, self.Z, self.X, self._z_cho = _task(y, Z, X)
+        self.n, self.r = self.Z.shape
         self.p = self.X.shape[1]
-        if self.r >= self.n:
-            raise DimensionMismatch(f"need r < n, got r={self.r}, n={self.n}")
 
         group_of = np.asarray(group_of)
         if group_of.shape != (self.p,):
@@ -192,7 +252,6 @@ class GroupedDesign:
         self.fit_groups = np.flatnonzero(sizes > 1).astype(np.int64)
         self.fit_row = np.full(self.K, -1, np.int64)
         self.fit_row[self.fit_groups] = np.arange(self.fit_groups.size)
-        self._z_cho = _check_z_rank(self.Z)
 
     @staticmethod
     def per_block(value):
@@ -210,8 +269,7 @@ class GroupedDesign:
         y = _as_float_array(y, "y").ravel()
         if y.shape[0] != self.n:
             raise DimensionMismatch(f"y has {y.shape[0]} rows, design has {self.n}")
-        out = object.__new__(GroupedDesign)
-        out.__dict__ = dict(self.__dict__)
+        out = copy.copy(self)
         out.y = y
         return out
 
@@ -257,28 +315,6 @@ def validate_design(y, Z, X, groups, *, standardize=False,
         covariate_names=covariate_names,
         x_center=x_center, x_scale=x_scale,
     )
-
-
-@dataclass
-class ModelParams:
-    """Model parameters: inclusion priors, variances and fixed effects.
-
-    ``alpha`` and ``pi`` are clamped to [PROB_EPS, 1 - PROB_EPS] and the
-    variances floored at VAR_FLOOR on construction.
-    """
-
-    alpha: float
-    pi: float
-    sigma_beta2: float
-    sigma_e2: float
-    omega: np.ndarray
-
-    def __post_init__(self):
-        self.alpha = float(clamp_prob(self.alpha))
-        self.pi = float(clamp_prob(self.pi))
-        self.sigma_beta2 = float(floor_var(self.sigma_beta2))
-        self.sigma_e2 = float(floor_var(self.sigma_e2))
-        self.omega = np.asarray(self.omega, dtype=np.float64).ravel()
 
 
 class VariationalState:
@@ -453,49 +489,26 @@ class MultiTaskData:
     (``block_of``) and is column k (``column_of``) of X_j.  ``group_of``,
     ``block_of`` and ``column_of`` are (K, L) int64 like the state arrays,
     and ``members``/``group_ptr`` list each group's members in task order
-    by flat index, as on a grouped design.  No group keeps a fit.
+    by flat index, as on a grouped design.  No group keeps a fit.  The EM
+    engine (:mod:`bivas.group_fit`) takes the tasks in turn, and fits
+    ``_params``, :class:`MultiTaskParams`.  Each task is checked as a
+    grouped design's one task is, its messages starting "task t: ".
     """
+
+    _params = MultiTaskParams
 
     def __init__(self, tasks, *, predictor_names=None, covariate_names=None):
         if not tasks:
             raise DimensionMismatch("need at least one task")
-        self.y = []
-        self.Z = []
-        self.X = []
-        self.n = []
-        self.r = []
-        self._z_cho = []
-        K = None
-        for t, (y, Z, X) in enumerate(tasks):
-            y = _as_float_array(y, f"y[{t}]").ravel()
-            Z = np.ascontiguousarray(_as_float_array(Z, f"Z[{t}]"))
-            if Z.ndim == 1:
-                Z = Z[:, None]
-            X = np.asfortranarray(_as_float_array(X, f"X[{t}]"))
-            if X.ndim == 1:
-                X = np.asfortranarray(X[:, None])
-            n = y.shape[0]
-            if Z.shape[0] != n or X.shape[0] != n:
-                raise DimensionMismatch(f"task {t}: row counts disagree")
-            if K is None:
-                K = X.shape[1]
-            elif X.shape[1] != K:
+        self.y, self.Z, self.X, self._z_cho = (list(a) for a in zip(*(
+            _task(*task, f"task {t}: ") for t, task in enumerate(tasks))))
+        self.n = [y.shape[0] for y in self.y]
+        self.r = [Z.shape[1] for Z in self.Z]
+        self.L, self.K = len(tasks), self.X[0].shape[1]
+        for t, X in enumerate(self.X):
+            if X.shape[1] != self.K:
                 raise DimensionMismatch(
-                    f"task {t} has {X.shape[1]} predictors, expected {K}"
-                )
-            if Z.shape[1] >= n:
-                raise DimensionMismatch(f"task {t}: need r < n_j")
-            self.y.append(y)
-            self.Z.append(Z)
-            self.X.append(X)
-            self.n.append(n)
-            self.r.append(Z.shape[1])
-            try:
-                self._z_cho.append(_check_z_rank(Z))
-            except RankDeficientZ as exc:
-                raise RankDeficientZ(f"task {t}: {exc}") from None
-        self.L = len(tasks)
-        self.K = int(K)
+                    f"task {t} has {X.shape[1]} predictors, expected {self.K}")
         self.xtx = np.stack([np.einsum("ij,ij->j", X, X) for X in self.X],
                             axis=1)
         self.group_of = np.repeat(np.arange(self.K, dtype=np.int64),
@@ -521,21 +534,3 @@ class MultiTaskData:
         """A per-task list (y, Z, X, omega, the residual), or an array whose
         rows are per task, as a list over the blocks."""
         return list(value)
-
-
-@dataclass
-class MultiTaskParams:
-    """Shared inclusion priors with per-task variances and fixed effects."""
-
-    alpha: float
-    pi: float
-    sigma_beta2: np.ndarray   # (L,)
-    sigma_e2: np.ndarray      # (L,)
-    omega: list = field(default_factory=list)   # L vectors, lengths r_j
-
-    def __post_init__(self):
-        self.alpha = float(clamp_prob(self.alpha))
-        self.pi = float(clamp_prob(self.pi))
-        self.sigma_beta2 = floor_var(np.asarray(self.sigma_beta2, float).ravel())
-        self.sigma_e2 = floor_var(np.asarray(self.sigma_e2, float).ravel())
-        self.omega = [np.asarray(w, float).ravel() for w in self.omega]

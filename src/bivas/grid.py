@@ -19,7 +19,7 @@ import numpy as np
 from .designs import MultiTaskData
 from .exceptions import DimensionMismatch, InvalidCount, InvalidThreshold
 from .group_fit import EmOptions, EmResult, em_fit, initial_params
-from .multitask_fit import mt_em_fit, mt_initial_params
+from .multitask_fit import mt_em_fit
 
 logger = logging.getLogger("bivas")
 
@@ -103,10 +103,8 @@ def run_grid(data, grid: PiGrid, opts: EmOptions | None = None,
     multitask = isinstance(data, MultiTaskData)
 
     def fit_one(i: int) -> EmResult:
-        pi = float(grid.values[i])
-        if multitask:
-            return mt_em_fit(data, mt_initial_params(data, pi), run_opts)
-        return em_fit(data, initial_params(data, pi), run_opts)
+        fit = mt_em_fit if multitask else em_fit
+        return fit(data, initial_params(data, float(grid.values[i])), run_opts)
 
     if threads == 1 or grid.h == 1:
         results = [fit_one(i) for i in range(grid.h)]
@@ -171,10 +169,8 @@ def aggregate(gridfit: GridFit) -> PosteriorSummary:
         for f in fields(plist[0])})
 
     group_of = gridfit.group_of
-    if gridfit.multitask:
-        effect = pi_tilde[:, None] * alpha_tilde * mu_tilde
-    else:
-        effect = pi_tilde[group_of] * alpha_tilde * mu_tilde
+    pi_of = pi_tilde[:, None] if gridfit.multitask else pi_tilde[group_of]
+    effect = pi_of * alpha_tilde * mu_tilde
 
     return PosteriorSummary(
         pi_tilde=pi_tilde, alpha_tilde=alpha_tilde, mu_tilde=mu_tilde,
@@ -217,28 +213,20 @@ def predict(summary: PosteriorSummary, Znew, Xnew, task: int | None = None):
     whose fixed effects (and effect column) apply to the supplied design;
     for grouped summaries it must be None.
     """
-    Znew = np.asarray(Znew, float)
-    Xnew = np.asarray(Xnew, float)
-    if Znew.ndim == 1:
-        Znew = Znew[:, None]
-    if Xnew.ndim == 1:
-        Xnew = Xnew[:, None]
+    Znew, Xnew = (a[:, None] if a.ndim == 1 else a for a in (
+        np.asarray(Znew, float), np.asarray(Xnew, float)))
     if Znew.shape[0] != Xnew.shape[0]:
         raise DimensionMismatch("Znew and Xnew row counts disagree")
 
+    omega, effect = summary.params.omega, summary.effect
     if summary.multitask:
-        tasks = len(summary.params.omega)
-        if task is None or not 0 <= task < tasks:
+        if task is None or not 0 <= task < len(omega):
             raise DimensionMismatch(
-                f"multi-task prediction needs a task index in [0, {tasks}), "
-                f"got {task}")
-        omega = summary.params.omega[task]
-        effect = summary.effect[:, task]
-    else:
-        if task is not None:
-            raise DimensionMismatch("task index only applies to multi-task fits")
-        omega = summary.params.omega
-        effect = summary.effect
+                f"multi-task prediction needs a task index in "
+                f"[0, {len(omega)}), got {task}")
+        omega, effect = omega[task], effect[:, task]
+    elif task is not None:
+        raise DimensionMismatch("task index only applies to multi-task fits")
 
     if Znew.shape[1] != omega.shape[0]:
         raise DimensionMismatch(

@@ -6,22 +6,21 @@ One EM iteration is one full coordinate-ascent sweep over all coefficients
 lower bound over its own block with everything else held fixed, so the
 bound is non-decreasing across iterations up to floating-point noise.
 
-The sweep (:func:`estep_sweep`) serves both engines (see
-:mod:`bivas.multitask_fit`) in one call of a small C kernel
-(``_sweep.c``) that makes :func:`estep_sweep_python`'s updates in the
-same order, without holding the GIL.  The sweep also leaves the fits
-X_k w_k of the groups with several members, formed anew, in the state's
-``group_fit``, as :func:`~bivas.designs.group_fits` would form them.
-Each EM iteration then forms the fits X pw once, in a fit pass that the
-M-step, the bound and the residual refresh share (:func:`run_em`); in
-:func:`em_fit` the pass reads those rows, so an iteration passes over X
-once, in the sweep.  The kernel is compiled with the system C compiler
-(``cc``) on the first call of a process that finds no cached copy, and
-cached in the package's ``__pycache__`` or, when that cannot be written,
-in ``~/.cache/bivas`` (see :mod:`bivas._sweep`).  Without a compiler or
-a cache the engines run :func:`estep_sweep_python` and
-:func:`~bivas.designs.group_fits_python`, which are also the kernel's
-reference in the tests, and log one warning on the "bivas" logger.
+This is the one engine of both models: multi-task data is the grouped
+model with one group per feature and one member per task (see
+:mod:`bivas.multitask_fit`).  The sweep, the fit pass and the refresh
+read the containers' shared layout; the start, the M-step and the bound
+take the tasks in turn (a grouped design has one) and return the
+container's parameter class.  The sweep is one call of a small C kernel
+(``_sweep.c``, built and cached by :mod:`bivas._sweep`) that makes
+:func:`estep_sweep_python`'s updates in the same order, outside the GIL.
+It also leaves the fits X_k w_k of the groups with several members in the
+state's ``group_fit``, formed anew as :func:`~bivas.designs.group_fits`
+forms them, so the fit pass that the M-step, the bound and the refresh
+share (:func:`run_em`) makes no pass over X of its own.  Without the
+kernel the engine runs :func:`estep_sweep_python` and
+:func:`~bivas.designs.group_fits_python`, the kernel's reference in the
+tests, and logs one warning on the "bivas" logger.
 """
 from __future__ import annotations
 
@@ -39,6 +38,7 @@ from .designs import (
     GroupFits,
     ModelParams,
     VariationalState,
+    _solve_cho,
     fit_pass,
     refresh_residual,
     slab_variances,
@@ -96,15 +96,22 @@ class EmResult:
     converged: bool
 
 
-def _ols_start(y, Z, solve, xtx, pi, alpha):
+def _tasks(data, *more):
+    """Each task's y, Z, Z'Z factor and xtx column, and its entry of each
+    per-task sequence in ``more`` (a grouped design has one task)."""
+    return zip(*(data.per_block(v) for v in (data.y, data.Z, data._z_cho,
+                                             data.xtx.T)), *more, strict=True)
+
+
+def _ols_start(y, Z, cho, xtx, pi, alpha):
     """One task's start -> (omega, sigma_e2, sigma_beta2).
 
-    Fixed effects start at their OLS fit (``solve`` applies (Z'Z)^-1), the
-    noise variance at the OLS residual variance, and the slab variance is
-    sized so the prior explained variance pi * alpha * sigma_beta2 *
-    sum(x'x) / n is of order var(y).
+    Fixed effects start at their OLS fit (``cho`` factors Z'Z), the noise
+    variance at the OLS residual variance, and the slab variance is sized
+    so the prior explained variance pi * alpha * sigma_beta2 * sum(x'x) / n
+    is of order var(y).
     """
-    omega = solve(Z.T @ y)
+    omega = _solve_cho(cho, Z.T @ y)
     sigma_e2 = float(np.var(y - Z @ omega))
     if sigma_e2 <= 0.0:
         sigma_e2 = 1e-6
@@ -114,12 +121,11 @@ def _ols_start(y, Z, solve, xtx, pi, alpha):
     return omega, sigma_e2, sigma_e2
 
 
-def initial_params(data: GroupedDesign, pi: float, alpha: float = 0.1) -> ModelParams:
-    """Deterministic, scale-aware starting parameters (:func:`_ols_start`)."""
-    omega, sigma_e2, sigma_beta2 = _ols_start(data.y, data.Z, data.solve_z_gram,
-                                              data.xtx, pi, alpha)
-    return ModelParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
-                       sigma_e2=sigma_e2, omega=omega)
+def initial_params(data, pi: float, alpha: float = 0.1):
+    """Deterministic, scale-aware starting parameters, :func:`_ols_start`
+    in each task, of the container's class (``data._params``)."""
+    return data._params.from_tasks(alpha, pi, [
+        _ols_start(*task, pi, alpha) for task in _tasks(data)])
 
 
 def _slab_terms(state, data, params):
@@ -286,7 +292,7 @@ def within_group_cross(state: VariationalState, data: GroupedDesign) -> float:
 
     evaluated from scratch through one pass of group fits X_k w_k (see
     :func:`~bivas.designs.fit_pass`)."""
-    return fit_pass(state, data).cross[0]
+    return sum(fit_pass(state, data).cross)
 
 
 def _moments(state, pi_of):
@@ -295,6 +301,16 @@ def _moments(state, pi_of):
     each coefficient's pi_k."""
     a, mu, s2 = state.alpha_jk, state.mu, state.s2
     return pi_of * a, pi_of * (a * mu), s2 + mu ** 2, s2
+
+
+def _task_terms(state, data, params, fits):
+    """The arguments of :func:`_task_bound` and :func:`_task_mstep`, task
+    by task: the :func:`_tasks` entry, the coefficients' :func:`_moments`,
+    the fit X pw and cross term from ``fits``, omega and the variances."""
+    moments = _moments(state, state.pi_k[data.group_of])
+    return _tasks(data, zip(*(data.per_block(m.T) for m in moments)),
+                  fits.fit, fits.cross, *(data.per_block(v) for v in (
+                      params.omega, params.sigma_e2, params.sigma_beta2)))
 
 
 def _expected_sse(y, Z, omega, fit, xtx, moments, cross):
@@ -307,11 +323,11 @@ def _expected_sse(y, Z, omega, fit, xtx, moments, cross):
     return float(resid @ resid) + var_term + cross
 
 
-def _task_bound(y, Z, fit, xtx, omega, sigma_e2, sigma_beta2, moments,
-                cross=0.0):
-    """One task's bound terms: the Gaussian data term, the slab prior over
-    E[beta^2] and the Gaussian entropy block, whose log(2 pi sigma_beta2)
-    normalizers cancel to p/2.  ``fit`` is the task's X pw."""
+def _task_bound(y, Z, cho, xtx, moments, fit, cross, omega, sigma_e2,
+                sigma_beta2):
+    """One task's bound terms (a :func:`_task_terms` entry): the Gaussian
+    data term, the slab prior over E[beta^2] and the Gaussian entropy
+    block, whose log(2 pi sigma_beta2) normalizers cancel to p/2."""
     pa, pw, second_moment, s2 = moments
     n, p = y.shape[0], xtx.shape[0]
     out = -0.5 * n * (LOG_2PI + math.log(sigma_e2))
@@ -331,16 +347,17 @@ def _indicator_kl(state, params) -> float:
     return out
 
 
-def _task_mstep(y, Z, fit, solve, xtx, moments, sigma_beta2, cross=0.0):
-    """One task's closed-form updates -> (omega, sigma_e2, sigma_beta2),
-    ``fit`` being the task's X pw.
+def _task_mstep(y, Z, cho, xtx, moments, fit, cross, omega, sigma_e2,
+                sigma_beta2):
+    """One task's closed-form updates (a :func:`_task_terms` entry) ->
+    (omega, sigma_e2, sigma_beta2).
 
     Fixed effects go first so the noise update sees the new residual; each
     update is exactly stationary for the bound.  sigma_beta2 is kept when
     no coefficient carries inclusion mass.
     """
     pa, _, second_moment, _ = moments
-    omega = solve(Z.T @ (y - fit))
+    omega = _solve_cho(cho, Z.T @ (y - fit))
     sigma_e2 = _expected_sse(y, Z, omega, fit, xtx, moments, cross) / y.shape[0]
     pa_sum = float(pa.sum())
     if pa_sum > 0.0:
@@ -356,36 +373,30 @@ def _prior_means(state, params, fix_pi: bool):
     return alpha, pi
 
 
-def elbo(state: VariationalState, data: GroupedDesign,
-         params: ModelParams, *, fits: GroupFits | None = None) -> float:
+def elbo(state: VariationalState, data, params, *,
+         fits: GroupFits | None = None) -> float:
     """Evidence lower bound, evaluated from scratch (a pure function of
-    the state when ``fits`` is None): one task's terms
-    (:func:`_task_bound`, with the fit and the within-group cross term of
-    ``fits``, the iteration's :func:`~bivas.designs.fit_pass`, run here
-    when None) plus the indicator KL terms."""
+    the state when ``fits`` is None): the indicator KL terms plus each
+    task's terms (:func:`_task_bound`, with the task's fit and
+    within-group cross term from ``fits``, the iteration's
+    :func:`~bivas.designs.fit_pass`, run here when None)."""
     fits = fit_pass(state, data) if fits is None else fits
-    return _task_bound(data.y, data.Z, fits.fit[0], data.xtx, params.omega,
-                       params.sigma_e2, params.sigma_beta2,
-                       _moments(state, state.pi_k[data.group_of]),
-                       fits.cross[0]) + _indicator_kl(state, params)
+    out = _indicator_kl(state, params)
+    for task in _task_terms(state, data, params, fits):
+        out += _task_bound(*task)
+    return out
 
 
-def mstep_update(state: VariationalState, data: GroupedDesign,
-                 params: ModelParams, opts: EmOptions, *,
-                 fits: GroupFits | None = None) -> ModelParams:
-    """Closed-form parameter updates at the current variational state:
-    one task's (:func:`_task_mstep`, with the fit and the within-group
-    cross term of ``fits``, the iteration's
-    :func:`~bivas.designs.fit_pass`, run here when None) and the priors'
+def mstep_update(state: VariationalState, data, params, opts: EmOptions, *,
+                 fits: GroupFits | None = None):
+    """Closed-form parameter updates at the current variational state, of
+    the class of ``params``: each task's (:func:`_task_mstep`, fit and
+    cross term from ``fits`` as in :func:`elbo`) and the shared priors'
     (:func:`_prior_means`)."""
     fits = fit_pass(state, data) if fits is None else fits
-    omega, sigma_e2, sigma_beta2 = _task_mstep(
-        data.y, data.Z, fits.fit[0], data.solve_z_gram, data.xtx,
-        _moments(state, state.pi_k[data.group_of]), params.sigma_beta2,
-        fits.cross[0])
     alpha, pi = _prior_means(state, params, opts.fix_pi)
-    return ModelParams(alpha=alpha, pi=pi, sigma_beta2=sigma_beta2,
-                       sigma_e2=sigma_e2, omega=omega)
+    return params.from_tasks(alpha, pi, [
+        _task_mstep(*task) for task in _task_terms(state, data, params, fits)])
 
 
 def run_em(data, params, state, opts: EmOptions | None,

@@ -194,27 +194,41 @@ def _read_rows(lines, header, path: str, first_line: int) -> np.ndarray:
     the doubles ``float()`` gives: it rounds most cells itself, in integer
     arithmetic, and hands the rest to ``strtod``.  From the first line it
     does not take, or from the start when there is no kernel,
-    :func:`_parse_rows` reads on, so every message comes from it.
+    :func:`_parse_rows` reads on, so every message comes from it.  Both
+    write each row straight into one block (:func:`_room`).
     """
-    width, parsed = len(header), []
+    width, n = len(header), 0
+    block = np.empty((64, width))
     lib = _sweep.kernel()
     if lib is not None:
         parse, delim = lib.parse_row, ord(_delimiter(path))
+        base = block.ctypes.data
         for line in lines:
+            if n == block.shape[0]:
+                base = _room(block, n).ctypes.data
             raw = line.encode()
-            row = np.empty(width)
-            if parse(raw, len(raw), delim, width, row.ctypes.data) != 0:
+            if parse(raw, len(raw), delim, width,
+                     base + block.strides[0] * n) != 0:
                 lines = itertools.chain([line], lines)
                 break
-            parsed.append(row)
-    return _parse_rows(_rows(lines, path), header, path,
-                       first_line + len(parsed), parsed)
+            n += 1
+    return _parse_rows(_rows(lines, path), header, path, first_line + n,
+                       block, n)
+
+
+def _room(block: np.ndarray, n: int) -> np.ndarray:
+    """``block``, grown in place by an eighth when row ``n`` is past its
+    end.  No view of it may be held across the call."""
+    if n == block.shape[0]:
+        block.resize((n + n // 8, block.shape[1]), refcheck=False)
+    return block
 
 
 def _parse_rows(rows, header, path: str, first_line: int,
-                parsed: list) -> np.ndarray:
-    """The rows already ``parsed`` and then ``rows``, each parsed as it is
-    read, as an (n, len(header)) float array; ``rows`` are numbered from
+                block: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` rows of ``block`` and then ``rows``, each parsed
+    into ``block`` as it is read, as an (n, len(header)) float array,
+    ``block`` itself trimmed in place; ``rows`` are numbered from
     ``first_line`` in messages.
 
     A row of the wrong length or with a cell that is not a number fails at
@@ -236,11 +250,13 @@ def _parse_rows(rows, header, path: str, first_line: int,
         if bad is None and not np.isfinite(values).all():
             j = int(np.argmin(np.isfinite(values)))
             bad = (line, header[j], row[j])
-        parsed.append(values)
+        _room(block, n)[n] = values
+        n += 1
     if bad is not None:
         raise NaNPresent(f"{path}: row {bad[0]}, column {bad[1]!r} holds "
                          f"{bad[2]!r}, not a finite number")
-    return np.array(parsed) if parsed else np.empty((0, width))
+    block.resize((n, width), refcheck=False)
+    return block
 
 
 def load_design(data_path: str, groups_path: str | None = None, *,
@@ -387,7 +403,9 @@ def read_json(path: str, required=()) -> dict:
 
 def read_model(path: str) -> dict:
     """Read a ``model.json``, checking every key that
-    :func:`summary_from_model` and the CLI read from it."""
+    :func:`summary_from_model` and the CLI read from it, and that its
+    values build a summary and a standardization of one number per
+    predictor: a malformed file fails with one line naming it."""
     model = read_json(path, ("model", "params", "posterior", "predictors"))
     multitask = model["model"] == "multitask"
     require_keys(path, model, () if multitask else ("group_of",))
@@ -396,9 +414,16 @@ def read_model(path: str) -> dict:
                  [f.name for f in dataclasses.fields(params)], "params.")
     require_keys(path, model["posterior"],
                  ("pi_tilde", "alpha_tilde", "mu_tilde", "effect"), "posterior.")
-    if model.get("standardize") is not None:
-        require_keys(path, model["standardize"], ("center", "scale"),
-                     "standardize.")
+    std = model.get("standardize")
+    if std is not None:
+        require_keys(path, std, ("center", "scale"), "standardize.")
+    try:
+        summary_from_model(model)
+        for key in ("center", "scale") if std is not None else ():
+            if np.asarray(std[key], float).shape != (len(model["predictors"]),):
+                raise ValueError(f"standardize.{key} needs one number per predictor")
+    except (TypeError, ValueError) as exc:
+        raise BivasError(f"{path}: malformed model: {exc}") from None
     return model
 
 
@@ -434,28 +459,24 @@ def write_groups_csv(path: str, summary: PosteriorSummary, design):
 
 def selection_to_dict(report: SelectionReport, summary: PosteriorSummary,
                       design) -> dict:
+    """The selected groups and variables with their local fdr; a variable
+    of a multi-task model names its task, and its group is its feature."""
     if summary.multitask:
+        names = design.predictor_names
         variables = [
-            {"predictor": design.predictor_names[k], "task": int(j),
+            {"predictor": names[k], "task": int(j),
              "fdr": float(report.var_fdr[k, j])}
             for k, j in report.variables
         ]
-        groups = [
-            {"group": design.predictor_names[k],
-             "fdr": float(report.group_fdr[k])}
-            for k in report.groups
-        ]
     else:
+        names = [str(lab) for lab in design.group_labels]
         variables = [
             {"predictor": design.predictor_names[j],
              "fdr": float(report.var_fdr[j])}
             for j in report.variables
         ]
-        groups = [
-            {"group": str(design.group_labels[k]),
-             "fdr": float(report.group_fdr[k])}
-            for k in report.groups
-        ]
+    groups = [{"group": names[k], "fdr": float(report.group_fdr[k])}
+              for k in report.groups]
     return {"threshold": report.threshold, "groups": groups,
             "variables": variables}
 
@@ -469,16 +490,10 @@ def write_predictions_csv(path: str, yhat):
 
 
 def truth_to_dict(truth, extra: dict | None = None) -> dict:
-    payload = {
-        "eta": truth.eta.tolist(),
-        "gamma": truth.gamma.tolist(),
-        "beta": truth.beta.tolist(),
-        "coef": truth.coef.tolist(),
-        "sigma_e2": truth.sigma_e2.tolist()
-        if isinstance(truth.sigma_e2, np.ndarray) else truth.sigma_e2,
-    }
-    if extra:
-        payload.update(extra)
+    """A simulation's truth, field by field, then the ``extra`` keys."""
+    payload = {f.name: _to_json(getattr(truth, f.name))
+               for f in dataclasses.fields(truth)}
+    payload.update(extra or {})
     return payload
 
 

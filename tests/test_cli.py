@@ -655,6 +655,40 @@ class TestExitCodes:
         self._assert_one_line_error(capsys, f"{path}: missing key '{missing}'")
         assert not (tmp_path / "pred.csv").exists()
 
+    @pytest.mark.parametrize("case, where", [
+        ("short-center", "standardize.center"),
+        ("extra-param", "unexpected keyword argument 'extra'"),
+        ("text-omega", "could not convert string to float"),
+    ], ids=["short-center", "extra-param", "text-omega"])
+    def test_malformed_model_exits_one(self, sim_dir, tmp_path, capsys, case,
+                                       where):
+        fit = tmp_path / "fit"
+        assert run_cli("fit", "--data", str(sim_dir / "data.csv"),
+                       "--groups", str(sim_dir / "groups.csv"),
+                       "--grid-size", "2", "--threads", "1", "--standardize",
+                       "--out", str(fit)) == 0
+        model = json.loads((fit / "model.json").read_text())
+        if case == "short-center":
+            model["standardize"]["center"].pop()
+        elif case == "extra-param":
+            model["params"]["extra"] = 1.0
+        else:
+            model["params"]["omega"] = "x"
+        path = fit / "model.json"
+        path.write_text(json.dumps(model))
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        for command in (["predict", "--model", str(path),
+                         "--data", str(sim_dir / "data.csv"),
+                         "--groups", str(sim_dir / "groups.csv")],
+                        ["evaluate", "--fit", str(fit),
+                         "--truth", str(sim_dir / "truth.json")]):
+            assert run_cli(*command, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: malformed model: ")
+            assert where in err and len(err.strip().splitlines()) == 1
+            assert not out.exists()
+
     @pytest.mark.parametrize("name, missing",
                              [("truth.json", "coef"),
                               ("selection.json", "variables[].predictor")])

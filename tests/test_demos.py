@@ -1,8 +1,4 @@
-"""The quick demos run to completion as scripts.
-
-Demo 02 (the multi-task comparison, about a minute) is left out; run it by
-hand with ``python demos/02_multitask_borrowing.py``.
-"""
+"""Every demo runs to completion as a script."""
 import os
 import subprocess
 import sys
@@ -14,6 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", ["01_grouped_selection.py",
+                                  "02_multitask_borrowing.py",
                                   "03_bound_vs_exact.py",
                                   "04_cli_pipeline.py"])
 def test_demo_runs(name):

@@ -123,6 +123,28 @@ class TestDesignRoundTrip:
             tracemalloc.stop()
         assert peak <= 2.2 * loaded.X.nbytes
 
+    def test_parse_peaks_near_its_block(self, tmp_path, kernel_path):
+        # both parsers write each row into one block, grown in place and
+        # trimmed: no list of row arrays stacked into a second block.  A
+        # tall narrow table, where per-row overhead would show the most
+        rng = np.random.default_rng(8)
+        n, p = 2000, 100
+        design = validate_design(rng.standard_normal(n),
+                                 rng.standard_normal((n, 1)),
+                                 rng.standard_normal((n, p)),
+                                 np.arange(p) // 10)
+        path, groups = str(tmp_path / "d.csv"), str(tmp_path / "g.csv")
+        bio.write_design_csv(path, design)
+        bio.write_group_map(groups, design)
+        tracemalloc.start()
+        try:
+            table = bio.read_design_table(path, groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(table.X, design.X)
+        assert peak <= 1.3 * n * (p + 2) * 8
+
 
 class TestParseErrors:
     """Exact messages and row numbers of a table that does not parse.

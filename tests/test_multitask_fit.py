@@ -15,6 +15,7 @@ from bivas import (
     elbo,
     em_fit,
     initial_params,
+    mstep_update,
     mt_elbo,
     mt_em_fit,
     mt_estep_sweep,
@@ -88,6 +89,34 @@ class TestSingleTaskReduction:
         got = mt_elbo(mstate, mdata, mparams)
         want = elbo(gstate, gdesign, gparams)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+    def test_engine_steps_take_either_container(self, rng):
+        # the start, the M-step and the bound are the grouped engine's own,
+        # on a design's one task or on each task of multi-task data, and
+        # give back the container's parameter class
+        mdata, gdesign = _singleton_pair(rng)
+        opts = EmOptions()
+        got = {}
+        for data, cls in ((mdata, MultiTaskParams), (gdesign, ModelParams)):
+            params = initial_params(data, pi=0.3)
+            assert type(params) is cls
+            state = VariationalState.initial(data, params)
+            state.mu[:] = np.reshape(np.linspace(-1.0, 1.0, mdata.K),
+                                     state.mu.shape)
+            state.alpha_jk[:] = np.reshape(np.linspace(0.1, 0.9, mdata.K),
+                                           state.alpha_jk.shape)
+            state.pi_k[:] = np.linspace(0.2, 0.8, mdata.K)
+            new = mstep_update(state, data, params, opts)
+            assert type(new) is cls
+            got[cls] = [params, new, elbo(state, data, new)]
+        (m0, m1, m_bound), (g0, g1, g_bound) = got.values()
+        for m, g in ((m0, g0), (m1, g1)):
+            assert (m.alpha, m.pi) == (g.alpha, g.pi)
+            np.testing.assert_allclose(
+                [m.sigma_e2[0], m.sigma_beta2[0], *m.omega[0]],
+                [g.sigma_e2, g.sigma_beta2, *g.omega], rtol=1e-12, atol=1e-12)
+        assert m_bound == pytest.approx(g_bound, rel=1e-12)
 
 
 class TestMtEstep:
