@@ -26,7 +26,7 @@ y = X @ coef + 0.8 * rng.standard_normal(n)
 design = GroupedDesign(y, np.ones((n, 1)), X, group_of)
 
 print("pi grid vs bound vs exact log marginal (bound <= exact, always):")
-for pi in make_pi_grid(K, 5).values:
+for pi in make_pi_grid(K, 5):
     res = em_fit(design, initial_params(design, pi=float(pi)),
                  EmOptions(max_iter=500, rel_tol=1e-9, fix_pi=True))
     exact = exact_log_marginal(design, res.params)

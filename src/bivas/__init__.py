@@ -30,7 +30,6 @@ from .designs import (
 )
 from .grid import (
     GridFit,
-    PiGrid,
     PosteriorSummary,
     SelectionReport,
     aggregate,
@@ -68,7 +67,6 @@ __all__ = [
     "ModelParams",
     "MultiTaskData",
     "MultiTaskParams",
-    "PiGrid",
     "PosteriorSummary",
     "SelectionReport",
     "VariationalState",

@@ -218,6 +218,7 @@ def cmd_evaluate(args) -> int:
     selection = bio.read_json(selection_path, ("variables",))
     name_idx = {nm: j for j, nm in enumerate(model["predictors"])}
     tasks = len(summary.params.omega) if summary.multitask else 0
+    selected = np.zeros(summary.group_of.shape, bool)
     for v in selection["variables"]:
         bio.require_keys(selection_path, v, ("predictor", "task")
                          if summary.multitask else ("predictor",), "variables[].")
@@ -228,26 +229,17 @@ def cmd_evaluate(args) -> int:
         if summary.multitask and (type(task) is not int or not 0 <= task < tasks):
             raise BivasError(f"{selection_path}: task {task!r} is not an "
                              f"integer in [0, {tasks})")
+        j = name_idx[v["predictor"]]
+        selected[(j, task) if summary.multitask else j] = True
     truth = bio.read_json(args.truth, ("coef", "eta"))
     coef = np.asarray(truth["coef"], float)
     eta = np.asarray(truth["eta"], float)
     pi_tilde, effect = summary.pi_tilde, summary.effect
     nonzero = coef != 0.0
-
-    if summary.multitask:
-        scores = pi_tilde[:, None] * summary.alpha_tilde
-        selected = np.array([[name_idx[v["predictor"]], v["task"]]
-                             for v in selection["variables"]],
-                            dtype=int).reshape(-1, 2)
-        true_idx = np.argwhere(nonzero)
-    else:
-        scores = pi_tilde[summary.group_of] * summary.alpha_tilde
-        selected = np.array([name_idx[v["predictor"]]
-                             for v in selection["variables"]], dtype=int)
-        true_idx = np.nonzero(nonzero)[0]
-    fdr, power = fdr_power(selected, true_idx)
+    fdr, power = fdr_power(np.argwhere(selected), np.argwhere(nonzero))
     row = {
-        "auc": _defined_auc(scores, nonzero),
+        "auc": _defined_auc(pi_tilde[summary.group_of] * summary.alpha_tilde,
+                            nonzero),
         "group_auc": _defined_auc(pi_tilde, eta > 0),
         "fdr": fdr,
         "power": power,

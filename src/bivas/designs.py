@@ -260,10 +260,6 @@ class GroupedDesign:
         array's per-block coefficients on either container."""
         return [value]
 
-    def solve_z_gram(self, rhs):
-        """Solve (Z'Z) w = rhs using the cached Cholesky factor."""
-        return _solve_cho(self._z_cho, rhs)
-
     def with_response(self, y):
         """Return a copy sharing all X/Z caches but carrying a new response."""
         y = _as_float_array(y, "y").ravel()
@@ -511,9 +507,7 @@ class MultiTaskData:
                     f"task {t} has {X.shape[1]} predictors, expected {self.K}")
         self.xtx = np.stack([np.einsum("ij,ij->j", X, X) for X in self.X],
                             axis=1)
-        self.group_of = np.repeat(np.arange(self.K, dtype=np.int64),
-                                  self.L).reshape(self.K, self.L)
-        self.block_of = np.tile(np.arange(self.L, dtype=np.int64), (self.K, 1))
+        self.group_of, self.block_of = np.indices((self.K, self.L), np.int64)
         self.column_of = self.group_of
         self.members = np.arange(self.K * self.L, dtype=np.int64)
         self.group_ptr = np.arange(0, self.K * self.L + 1, self.L,
@@ -524,10 +518,6 @@ class MultiTaskData:
             else [f"x{k}" for k in range(self.K)]
         self.covariate_names = list(covariate_names) if covariate_names is not None \
             else [[f"z{j}" for j in range(r)] for r in self.r]
-
-    def solve_z_gram(self, task, rhs):
-        """Solve (Z_j'Z_j) w = rhs for task j using its cached factor."""
-        return _solve_cho(self._z_cho[task], rhs)
 
     @staticmethod
     def per_block(value):

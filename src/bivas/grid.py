@@ -6,7 +6,8 @@ equally spaced on [-log10 K, 0]) with pi held fixed, and the per-run
 posteriors are averaged under weights proportional to exp(elbo).  Runs are
 independent, so they are scheduled dynamically over a shared work queue.
 Grid points that stop at ``max_iter`` are reported through the "bivas"
-logger.
+logger.  A grid is the array of its pi values; the fit and its summary
+keep the container's ``group_of``, whose shape tells the two models apart.
 """
 from __future__ import annotations
 
@@ -24,19 +25,9 @@ from .multitask_fit import mt_em_fit
 logger = logging.getLogger("bivas")
 
 
-@dataclass
-class PiGrid:
-    """Grid of group-sparsity prior values, increasing, ending at 0.5."""
-
-    values: np.ndarray
-
-    @property
-    def h(self) -> int:
-        return self.values.shape[0]
-
-
-def make_pi_grid(K: int, h: int = 20) -> PiGrid:
-    """h prior values whose log10 odds are equally spaced on [-log10 K, 0].
+def make_pi_grid(K: int, h: int = 20) -> np.ndarray:
+    """h prior values, increasing to 0.5, whose log10 odds are equally
+    spaced on [-log10 K, 0].
 
     The endpoints have odds 1/K and 1 (i.e. pi = 1/(K+1) and pi = 0.5);
     h = 1 returns only the upper endpoint.  For K = 1 the interval is
@@ -55,7 +46,7 @@ def make_pi_grid(K: int, h: int = 20) -> PiGrid:
     odds[-1] = 1.0
     if h > 1:
         odds[0] = 1.0 / K
-    return PiGrid(values=odds / (1.0 + odds))
+    return odds / (1.0 + odds)
 
 
 def normalize_weights(elbos) -> np.ndarray:
@@ -72,23 +63,27 @@ def normalize_weights(elbos) -> np.ndarray:
 
 @dataclass
 class GridFit:
-    """Per-grid-point converged fits plus their normalized weights."""
+    """Per-grid-point converged fits, their normalized weights and the
+    container's ``group_of``, (p,) or (K, L) like the variable arrays."""
 
     pi_values: np.ndarray
     results: list            # EmResult per grid point
     elbos: np.ndarray
     weights: np.ndarray
-    multitask: bool = False
-    group_of: np.ndarray | None = None
+    group_of: np.ndarray
 
     @property
     def h(self) -> int:
         return self.pi_values.shape[0]
 
+    @property
+    def multitask(self) -> bool:
+        return self.group_of.ndim == 2
 
-def run_grid(data, grid: PiGrid, opts: EmOptions | None = None,
+
+def run_grid(data, pi_values, opts: EmOptions | None = None,
              threads: int = 1) -> GridFit:
-    """Fit the model once per grid value with the group prior held fixed.
+    """Fit the model once per pi in ``pi_values``, the group prior held fixed.
 
     Idle workers claim the next unstarted grid point from a shared queue;
     each run is self-contained and deterministically initialized, so the
@@ -100,41 +95,41 @@ def run_grid(data, grid: PiGrid, opts: EmOptions | None = None,
     if threads < 1:
         raise InvalidCount(f"threads must be >= 1, got {threads}")
     run_opts = replace(opts if opts is not None else EmOptions(), fix_pi=True)
-    multitask = isinstance(data, MultiTaskData)
+    pi_values = np.asarray(pi_values)
+    h = pi_values.shape[0]
 
     def fit_one(i: int) -> EmResult:
-        fit = mt_em_fit if multitask else em_fit
-        return fit(data, initial_params(data, float(grid.values[i])), run_opts)
+        fit = mt_em_fit if isinstance(data, MultiTaskData) else em_fit
+        return fit(data, initial_params(data, float(pi_values[i])), run_opts)
 
-    if threads == 1 or grid.h == 1:
-        results = [fit_one(i) for i in range(grid.h)]
+    if threads == 1 or h == 1:
+        results = [fit_one(i) for i in range(h)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fit_one, range(grid.h)))
+            results = list(pool.map(fit_one, range(h)))
 
     elbos = np.array([res.elbo for res in results])
     weights = normalize_weights(elbos)
     stalled = [i for i, res in enumerate(results) if not res.converged]
     if stalled:
-        points = ", ".join(f"{i} (pi={grid.values[i]:.6g})" for i in stalled)
+        points = ", ".join(f"{i} (pi={pi_values[i]:.6g})" for i in stalled)
         logger.warning(
             "%d of %d grid points stopped at max_iter=%d without converging: "
             "grid indices %s; they carry %.6g of the grid weight",
-            len(stalled), grid.h, run_opts.max_iter, points,
+            len(stalled), h, run_opts.max_iter, points,
             float(weights[stalled].sum()))
-    return GridFit(pi_values=grid.values.copy(), results=results,
+    return GridFit(pi_values=pi_values.copy(), results=results,
                    elbos=elbos, weights=weights,
-                   multitask=multitask,
-                   group_of=None if multitask else data.group_of.copy())
+                   group_of=data.group_of.copy())
 
 
 @dataclass
 class PosteriorSummary:
     """Weight-averaged posteriors, fdr values and aggregated parameters.
 
-    Group arrays have length K.  Variable arrays have length p for the
-    grouped model and shape (K, L) for the multi-task model.  ``effect``
-    is the elementwise product pi_tilde * alpha_tilde * mu_tilde, the
+    Group arrays have length K, and variable arrays the shape of
+    ``group_of``, each variable's group: (p,), or (K, L) with row k all k.
+    ``effect``, pi_tilde[group_of] * alpha_tilde * mu_tilde, is the
     posterior mean effect size used for prediction.
     """
 
@@ -145,8 +140,9 @@ class PosteriorSummary:
     group_fdr: np.ndarray
     var_fdr: np.ndarray
     params: object           # ModelParams or MultiTaskParams (weight-averaged)
-    group_of: np.ndarray | None = None
-    multitask: bool = False
+    group_of: np.ndarray
+
+    multitask = GridFit.multitask    # group_of.ndim == 2
 
 
 def _weighted_sum(w, values):
@@ -167,16 +163,11 @@ def aggregate(gridfit: GridFit) -> PosteriorSummary:
     params = type(plist[0])(**{
         f.name: _weighted_sum(w, [getattr(p, f.name) for p in plist])
         for f in fields(plist[0])})
-
-    group_of = gridfit.group_of
-    pi_of = pi_tilde[:, None] if gridfit.multitask else pi_tilde[group_of]
-    effect = pi_of * alpha_tilde * mu_tilde
-
+    effect = pi_tilde[gridfit.group_of] * alpha_tilde * mu_tilde
     return PosteriorSummary(
         pi_tilde=pi_tilde, alpha_tilde=alpha_tilde, mu_tilde=mu_tilde,
         effect=effect, group_fdr=1.0 - pi_tilde, var_fdr=1.0 - alpha_tilde,
-        params=params, group_of=None if group_of is None else group_of.copy(),
-        multitask=gridfit.multitask,
+        params=params, group_of=gridfit.group_of.copy(),
     )
 
 
@@ -228,12 +219,8 @@ def predict(summary: PosteriorSummary, Znew, Xnew, task: int | None = None):
     elif task is not None:
         raise DimensionMismatch("task index only applies to multi-task fits")
 
-    if Znew.shape[1] != omega.shape[0]:
-        raise DimensionMismatch(
-            f"Znew has {Znew.shape[1]} columns, model has {omega.shape[0]}"
-        )
-    if Xnew.shape[1] != effect.shape[0]:
-        raise DimensionMismatch(
-            f"Xnew has {Xnew.shape[1]} columns, model has {effect.shape[0]}"
-        )
+    for name, new, coef in (("Znew", Znew, omega), ("Xnew", Xnew, effect)):
+        if new.shape[1] != coef.shape[0]:
+            raise DimensionMismatch(
+                f"{name} has {new.shape[1]} columns, model has {coef.shape[0]}")
     return Znew @ omega + Xnew @ effect

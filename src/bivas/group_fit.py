@@ -285,16 +285,6 @@ def estep_sweep_python(state: VariationalState, data, params) -> VariationalStat
     return state
 
 
-def within_group_cross(state: VariationalState, data: GroupedDesign) -> float:
-    """Within-group cross term of the bound's expected squared error,
-
-        sum_k (pi_k - pi_k^2) sum_{j != j'} w_j w_j' x_j'x_j',  w = alpha mu,
-
-    evaluated from scratch through one pass of group fits X_k w_k (see
-    :func:`~bivas.designs.fit_pass`)."""
-    return sum(fit_pass(state, data).cross)
-
-
 def _moments(state, pi_of):
     """Per-coefficient moments under q: pa = E[eta gamma], pw = E[eta gamma
     beta], the slab's second moment s2 + mu^2, and s2; ``pi_of`` holds
@@ -316,7 +306,7 @@ def _task_terms(state, data, params, fits):
 def _expected_sse(y, Z, omega, fit, xtx, moments, cross):
     """One task's E||y - Z omega - X (eta gamma beta)||^2, ``fit`` = X pw:
     the squared residual, the variance correction and the within-group
-    cross term (:func:`within_group_cross`; 0 for singleton groups)."""
+    cross term (:func:`~bivas.designs.fit_pass`; 0 for singleton groups)."""
     pa, pw, second_moment, _ = moments
     resid = y - Z @ omega - fit
     var_term = float(((pa * second_moment - pw ** 2) * xtx).sum())

@@ -366,7 +366,8 @@ def model_to_dict(gridfit: GridFit, summary: PosteriorSummary,
 
 def summary_from_model(model: dict) -> PosteriorSummary:
     """The :class:`PosteriorSummary` a model artifact was written from (the
-    inverse of :func:`model_to_dict`; every double round-trips exactly)."""
+    inverse of :func:`model_to_dict`; every double round-trips exactly);
+    a multi-task ``group_of`` is rebuilt from ``alpha_tilde``'s shape."""
     post = {key: np.asarray(val, float) for key, val in model["posterior"].items()}
     multitask = model["model"] == "multitask"
     params = (MultiTaskParams if multitask else ModelParams)(**model["params"])
@@ -374,8 +375,8 @@ def summary_from_model(model: dict) -> PosteriorSummary:
         pi_tilde=post["pi_tilde"], alpha_tilde=post["alpha_tilde"],
         mu_tilde=post["mu_tilde"], effect=post["effect"],
         group_fdr=1.0 - post["pi_tilde"], var_fdr=1.0 - post["alpha_tilde"],
-        params=params, multitask=multitask,
-        group_of=None if multitask else np.asarray(model["group_of"], np.intp),
+        params=params, group_of=np.indices(post["alpha_tilde"].shape)[0]
+        if multitask else np.asarray(model["group_of"]),
     )
 
 
@@ -401,11 +402,31 @@ def read_json(path: str, required=()) -> dict:
     return payload
 
 
+def _check_layout(summary: PosteriorSummary, model: dict):
+    """Raise a ValueError unless ``group_of`` is (predictors,), or
+    (predictors, tasks) for a multi-task model, the variable arrays share
+    its shape and it holds integers in [0, K) reaching K - 1, K being the
+    length of ``pi_tilde``."""
+    group_of, K = summary.group_of, summary.pi_tilde.shape
+    want = (len(model["predictors"]),) + (
+        (len(summary.params.omega),) if model["model"] == "multitask" else ())
+    shapes = [getattr(summary, a).shape for a in ("alpha_tilde", "mu_tilde", "effect")]
+    if group_of.shape != want or shapes != [want] * 3 or len(K) != 1 \
+            or group_of.dtype.kind not in "iu" or not group_of.size \
+            or group_of.min() < 0 or group_of.max() != K[0] - 1:
+        raise ValueError(
+            f"want group_of, alpha_tilde, mu_tilde and effect of shape {want}, "
+            f"group_of holding integers in [0, K) reaching K - 1 for the K "
+            f"entries of pi_tilde; got shapes {group_of.shape}, "
+            f"{', '.join(map(str, shapes))} and {K}")
+
+
 def read_model(path: str) -> dict:
     """Read a ``model.json``, checking every key that
     :func:`summary_from_model` and the CLI read from it, and that its
-    values build a summary and a standardization of one number per
-    predictor: a malformed file fails with one line naming it."""
+    values build a summary of one layout (:func:`_check_layout`) and a
+    standardization of one number per predictor: a malformed file fails
+    with one line naming it."""
     model = read_json(path, ("model", "params", "posterior", "predictors"))
     multitask = model["model"] == "multitask"
     require_keys(path, model, () if multitask else ("group_of",))
@@ -418,11 +439,11 @@ def read_model(path: str) -> dict:
     if std is not None:
         require_keys(path, std, ("center", "scale"), "standardize.")
     try:
-        summary_from_model(model)
+        _check_layout(summary_from_model(model), model)
         for key in ("center", "scale") if std is not None else ():
             if np.asarray(std[key], float).shape != (len(model["predictors"]),):
                 raise ValueError(f"standardize.{key} needs one number per predictor")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, IndexError) as exc:
         raise BivasError(f"{path}: malformed model: {exc}") from None
     return model
 

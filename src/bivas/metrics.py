@@ -26,12 +26,12 @@ def auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def fdr_power(selected, truth_nonzero, total: int | None = None):
+def fdr_power(selected, truth_nonzero):
     """Empirical false discovery rate and power of a selected index set.
 
-    ``selected`` and ``truth_nonzero`` are index arrays (or boolean masks
-    when ``total`` is given).  FDR = FP / max(1, FP + TP); power counts the
-    recovered fraction of true positives.
+    ``selected`` and ``truth_nonzero`` are each an index array, an (m, d)
+    array of index rows or a 1-D boolean mask.  FDR = FP / max(1, FP + TP);
+    power counts the recovered fraction of true positives.
     """
     selected = np.asarray(selected)
     truth_nonzero = np.asarray(truth_nonzero)
@@ -39,8 +39,8 @@ def fdr_power(selected, truth_nonzero, total: int | None = None):
         selected = np.nonzero(selected)[0]
     if truth_nonzero.dtype == bool:
         truth_nonzero = np.nonzero(truth_nonzero)[0]
-    # rows of an (m, 2) array of index pairs become tuples; an empty one,
-    # (0, 2), becomes the empty set
+    # rows of an (m, d) array of index rows become tuples; an empty one,
+    # (0, d), becomes the empty set
     sel = {tuple(i) if isinstance(i, list) else i for i in selected.tolist()}
     pos = {tuple(i) if isinstance(i, list) else i for i in truth_nonzero.tolist()}
     tp = len(sel & pos)

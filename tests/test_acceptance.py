@@ -278,7 +278,7 @@ def test_criterion_7_grid_mechanics():
     """Exact grid endpoints, weight shift invariance, thread invariance."""
     endpoint_ok = True
     for K in (2, 10, 50, 1000):
-        vals = make_pi_grid(K, 9).values
+        vals = make_pi_grid(K, 9)
         odds = vals / (1.0 - vals)
         endpoint_ok &= abs(odds[0] - 1.0 / K) <= 1e-15 / K
         endpoint_ok &= vals[-1] == 0.5

@@ -395,6 +395,31 @@ class TestEvaluateMultifit:
                        "--out", str(only)) == 0
         assert "auc,,,0" in only.read_text().splitlines()
 
+    def test_one_dimensional_alpha_tilde_exits_one(self, mt_dirs, tmp_path,
+                                                   capsys):
+        # a multi-task model.json whose alpha_tilde is one value per
+        # feature does not load as a grouped model
+        sim, fit_dir = mt_dirs
+        fit = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit)
+        path = fit / "model.json"
+        model = json.loads(path.read_text())
+        post = model["posterior"]
+        post["alpha_tilde"] = [row[0] for row in post["alpha_tilde"]]
+        path.write_text(json.dumps(model))
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        for command in (["predict", "--model", str(path), "--task", "0",
+                         "--data", str(sim / "task0.csv")],
+                        ["evaluate", "--fit", str(fit),
+                         "--truth", str(sim / "truth.json")]):
+            assert run_cli(*command, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: malformed model: ")
+            assert "of shape (8, 2)" in err and "got shapes (8,), (8,)" in err
+            assert len(err.strip().splitlines()) == 1
+            assert not out.exists()
+
     @pytest.mark.parametrize("task", ["a", 2, -1, 1.0, True])
     def test_bad_task_exits_one(self, mt_dirs, tmp_path, capsys, task):
         sim, fit_dir = mt_dirs
@@ -659,7 +684,12 @@ class TestExitCodes:
         ("short-center", "standardize.center"),
         ("extra-param", "unexpected keyword argument 'extra'"),
         ("text-omega", "could not convert string to float"),
-    ], ids=["short-center", "extra-param", "text-omega"])
+        ("short-group_of", "got shapes (59,), (60,)"),
+        ("short-pi_tilde", "(60,) and (5,)"),
+        ("group_of-99", "integers in [0, K) reaching K - 1"),
+        ("fractional-group_of", "integers in [0, K) reaching K - 1"),
+    ], ids=["short-center", "extra-param", "text-omega", "short-group_of",
+            "short-pi_tilde", "group_of-99", "fractional-group_of"])
     def test_malformed_model_exits_one(self, sim_dir, tmp_path, capsys, case,
                                        where):
         fit = tmp_path / "fit"
@@ -672,8 +702,16 @@ class TestExitCodes:
             model["standardize"]["center"].pop()
         elif case == "extra-param":
             model["params"]["extra"] = 1.0
-        else:
+        elif case == "text-omega":
             model["params"]["omega"] = "x"
+        elif case == "short-group_of":
+            model["group_of"].pop()
+        elif case == "short-pi_tilde":
+            model["posterior"]["pi_tilde"].pop()
+        elif case == "group_of-99":
+            model["group_of"] = [99] * len(model["group_of"])
+        else:
+            model["group_of"][-1] -= 0.5
         path = fit / "model.json"
         path.write_text(json.dumps(model))
         capsys.readouterr()

@@ -26,19 +26,19 @@ class TestMakePiGrid:
     def test_endpoints_k10(self):
         grid = make_pi_grid(10, 2)
         # odds 0.1 and 1
-        assert grid.values[0] == pytest.approx(0.1 / 1.1, abs=1e-15)
-        assert grid.values[1] == 0.5
+        assert grid[0] == pytest.approx(0.1 / 1.1, abs=1e-15)
+        assert grid[1] == 0.5
 
     def test_k250_h3_frozen_values(self):
         # frozen from the formula odds/(1+odds) at log10-odds
         # {-2.39794..., -1.19897..., 0}
         grid = make_pi_grid(250, 3)
         expected = [0.003984063745019921, 0.059483487151975496, 0.5]
-        np.testing.assert_allclose(grid.values, expected, rtol=1e-14)
+        np.testing.assert_allclose(grid, expected, rtol=1e-14)
 
     def test_h1_returns_upper_endpoint(self):
         grid = make_pi_grid(100, 1)
-        assert grid.values.tolist() == [0.5]
+        assert grid.tolist() == [0.5]
 
     def test_invalid_count(self):
         with pytest.raises(InvalidCount):
@@ -50,13 +50,13 @@ class TestMakePiGrid:
            h=st.integers(min_value=2, max_value=200))
     @settings(max_examples=200, deadline=None)
     def test_strictly_increasing(self, K, h):
-        vals = make_pi_grid(K, h).values
+        vals = make_pi_grid(K, h)
         assert np.all(np.diff(vals) > 0)
         assert 0.0 < vals[0] and vals[-1] == 0.5
 
     def test_odds_endpoints_exact(self):
         for K in (3, 50, 1000):
-            vals = make_pi_grid(K, 7).values
+            vals = make_pi_grid(K, 7)
             odds = vals / (1.0 - vals)
             assert odds[0] == pytest.approx(1.0 / K, rel=1e-12)
             assert odds[-1] == pytest.approx(1.0, rel=1e-15)
@@ -125,7 +125,7 @@ class TestRunGrid:
     def test_pi_stays_fixed_per_run(self, design):
         grid = make_pi_grid(design.K, 4)
         fit = run_grid(design, grid, EmOptions())
-        for pi_i, res in zip(grid.values, fit.results):
+        for pi_i, res in zip(grid, fit.results):
             assert res.params.pi == pytest.approx(pi_i, abs=1e-15)
 
     def test_invalid_threads(self, design):
@@ -146,7 +146,7 @@ class TestRunGrid:
         assert len(records) == 1 and records[0].levelno == logging.WARNING
         message = records[0].getMessage()
         for i in stalled:
-            assert f"{i} (pi={grid.values[i]:.6g})" in message
+            assert f"{i} (pi={grid[i]:.6g})" in message
         assert f"{fit.weights[stalled].sum():.6g} of the grid weight" in message
 
     def test_converged_grid_logs_nothing(self, design, caplog):
@@ -204,14 +204,23 @@ class TestAggregate:
         np.testing.assert_allclose(s.pi_tilde, 0.5, rtol=1e-15)
 
     def test_convex_bounds(self):
-        d, fit = self._fit(h=5)
-        s = aggregate(fit)
-        lo = np.min([r.state.alpha_jk for r in fit.results], axis=0)
-        hi = np.max([r.state.alpha_jk for r in fit.results], axis=0)
-        assert np.all(s.alpha_tilde >= lo - 1e-12)
-        assert np.all(s.alpha_tilde <= hi + 1e-12)
-        assert np.all(s.effect == s.pi_tilde[s.group_of] * s.alpha_tilde
-                      * s.mu_tilde)
+        # on either model: group_of is (p,) on a grouped fit and (K, L),
+        # row k all k, on a multi-task one
+        data, _ = gen_multitask(SimConfig(n=[40, 30], p=8, K=8, pi_true=0.4,
+                                          alpha_true=0.5, snr=1.5, seed=4))
+        fits = [self._fit(h=5)[1], run_grid(data, make_pi_grid(data.K, 5))]
+        layouts = [np.repeat(np.arange(6), 4),
+                   np.repeat(np.arange(8)[:, None], 2, axis=1)]
+        for fit, group_of in zip(fits, layouts):
+            s = aggregate(fit)
+            lo = np.min([r.state.alpha_jk for r in fit.results], axis=0)
+            hi = np.max([r.state.alpha_jk for r in fit.results], axis=0)
+            assert np.all(s.alpha_tilde >= lo - 1e-12)
+            assert np.all(s.alpha_tilde <= hi + 1e-12)
+            assert np.array_equal(s.group_of, group_of)
+            assert s.multitask == fit.multitask == (group_of.ndim == 2)
+            assert np.all(s.effect == s.pi_tilde[s.group_of] * s.alpha_tilde
+                          * s.mu_tilde)
 
     def test_identical_states_any_weights(self):
         d, fit = self._fit(h=2)

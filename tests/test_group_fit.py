@@ -23,7 +23,7 @@ from bivas import (
 )
 from bivas import _sweep, designs
 from bivas.designs import PROB_EPS, clamp_prob
-from bivas.group_fit import estep_sweep_python, sigmoid, within_group_cross
+from bivas.group_fit import estep_sweep_python, sigmoid
 from bivas.oracle import exact_log_marginal
 
 from conftest import (
@@ -311,7 +311,7 @@ class TestElbo:
         Z = np.column_stack([np.ones(n), rng.standard_normal(n)])
         y = Z @ np.array([1.0, -2.0]) + rng.standard_normal(n)
         d = GroupedDesign(y, Z, np.empty((n, 0)), np.empty(0, dtype=int))
-        omega = d.solve_z_gram(Z.T @ y)
+        omega = designs._solve_cho(d._z_cho, Z.T @ y)
         params = ModelParams(alpha=0.2, pi=0.2, sigma_beta2=1.0, sigma_e2=1.3,
                              omega=omega)
         state = VariationalState.initial(d, params)
@@ -380,7 +380,7 @@ class TestWithinGroupCross:
             for loaded in (_sweep._loaded, False):
                 with monkeypatch.context() as m:
                     m.setattr(_sweep, "_loaded", loaded)
-                    got = within_group_cross(state, d)
+                    got = sum(designs.fit_pass(state, d).cross)
                 assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 

@@ -320,9 +320,7 @@ class TestSummaryFromModel:
                      "group_fdr", "var_fdr"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.multitask == want.multitask
-        assert (got.group_of is None) == (want.group_of is None)
-        if want.group_of is not None:
-            assert np.array_equal(got.group_of, want.group_of)
+        assert np.array_equal(got.group_of, want.group_of)
         assert type(got.params) is type(want.params)
         for name in ("alpha", "pi", "sigma_beta2", "sigma_e2"):
             assert np.array_equal(getattr(got.params, name),

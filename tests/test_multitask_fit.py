@@ -23,7 +23,7 @@ from bivas import (
     mt_mstep_update,
     mt_refresh_residual,
 )
-from bivas.designs import clamp_prob
+from bivas.designs import _solve_cho, clamp_prob
 from bivas.group_fit import estep_sweep_python
 from bivas.oracle import exact_log_marginal
 
@@ -191,7 +191,7 @@ class TestMtElbo:
             y = rng.standard_normal(n)
             tasks.append((y, Z, np.empty((n, 0))))
         data = MultiTaskData(tasks)
-        omega = [data.solve_z_gram(j, data.Z[j].T @ data.y[j])
+        omega = [_solve_cho(data._z_cho[j], data.Z[j].T @ data.y[j])
                  for j in range(data.L)]
         params = MultiTaskParams(alpha=0.2, pi=0.2, sigma_beta2=[1.0, 1.0],
                                  sigma_e2=[1.2, 0.7], omega=omega)
