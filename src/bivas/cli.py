@@ -69,8 +69,11 @@ def _add_fit_flags(sub):
     sub.add_argument("--fdr", type=float, default=0.05,
                      help="local fdr selection threshold (default 0.05)")
     sub.add_argument("--tol", type=float, default=1e-5,
-                     help="relative bound change declaring convergence")
-    sub.add_argument("--max-iter", type=int, default=200)
+                     help="relative bound change between kept EM steps that "
+                          "declares convergence (default 1e-5)")
+    sub.add_argument("--max-iter", type=int, default=200,
+                     help="coordinate sweeps per grid point, those of "
+                          "rejected extrapolations included (default 200)")
     sub.add_argument("--out", default=".", help="output directory")
 
 

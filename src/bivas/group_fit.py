@@ -1,10 +1,12 @@
 """Variational EM for the grouped spike-and-slab regression model.
 
-One EM iteration is one full coordinate-ascent sweep over all coefficients
-(:func:`estep_sweep`) followed by closed-form parameter updates
-(:func:`mstep_update`).  Every individual update maximizes the evidence
-lower bound over its own block with everything else held fixed, so the
-bound is non-decreasing across iterations up to floating-point noise.
+One plain EM step is one full coordinate-ascent sweep over all
+coefficients (:func:`estep_sweep`) followed by closed-form parameter
+updates (:func:`mstep_update`).  Every individual update maximizes the
+evidence lower bound over its own block with everything else held fixed,
+so the bound is non-decreasing across steps up to floating-point noise.
+The loop (:func:`run_em`) extrapolates every two plain steps (SQUAREM)
+and keeps an extrapolation only when it does not lower the bound.
 
 This is the one engine of both models: multi-task data is the grouped
 model with one group per feature and one member per task (see
@@ -30,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
+from scipy.special import expit, logit
 
-from . import _sweep
+from . import _sweep, designs
 from .designs import (
     PROB_EPS,
     GroupedDesign,
@@ -69,8 +72,9 @@ def _logit(x: float) -> float:
 class EmOptions:
     """Knobs for the EM loop.
 
-    ``fix_pi`` holds the group-level prior at its initial value (used by
-    grid runs).
+    ``max_iter`` caps the coordinate sweeps, the sweeps of rejected
+    extrapolations included.  ``fix_pi`` holds the group-level prior at
+    its initial value (used by grid runs).
     """
 
     max_iter: int = 200
@@ -86,7 +90,10 @@ class EmOptions:
 
 @dataclass
 class EmResult:
-    """Converged parameters, variational state and the bound trajectory."""
+    """Converged parameters, variational state and the bound trajectory.
+
+    ``iterations`` counts coordinate sweeps; ``elbo_trace`` holds the
+    bounds of the steps the loop kept, so it may be shorter."""
 
     params: ModelParams
     state: VariationalState
@@ -389,38 +396,113 @@ def mstep_update(state: VariationalState, data, params, opts: EmOptions, *,
         _task_mstep(*task) for task in _task_terms(state, data, params, fits)])
 
 
+def _pack(state, theta):
+    """theta = (mu, logit alpha_jk, logit pi_k), in place."""
+    p = state.mu.size
+    theta[:p] = state.mu.ravel()
+    logit(state.alpha_jk.ravel(), out=theta[p:2 * p])
+    logit(state.pi_k, out=theta[2 * p:])
+
+
+def _unpack(theta, state):
+    """Load theta into ``state``, probabilities clamped as
+    :func:`~bivas.designs.clamp_prob` clamps."""
+    p = state.mu.size
+    state.mu[...] = theta[:p].reshape(state.mu.shape)
+    for q, x in ((state.alpha_jk, theta[p:2 * p]), (state.pi_k, theta[2 * p:])):
+        expit(x.reshape(q.shape), out=q)
+        np.clip(q, PROB_EPS, 1.0 - PROB_EPS, out=q)
+
+
 def run_em(data, params, state, opts: EmOptions | None,
            sweep, fit_pass, mstep, refresh, bound) -> EmResult:
-    """The EM loop shared by both engines.
+    """The EM loop shared by both engines, accelerated by SQUAREM.
 
-    Runs up to ``opts.max_iter`` rounds of ``sweep`` (one coordinate
-    sweep, in place), ``fit_pass`` (the fits X pw, formed once from
-    (mu, alpha_jk, pi_k) and, where ``sweep`` leaves them, the group fits
-    in ``state.group_fit``), ``mstep`` (new parameters), ``refresh``
+    One plain step F is ``sweep`` (one coordinate sweep, in place),
+    ``fit_pass`` (the fits X pw, formed once from (mu, alpha_jk, pi_k)
+    and, where ``sweep`` leaves them, the group fits in
+    ``state.group_fit``), ``mstep`` (new parameters), ``refresh``
     (residual caches recomputed from those fits) and ``bound`` (the
     evidence lower bound).  The last three share the one fit pass, passed
     as ``fits``: the fits depend on neither omega nor the variances, so
-    the M-step leaves them as they are.  Convergence is declared when the
-    relative bound change |dL| / (1 + |L|) drops below ``opts.rel_tol``.
+    the M-step leaves them as they are.
+
+    Steps come in cycles (Varadhan & Roland 2008, scheme S3): from
+    theta0 = (mu, logit alpha_jk, logit pi_k), two plain steps give
+    theta1 and theta2; with r = theta1 - theta0, v = theta2 - 2 theta1 +
+    theta0 and a = -|r| / |v| < -1 the state moves to theta0 - 2a r +
+    a^2 v, where ``mstep`` and ``refresh`` run on one from-scratch
+    :func:`~bivas.designs.fit_pass` (the sweep's group fits are stale
+    there), and one stabilising plain step follows.  That step is kept
+    when its bound is at least theta2's; otherwise theta2's (mu,
+    alpha_jk, s2, pi_k) and parameters come back, and one from-scratch
+    fit pass rebuilds its caches.  When a >= -1 (or v = 0) the cycle ends
+    at theta2.  The trace holds the kept bounds only, so it rises as the
+    plain steps do.  ``opts.max_iter`` caps the sweeps, rejected ones
+    included, and ``iterations`` counts them.  Convergence is declared
+    when the relative change |dL| / (1 + |L|) between consecutive trace
+    entries drops below ``opts.rel_tol``.
     """
-    if opts is None:
-        opts = EmOptions()
-    trace = []
-    prev = -math.inf
-    converged = False
-    for _ in range(opts.max_iter):
+    opts = EmOptions() if opts is None else opts
+    theta0, r, v = np.empty((3, 2 * state.mu.size + state.pi_k.size))
+    raw = (state.mu, state.alpha_jk, state.s2, state.pi_k)
+    kept = [a.copy() for a in raw]
+    trace, sweeps, converged = [], 0, False
+
+    def plain(params):
+        nonlocal sweeps
         sweep(state, data, params)
+        sweeps += 1
         fits = fit_pass(state, data)
         params = mstep(state, data, params, opts, fits=fits)
         refresh(state, data, params, fits=fits)
-        current = bound(state, data, params, fits=fits)
+        return params, bound(state, data, params, fits=fits)
+
+    def settle(params):     # its own frame: the fits go before the next sweep
+        fits = designs.fit_pass(state, data)
+        params = mstep(state, data, params, opts, fits=fits)
+        refresh(state, data, params, fits=fits)
+        return params
+
+    def stops(current):
+        prev = trace[-1] if trace else -math.inf
         trace.append(current)
-        if abs(current - prev) < opts.rel_tol * (1.0 + abs(current)):
-            converged = True
-            break
-        prev = current
+        return abs(current - prev) < opts.rel_tol * (1.0 + abs(current))
+
+    while not converged and sweeps < opts.max_iter:
+        _pack(state, theta0)
+        for theta in (r, v):          # theta1 and theta2, for now
+            params, current = plain(params)
+            converged = stops(current)
+            if converged or sweeps == opts.max_iter:
+                break
+            _pack(state, theta)
+        else:
+            r -= theta0
+            v -= theta0
+            v -= r
+            v -= r
+            norm_r, norm_v = np.linalg.norm(r), np.linalg.norm(v)
+            if norm_v == 0.0 or norm_r <= norm_v:
+                continue
+            a = -norm_r / norm_v
+            r *= -2.0 * a
+            v *= a * a
+            theta0 += r
+            theta0 += v
+            for saved, live in zip(kept, raw):
+                np.copyto(saved, live)
+            _unpack(theta0, state)
+            stable, current = plain(settle(params))
+            if current >= trace[-1]:
+                params = stable
+                converged = stops(current)
+            else:
+                for live, saved in zip(raw, kept):
+                    np.copyto(live, saved)
+                refresh(state, data, params, fits=designs.fit_pass(state, data))
     return EmResult(params=params, state=state, elbo=trace[-1],
-                    elbo_trace=np.asarray(trace), iterations=len(trace),
+                    elbo_trace=np.asarray(trace), iterations=sweeps,
                     converged=converged)
 
 

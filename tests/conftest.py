@@ -13,7 +13,6 @@ import pytest
 from bivas import (
     EmOptions,
     GroupedDesign,
-    ModelParams,
     MultiTaskData,
     VariationalState,
     em_fit,
@@ -232,6 +231,65 @@ def manual_em(data, params, state, opts, sweep, mstep, refresh, bound):
             break
         prev = current
     return params, state, np.asarray(trace)
+
+
+def own_fit_passes(sweep, mstep, refresh, bound):
+    """``run_em``'s five steps with a fit pass that forms nothing and an
+    M-step, refresh and bound that ignore ``fits``, each running its own
+    fit pass, as :func:`manual_em`'s steps do."""
+    return (sweep, lambda state, data: None,
+            lambda state, data, params, opts, fits: mstep(state, data, params,
+                                                          opts),
+            lambda state, data, params, fits: refresh(state, data, params),
+            lambda state, data, params, fits: bound(state, data, params))
+
+
+def assert_same_fit(res, params, state, trace):
+    """An EM result equals a loop's (params, state, trace) bit for bit; a
+    per-task list is compared task by task."""
+    assert np.array_equal(res.elbo_trace, trace)
+    for got, want, names in ((res.state, state, ("mu", "s2", "alpha_jk", "pi_k",
+                                                 "residual", "group_fit")),
+                             (res.params, params, ("alpha", "pi", "sigma_beta2",
+                                                   "sigma_e2", "omega"))):
+        for name in names:
+            a, b = getattr(got, name), getattr(want, name)
+            for x, y in zip(a, b, strict=True) if isinstance(b, list) \
+                    else [(a, b)]:
+                assert np.array_equal(x, y), name
+
+
+class Rejecting:
+    """``run_em``'s steps with every extrapolation rejected.
+
+    An M-step that no sweep preceded since the last bound runs at an
+    extrapolated state; the bound of the stabilising step that follows it
+    reads -inf, which no bound of a plain step is below.  ``rejected``
+    counts those bounds, and ``last`` is the last bound returned.
+    """
+
+    def __init__(self, sweep, fit_pass, mstep, refresh, bound):
+        self.steps = (self._sweep, fit_pass, self._mstep, refresh, self._bound)
+        self.inner = (sweep, mstep, bound)
+        self.swept = self.extrapolated = False
+        self.rejected, self.last = 0, None
+
+    def _sweep(self, state, data, params):
+        self.swept = True
+        return self.inner[0](state, data, params)
+
+    def _mstep(self, state, data, params, opts, fits):
+        self.extrapolated |= not self.swept
+        return self.inner[1](state, data, params, opts, fits=fits)
+
+    def _bound(self, state, data, params, fits):
+        self.last = self.inner[2](state, data, params, fits=fits)
+        self.swept = False
+        if self.extrapolated:
+            self.extrapolated = False
+            self.rejected += 1
+            self.last = -math.inf
+        return self.last
 
 
 def fitted_tiny(rng, **kwargs):

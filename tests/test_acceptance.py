@@ -9,7 +9,6 @@ import math
 import os
 
 import numpy as np
-import pytest
 
 from bivas import (
     EmOptions,
@@ -50,6 +49,19 @@ THREADS = min(4, os.cpu_count() or 1)
 def report(criterion, ok, detail):
     print(f"\n[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def stalled(fit):
+    """A grid's points, its points stopped at max_iter, and their weight."""
+    mask = np.array([not res.converged for res in fit.results])
+    return mask.size, int(mask.sum()), float(fit.weights[mask].sum())
+
+
+def stalled_detail(grids):
+    """The :func:`stalled` rows of several grids, as one report phrase."""
+    points, count, weight = np.array(grids).T
+    return (f"{int(count.sum())} of {int(points.sum())} grid points stopped "
+            f"at max_iter (at most {weight.max():.3f} of a grid's weight)")
 
 
 def test_criterion_1_elbo_monotonicity():
@@ -229,13 +241,14 @@ def test_criterion_4_residual_identity():
 
 def test_criterion_5_desk_scale_fdr_power_auc():
     """Scaled selection study: FDR <= 0.15, power >= 0.5, AUCs >= 0.9."""
-    rows = []
+    rows, grids = [], []
     for rep in range(20):
         design, truth = simulate_dataset(SimConfig(
             n=500, p=1000, K=50, rho=0.0, pi_true=0.1, alpha_true=0.4,
             snr=2.0, seed=500 + rep))
         fit = run_grid(design, make_pi_grid(design.K, 20), EmOptions(),
                        threads=THREADS)
+        grids.append(stalled(fit))
         summary = aggregate(fit)
         sel = select(summary, 0.05)
         nonzero = truth.coef != 0.0
@@ -249,12 +262,13 @@ def test_criterion_5_desk_scale_fdr_power_auc():
     report(5, ok, f"mean FDR {mean_fdr:.3f} (<=0.15), "
                   f"power {mean_power:.3f} (>=0.5), "
                   f"variable AUC {mean_auc:.3f} (>=0.9), "
-                  f"group AUC {mean_gauc:.3f} (>=0.9)")
+                  f"group AUC {mean_gauc:.3f} (>=0.9); "
+                  + stalled_detail(grids))
 
 
 def test_criterion_6_snr_monotonicity():
     """Mean coefficient MSE strictly decreases in SNR for both sparsity mixes."""
-    detail = []
+    detail, grids = [], []
     ok = True
     for pi_true, alpha_true in ((0.05, 0.8), (0.1, 0.4)):
         means = []
@@ -266,12 +280,13 @@ def test_criterion_6_snr_monotonicity():
                     alpha_true=alpha_true, snr=snr, seed=6_000 + rep))
                 fit = run_grid(design, make_pi_grid(design.K, 10),
                                EmOptions(), threads=THREADS)
+                grids.append(stalled(fit))
                 mses.append(coef_mse(aggregate(fit).effect, truth.coef))
             means.append(float(np.mean(mses)))
         ok = ok and means[0] > means[1] > means[2]
         detail.append(f"({pi_true},{alpha_true}): "
                       + " > ".join(f"{m:.4f}" for m in means))
-    report(6, ok, "; ".join(detail))
+    report(6, ok, "; ".join(detail + [stalled_detail(grids)]))
 
 
 def test_criterion_7_grid_mechanics():
@@ -315,21 +330,24 @@ def test_criterion_7_grid_mechanics():
 def test_criterion_8_multitask_shared_support_gain():
     """Joint fit helps the smallest task in at least 8 of 10 replicates."""
     wins = 0
-    pairs = []
+    pairs, joint_grids, sep_grids = [], [], []
     for rep in range(10):
         cfg = SimConfig(n=[300, 250, 200], p=1000, K=1000, rho=0.0,
                         pi_true=0.05, alpha_true=0.8, snr=2.0,
                         seed=8_000 + rep)
         data, truth = gen_multitask(cfg)
-        joint = aggregate(run_grid(data, make_pi_grid(data.K, 10),
-                                   EmOptions(), threads=THREADS))
+        fit = run_grid(data, make_pi_grid(data.K, 10), EmOptions(),
+                       threads=THREADS)
+        joint_grids.append(stalled(fit))
+        joint = aggregate(fit)
         smallest = int(np.argmin(data.n))
         mse_joint = coef_mse(joint.effect[:, smallest],
                              truth.coef[:, smallest])
         d = GroupedDesign(data.y[smallest], data.Z[smallest],
                           data.X[smallest], np.arange(data.K))
-        sep = aggregate(run_grid(d, make_pi_grid(d.K, 10), EmOptions(),
-                                 threads=THREADS))
+        fit = run_grid(d, make_pi_grid(d.K, 10), EmOptions(), threads=THREADS)
+        sep_grids.append(stalled(fit))
+        sep = aggregate(fit)
         mse_sep = coef_mse(sep.effect, truth.coef[:, smallest])
         pairs.append((mse_joint, mse_sep))
         if mse_joint <= mse_sep:
@@ -337,7 +355,9 @@ def test_criterion_8_multitask_shared_support_gain():
     report(8, wins >= 8,
            f"joint <= separate in {wins}/10 replicates "
            f"(mean joint {np.mean([a for a, _ in pairs]):.4f}, "
-           f"separate {np.mean([b for _, b in pairs]):.4f})")
+           f"separate {np.mean([b for _, b in pairs]):.4f}); joint: "
+           f"{stalled_detail(joint_grids)}; separate: "
+           f"{stalled_detail(sep_grids)}")
 
 
 def test_criterion_9_cli_round_trip(tmp_path):

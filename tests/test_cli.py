@@ -1,6 +1,5 @@
 """End-to-end command-line flows: simulate, fit, predict, evaluate, report."""
 import json
-import os
 import shutil
 import subprocess
 import sys

@@ -1,4 +1,8 @@
-"""The package's export list names only what the package defines."""
+"""The package's export list names only what the package defines, and no
+module imports a name it does not read."""
+import ast
+import pathlib
+
 import bivas
 
 
@@ -12,3 +16,33 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from bivas import *", namespace)
     assert set(bivas.__all__) <= set(namespace)
+
+
+def _unread_imports(path):
+    """Names a module imports and never reads, besides ``from __future__``
+    and what its ``__all__`` re-exports."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in read and name != "*"]
+
+
+def test_every_import_is_read():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [p for d in ("src/bivas", "tests", "demos")
+             for p in sorted((root / d).glob("*.py"))]
+    assert len(paths) > 20
+    assert [line for p in paths for line in _unread_imports(p)] == []

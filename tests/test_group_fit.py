@@ -21,18 +21,21 @@ from bivas import (
     mt_initial_params,
     refresh_residual,
 )
-from bivas import _sweep, designs
+from bivas import _sweep, designs, group_fit
 from bivas.designs import PROB_EPS, clamp_prob
-from bivas.group_fit import estep_sweep_python, sigmoid
+from bivas.group_fit import estep_sweep_python, run_em, sigmoid
 from bivas.oracle import exact_log_marginal
 
 from conftest import (
     HAVE_COMPILER,
+    Rejecting,
+    assert_same_fit,
     converge_estep,
     direct_numerator,
     direct_sweep,
     fitted_tiny,
     manual_em,
+    own_fit_passes,
     random_grouped,
     random_multitask,
     random_state,
@@ -520,45 +523,114 @@ class TestEmFit:
 
     def test_matches_loop_of_public_steps(self, rng, kernel_path):
         # the shared fit pass gives bit for bit what each step computes on
-        # its own
+        # its own, at the plain steps and at the extrapolated ones
         for case in (dict(with_covariate=True), dict(n=12, sizes=[5, 1, 9]),
                      dict(n=30, rho=0.6, max_group=6)):
             d = random_grouped(rng, **case)
             init = initial_params(d, pi=0.3)
             opts = EmOptions(max_iter=60)
             res = em_fit(d, init, opts)
-            params, state, trace = manual_em(
-                d, init, VariationalState.initial(d, init), opts,
-                estep_sweep, mstep_update, refresh_residual, elbo)
-            assert np.array_equal(res.elbo_trace, trace)
-            for field in ("mu", "s2", "alpha_jk", "pi_k", "residual",
-                          "group_fit"):
-                assert np.array_equal(getattr(res.state, field),
-                                      getattr(state, field)), field
-            for field in ("alpha", "pi", "sigma_beta2", "sigma_e2", "omega"):
-                assert np.array_equal(getattr(res.params, field),
-                                      getattr(params, field)), field
+            own = run_em(d, init, VariationalState.initial(d, init), opts,
+                         *own_fit_passes(estep_sweep, mstep_update,
+                                         refresh_residual, elbo))
+            assert res.iterations == own.iterations
+            assert_same_fit(res, own.params, own.state, own.elbo_trace)
 
     @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
     def test_no_group_fits_pass_inside_em_fit(self, rng, monkeypatch):
-        # the fit pass of each iteration reads the group fits the sweep
-        # left; the bound evaluated from scratch afterwards forms them
-        # itself and gives the trace's last value exactly
-        calls = []
-        real = designs.group_fits
+        # the fit pass of each plain step reads the group fits the sweep
+        # left; an extrapolation forms them once at the extrapolated state
+        # and once more when it is rejected; the bound evaluated from
+        # scratch afterwards forms them itself and gives the trace's last
+        # value exactly
+        events = []
+        real_fits, real_sweep = designs.group_fits, group_fit.estep_sweep
 
         def counted(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
+            events.append("G")
+            return real_fits(*args, **kwargs)
+
+        def sweep(*args):
+            events.append("S")
+            return real_sweep(*args)
 
         monkeypatch.setattr(designs, "group_fits", counted)
+        monkeypatch.setattr(group_fit, "estep_sweep", sweep)
         d = random_grouped(rng, with_covariate=True, sizes=[4, 1, 3, 2])
         res = em_fit(d, initial_params(d, pi=0.3), EmOptions())
         assert _sweep.kernel() is not None
         assert res.iterations > 1
-        assert calls == []
+        log = "".join(events)
+        assert log.count("S") == res.iterations
+        assert "G" in log
+        assert re.fullmatch(r"(SS(GSG?)?)*S?", log), log
         assert elbo(res.state, d, res.params) == res.elbo
-        assert len(calls) == 1
+        assert events[len(log):] == ["G"]
+
+    def test_rejected_extrapolations_give_the_plain_loop(self, rng,
+                                                          kernel_path):
+        # with every extrapolation rejected, the restored state and
+        # parameters continue exactly as plain EM does
+        for case in (dict(with_covariate=True), dict(n=12, sizes=[5, 1, 9]),
+                     dict(n=30, rho=0.6, max_group=6)):
+            d = random_grouped(rng, **case)
+            init = initial_params(d, pi=0.3)
+            opts = EmOptions(max_iter=500)
+            steps = Rejecting(estep_sweep, group_fit._swept_fit_pass,
+                              mstep_update, refresh_residual, elbo)
+            res = run_em(d, init, VariationalState.initial(d, init), opts,
+                         *steps.steps)
+            params, state, trace = manual_em(
+                d, init, VariationalState.initial(d, init), opts,
+                estep_sweep, mstep_update, refresh_residual, elbo)
+            assert res.converged and steps.rejected > 0
+            assert res.iterations == trace.size + steps.rejected
+            assert_same_fit(res, params, state, trace)
+
+    def test_run_ending_at_a_rejection_returns_the_restored_state(self, rng):
+        # a run that max_iter stops right after a rejected extrapolation
+        # returns the plain state, s2 included, and the bound it evaluates to
+        d = random_grouped(rng, n=30, rho=0.6, sizes=[6, 1, 4])
+        init = initial_params(d, pi=0.3)
+        ends = 0
+        for max_iter in range(1, 10):
+            opts = EmOptions(max_iter=max_iter, rel_tol=1e-12)
+            steps = Rejecting(estep_sweep, group_fit._swept_fit_pass,
+                              mstep_update, refresh_residual, elbo)
+            res = run_em(d, init, VariationalState.initial(d, init), opts,
+                         *steps.steps)
+            ends += steps.last == -math.inf
+            params, state, trace = manual_em(
+                d, init, VariationalState.initial(d, init),
+                EmOptions(max_iter=res.elbo_trace.size, rel_tol=1e-12),
+                estep_sweep, mstep_update, refresh_residual, elbo)
+            assert_same_fit(res, params, state, trace)
+            assert elbo(res.state, d, res.params) == res.elbo
+        assert ends > 0
+
+    def test_sweeps_capped_by_max_iter(self, rng):
+        d = random_grouped(rng, n=30, rho=0.6, sizes=[6, 1, 4])
+        for max_iter in range(1, 8):
+            res = em_fit(d, initial_params(d, pi=0.3),
+                         EmOptions(max_iter=max_iter, rel_tol=1e-12))
+            assert res.iterations <= max_iter
+            assert 1 <= res.elbo_trace.size <= res.iterations
+            assert res.elbo == res.elbo_trace[-1]
+
+    def test_reaches_the_plain_bound_in_fewer_sweeps(self, rng):
+        # correlated columns and pi held fixed, as a grid point holds it
+        for _ in range(6):
+            d = random_grouped(rng, n=40, rho=0.8, max_group=5,
+                               with_covariate=True)
+            init = initial_params(d, pi=0.3)
+            opts = EmOptions(max_iter=5000, rel_tol=1e-10, fix_pi=True)
+            res = em_fit(d, init, opts)
+            _, _, trace = manual_em(
+                d, init, VariationalState.initial(d, init), opts,
+                estep_sweep, mstep_update, refresh_residual, elbo)
+            assert res.converged
+            assert abs(res.elbo - trace[-1]) <= 1e-8 * (1.0 + abs(trace[-1]))
+            assert res.iterations < trace.size
 
     def test_interleaved_groups_match_group_order(self, rng, kernel_path):
         # group ids interleaved in column order, two groups wider than n:

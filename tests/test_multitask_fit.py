@@ -24,12 +24,21 @@ from bivas import (
     mt_refresh_residual,
 )
 from bivas.designs import _solve_cho, clamp_prob
-from bivas.group_fit import estep_sweep_python
+from bivas.group_fit import _swept_fit_pass, estep_sweep_python, run_em
 from bivas.oracle import exact_log_marginal
 
-from conftest import manual_em, mt_direct_sweep, random_multitask, sweep_cases
+from conftest import (
+    Rejecting,
+    assert_same_fit,
+    manual_em,
+    mt_direct_sweep,
+    own_fit_passes,
+    random_multitask,
+    sweep_cases,
+)
 
 SWEEPS = sweep_cases(mt_estep_sweep, estep_sweep_python)
+
 
 
 def _singleton_pair(rng, n=40, K=8):
@@ -317,26 +326,59 @@ class TestMtEmFit:
             assert np.all(diffs >= -1e-8 * (1.0 + np.abs(res.elbo_trace[1:])))
 
     def test_matches_loop_of_public_steps(self, rng):
-        # the shared fit pass gives what each step computes on its own
+        # the shared fit pass gives bit for bit what each step computes on
+        # its own, at the plain steps and at the extrapolated ones
         for data in (random_multitask(rng, L=3, K=6),
                      random_multitask(rng, L=2, K=30, n_range=(10, 20))):
             init = mt_initial_params(data, pi=0.3)
             opts = EmOptions(max_iter=60)
             res = mt_em_fit(data, init, opts)
+            own = run_em(data, init, VariationalState.initial(data, init),
+                         opts, *own_fit_passes(mt_estep_sweep, mt_mstep_update,
+                                               mt_refresh_residual, mt_elbo))
+            assert res.iterations == own.iterations
+            assert_same_fit(res, own.params, own.state, own.elbo_trace)
+
+    def test_rejected_extrapolations_give_the_plain_loop(self, rng):
+        # with every extrapolation rejected, the restored state and
+        # parameters continue exactly as plain EM does
+        for data in (random_multitask(rng, L=3, K=6),
+                     random_multitask(rng, L=2, K=20, n_range=(40, 60))):
+            init = mt_initial_params(data, pi=0.3)
+            opts = EmOptions(max_iter=500)
+            steps = Rejecting(mt_estep_sweep, _swept_fit_pass, mt_mstep_update,
+                              mt_refresh_residual, mt_elbo)
+            res = run_em(data, init, VariationalState.initial(data, init),
+                         opts, *steps.steps)
             params, state, trace = manual_em(
                 data, init, VariationalState.initial(data, init), opts,
                 mt_estep_sweep, mt_mstep_update, mt_refresh_residual, mt_elbo)
-            assert trace.shape == res.elbo_trace.shape
-            assert np.allclose(res.elbo_trace, trace, rtol=1e-12, atol=0.0)
-            for got, want in ((res.state.mu, state.mu),
-                              (res.state.alpha_jk, state.alpha_jk),
-                              (res.state.pi_k, state.pi_k),
-                              (res.params.sigma_e2, params.sigma_e2),
-                              (res.params.sigma_beta2, params.sigma_beta2)):
-                assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
-            for got, want in zip(res.state.residual + res.params.omega,
-                                 state.residual + params.omega):
-                assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
+            assert res.converged and steps.rejected > 0
+            assert res.iterations == trace.size + steps.rejected
+            assert_same_fit(res, params, state, trace)
+
+    def test_sweeps_capped_by_max_iter(self, rng):
+        data = random_multitask(rng, L=2, K=20, n_range=(40, 60))
+        for max_iter in range(1, 8):
+            res = mt_em_fit(data, mt_initial_params(data, pi=0.3),
+                            EmOptions(max_iter=max_iter, rel_tol=1e-12))
+            assert res.iterations <= max_iter
+            assert 1 <= res.elbo_trace.size <= res.iterations
+            assert res.elbo == res.elbo_trace[-1]
+
+    def test_reaches_the_plain_bound_in_fewer_sweeps(self, rng):
+        # pi held fixed, as a grid point holds it
+        for _ in range(6):
+            data = random_multitask(rng, L=2, K=20, n_range=(40, 60))
+            init = mt_initial_params(data, pi=0.3)
+            opts = EmOptions(max_iter=5000, rel_tol=1e-10, fix_pi=True)
+            res = mt_em_fit(data, init, opts)
+            _, _, trace = manual_em(
+                data, init, VariationalState.initial(data, init), opts,
+                mt_estep_sweep, mt_mstep_update, mt_refresh_residual, mt_elbo)
+            assert res.converged
+            assert abs(res.elbo - trace[-1]) <= 1e-8 * (1.0 + abs(trace[-1]))
+            assert res.iterations < trace.size
 
     def test_noise_only_stays_sparse(self):
         rng = np.random.default_rng(123)

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from bivas import (
-    GroupedDesign,
-    ModelParams,
-    VariationalState,
-    initial_params,
-)
+from bivas import GroupedDesign, ModelParams, VariationalState
 from bivas.exceptions import TooLarge
 from bivas.oracle import exact_log_marginal, exact_posteriors
 

@@ -5,7 +5,6 @@ import pytest
 from bivas.exceptions import DimensionMismatch
 from bivas.simulate import (
     SimConfig,
-    SimTruth,
     gen_coefficients,
     gen_design,
     gen_multitask,
