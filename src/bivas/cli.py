@@ -65,7 +65,9 @@ def _add_fit_flags(sub):
     sub.add_argument("--grid-size", type=int, default=20,
                      help="number of group-sparsity grid points (default 20)")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: BIVAS_THREADS or 1)")
+                     help="worker threads for the grid's two cold endpoint "
+                          "fits; more than two change nothing (default: "
+                          "BIVAS_THREADS or 1)")
     sub.add_argument("--fdr", type=float, default=0.05,
                      help="local fdr selection threshold (default 0.05)")
     sub.add_argument("--tol", type=float, default=1e-5,

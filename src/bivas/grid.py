@@ -3,11 +3,14 @@
 The group-level prior inclusion probability is hard to estimate from a
 single EM run, so the model is fit once per grid value pi(i) (log10-odds
 equally spaced on [-log10 K, 0]) with pi held fixed, and the per-run
-posteriors are averaged under weights proportional to exp(elbo).  Runs are
-independent, so they are scheduled dynamically over a shared work queue.
-Grid points that stop at ``max_iter`` are reported through the "bivas"
-logger.  A grid is the array of its pi values; the fit and its summary
-keep the container's ``group_of``, whose shape tells the two models apart.
+posteriors are averaged under weights proportional to exp(elbo).  Only the
+two endpoints are fit cold; every other point, and the far endpoint once
+more, is one link of a chain of warm runs, each started from its
+neighbour's fit (Carbonetto & Stephens 2012).  The chain is serial, so at
+most the two cold runs are independent.  Grid points that stop at
+``max_iter`` are reported through the "bivas" logger.  A grid is the array
+of its pi values; the fit and its summary keep the container's
+``group_of``, whose shape tells the two models apart.
 """
 from __future__ import annotations
 
@@ -85,12 +88,19 @@ def run_grid(data, pi_values, opts: EmOptions | None = None,
              threads: int = 1) -> GridFit:
     """Fit the model once per pi in ``pi_values``, the group prior held fixed.
 
-    Idle workers claim the next unstarted grid point from a shared queue;
-    each run is self-contained and deterministically initialized, so the
-    result is identical for any thread count and claim order.  When any
-    run stops at ``max_iter`` without converging, one WARNING on the
-    "bivas" logger names those grid points, their pi values and the total
-    weight they carry; the results are unchanged.
+    The two endpoints are fit cold, from :func:`initial_params` (at the
+    same time when ``threads`` >= 2; no more than two runs are ever
+    independent).  One chain then walks from the endpoint with the higher
+    bound (the low end on a tie) to the other: each point starts from a
+    copy of the previous run's state, with its parameters and this
+    point's pi.  At the far endpoint the run with the higher bound is
+    kept, the cold one on a tie.  Every run is deterministic, so the
+    result is identical for any thread count.  One DEBUG record on the
+    "bivas" logger gives the chain's direction, the endpoint bounds and
+    the sweeps of all runs, the discarded one included.  When any kept
+    run stops at ``max_iter`` without converging, one WARNING names those
+    grid points, their pi values and the total weight they carry; the
+    results are unchanged.
     """
     if threads < 1:
         raise InvalidCount(f"threads must be >= 1, got {threads}")
@@ -98,15 +108,35 @@ def run_grid(data, pi_values, opts: EmOptions | None = None,
     pi_values = np.asarray(pi_values)
     h = pi_values.shape[0]
 
-    def fit_one(i: int) -> EmResult:
+    def fit_one(i: int, warm: EmResult | None = None) -> EmResult:
         fit = mt_em_fit if isinstance(data, MultiTaskData) else em_fit
-        return fit(data, initial_params(data, float(pi_values[i])), run_opts)
+        pi = float(pi_values[i])
+        if warm is None:
+            return fit(data, initial_params(data, pi), run_opts)
+        return fit(data, replace(warm.params, pi=pi), run_opts,
+                   start=warm.state)
 
+    ends = sorted({0, h - 1})
     if threads == 1 or h == 1:
-        results = [fit_one(i) for i in range(h)]
+        cold = [fit_one(i) for i in ends]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fit_one, range(h)))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            cold = list(pool.map(fit_one, ends))
+    results = [cold[0]] * h
+    results[-1] = cold[-1]
+    sweeps = sum(res.iterations for res in cold)
+    up = cold[0].elbo >= cold[-1].elbo
+    far = h - 1 if up else 0
+    for i in range(1, h) if up else range(h - 2, -1, -1):
+        run = fit_one(i, results[i - 1 if up else i + 1])
+        sweeps += run.iterations
+        if i != far or run.elbo > results[i].elbo:
+            results[i] = run
+    logger.debug(
+        "grid of %d points: cold endpoint bounds %.6f (pi=%.6g) and %.6f "
+        "(pi=%.6g); chain %s; %d sweeps in all runs",
+        h, cold[0].elbo, pi_values[0], cold[-1].elbo, pi_values[-1],
+        "up from the low end" if up else "down from the high end", sweeps)
 
     elbos = np.array([res.elbo for res in results])
     weights = normalize_weights(elbos)

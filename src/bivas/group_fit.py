@@ -512,15 +512,31 @@ def _swept_fit_pass(state, data):
     return fit_pass(state, data, state.group_fit)
 
 
+def _start_state(data, params, start: VariationalState | None,
+                refresh) -> VariationalState:
+    """A run's first state: :meth:`VariationalState.initial` when
+    ``start`` is None, and otherwise a copy of ``start`` whose residual
+    and group fits ``refresh`` rebuilds for ``params`` from one
+    from-scratch :func:`~bivas.designs.fit_pass`; ``start`` is not
+    changed."""
+    if start is None:
+        return VariationalState.initial(data, params)
+    state = start.copy()
+    return refresh(state, data, params, fits=designs.fit_pass(state, data))
+
+
 def em_fit(data: GroupedDesign, init: ModelParams,
-           opts: EmOptions | None = None) -> EmResult:
+           opts: EmOptions | None = None,
+           start: VariationalState | None = None) -> EmResult:
     """Alternate coordinate sweeps and M-steps until the bound stalls
-    (:func:`run_em`).  The fit pass reads the group fits the sweep leaves
-    in ``state.group_fit``, bit for bit those of
+    (:func:`run_em`), from the zero-mean start or, when ``start`` is
+    given, from a copy of that state (:func:`_start_state`; a grid's warm
+    runs pass the previous point's).  The fit pass reads the group fits
+    the sweep leaves in ``state.group_fit``, bit for bit those of
     :func:`~bivas.designs.group_fits`, so it makes no pass over X of its
     own.  The returned trace is non-decreasing up to 1e-8 * (1 + |L|)
     slack.
     """
-    return run_em(data, init, VariationalState.initial(data, init), opts,
-                  estep_sweep, _swept_fit_pass, mstep_update,
+    return run_em(data, init, _start_state(data, init, start, refresh_residual),
+                  opts, estep_sweep, _swept_fit_pass, mstep_update,
                   refresh_residual, elbo)

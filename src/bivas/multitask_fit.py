@@ -18,6 +18,7 @@ from .designs import (
 from .group_fit import (
     EmOptions,
     EmResult,
+    _start_state,
     _swept_fit_pass,
     elbo,
     estep_sweep,
@@ -36,9 +37,12 @@ mt_elbo = elbo
 
 
 def mt_em_fit(data: MultiTaskData, init: MultiTaskParams,
-              opts: EmOptions | None = None) -> EmResult:
+              opts: EmOptions | None = None,
+              start: VariationalState | None = None) -> EmResult:
     """The grouped engine's loop (:func:`~bivas.group_fit.run_em`) over the
-    multi-task steps; monotone bound trace."""
-    return run_em(data, init, VariationalState.initial(data, init), opts,
+    multi-task steps, from the zero-mean start or a copy of ``start``
+    (:func:`~bivas.group_fit._start_state`); monotone bound trace."""
+    return run_em(data, init,
+                  _start_state(data, init, start, mt_refresh_residual), opts,
                   mt_estep_sweep, _swept_fit_pass, mt_mstep_update,
                   mt_refresh_residual, mt_elbo)

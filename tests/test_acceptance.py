@@ -52,16 +52,19 @@ def report(criterion, ok, detail):
 
 
 def stalled(fit):
-    """A grid's points, its points stopped at max_iter, and their weight."""
+    """A grid's points, its points stopped at max_iter, their weight, and
+    the sweeps of its kept runs."""
     mask = np.array([not res.converged for res in fit.results])
-    return mask.size, int(mask.sum()), float(fit.weights[mask].sum())
+    return (mask.size, int(mask.sum()), float(fit.weights[mask].sum()),
+            sum(res.iterations for res in fit.results))
 
 
 def stalled_detail(grids):
     """The :func:`stalled` rows of several grids, as one report phrase."""
-    points, count, weight = np.array(grids).T
+    points, count, weight, sweeps = np.array(grids).T
     return (f"{int(count.sum())} of {int(points.sum())} grid points stopped "
-            f"at max_iter (at most {weight.max():.3f} of a grid's weight)")
+            f"at max_iter (at most {weight.max():.3f} of a grid's weight), "
+            f"{int(sweeps.sum())} sweeps in the kept runs")
 
 
 def test_criterion_1_elbo_monotonicity():

@@ -1,5 +1,8 @@
-"""Sparsity grid construction, weights, parallel runs, aggregation, selection."""
+"""Sparsity grid construction, weights, the warm chain, aggregation,
+selection."""
+import copy
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,18 +12,21 @@ from hypothesis import strategies as st
 from bivas import (
     EmOptions,
     GroupedDesign,
+    MultiTaskData,
     aggregate,
+    em_fit,
     make_pi_grid,
+    mt_em_fit,
     normalize_weights,
     predict,
     run_grid,
     select,
 )
-from bivas import _sweep
+from bivas import _sweep, grid as grid_module
 from bivas.exceptions import DimensionMismatch, InvalidCount, InvalidThreshold
 from bivas.simulate import SimConfig, gen_multitask, simulate_dataset
 
-
+from conftest import assert_same_fit
 
 class TestMakePiGrid:
     def test_endpoints_k10(self):
@@ -179,6 +185,157 @@ class TestRunGrid:
                 == [r.iterations for r in want.results]
             assert np.abs(got.elbos - want.elbos).max() \
                 <= 1e-12 * np.abs(want.elbos).max()
+
+
+def _grouped_low_wins():
+    """A grouped draw whose low endpoint has the higher cold bound, and
+    whose far endpoint's warm run beats its cold one."""
+    return simulate_dataset(SimConfig(n=80, p=24, K=6, pi_true=0.4,
+                                      alpha_true=0.5, snr=1.0, seed=2))[0]
+
+
+def _multitask_high_wins():
+    """A multi-task draw whose high endpoint has the higher cold bound, and
+    whose far endpoint's warm run beats its cold one."""
+    return gen_multitask(SimConfig(n=[40, 30, 25], p=30, K=30, pi_true=0.3,
+                                   alpha_true=0.6, snr=1.5, seed=1))[0]
+
+
+def _grouped_cold_wins():
+    """A grouped draw whose far endpoint keeps its cold run."""
+    return simulate_dataset(SimConfig(n=120, p=40, K=8, pi_true=0.3,
+                                      alpha_true=0.5, snr=1.5, seed=21))[0]
+
+
+def _multitask_cold_wins():
+    """A multi-task draw whose far endpoint keeps its cold run."""
+    return gen_multitask(SimConfig(n=[40, 30, 25], p=30, K=30, pi_true=0.3,
+                                   alpha_true=0.6, snr=1.5, seed=2))[0]
+
+
+class TestWarmChain:
+    """Cold fits at the two endpoints, then one chain of warm runs from
+    the endpoint with the higher bound to the other."""
+
+    @staticmethod
+    def _traced(monkeypatch, data, h, tamper=None):
+        """run_grid with the engine it looks up wrapped: every run as
+        (pi, start, result, a deep copy of the result as returned).
+        ``tamper(pi, start, result)`` may replace what the grid gets."""
+        name = "mt_em_fit" if isinstance(data, MultiTaskData) else "em_fit"
+        inner, calls = getattr(grid_module, name), []
+
+        def spy(data, init, opts=None, start=None):
+            res = inner(data, init, opts, start=start)
+            if tamper is not None:
+                res = tamper(init.pi, start, res)
+            calls.append((init.pi, start, res, copy.deepcopy(res)))
+            return res
+        monkeypatch.setattr(grid_module, name, spy)
+        return run_grid(data, make_pi_grid(data.K, h)), calls
+
+    @pytest.mark.parametrize("draw, up", [(_grouped_low_wins, True),
+                                          (_multitask_high_wins, False)])
+    def test_chain_runs_from_the_better_endpoint(self, monkeypatch, draw, up):
+        data = draw()
+        fit, calls = self._traced(monkeypatch, data, 5)
+        pis = fit.pi_values
+        order = range(1, 5) if up else range(3, -1, -1)
+        assert [(pi, start is None) for pi, start, _, _ in calls] == \
+            [(pis[0], True), (pis[4], True)] + [(pis[i], False) for i in order]
+        assert (calls[0][2].elbo >= calls[1][2].elbo) == up
+
+    @pytest.mark.parametrize("draw", [_grouped_low_wins, _multitask_high_wins])
+    def test_warm_point_is_a_fit_from_its_neighbour(self, monkeypatch, draw):
+        # each warm run equals a fresh engine run from a deep copy of the
+        # previous kept run's state, its parameters with this point's pi
+        data = draw()
+        fit, calls = self._traced(monkeypatch, data, 5)
+        engine = mt_em_fit if isinstance(data, MultiTaskData) else em_fit
+        opts = EmOptions(fix_pi=True)
+        up = calls[0][2].elbo >= calls[1][2].elbo
+        for pi, start, res, _ in calls[2:]:
+            i = int(np.flatnonzero(fit.pi_values == pi)[0])
+            prev = fit.results[i - 1 if up else i + 1]
+            assert start is prev.state
+            fresh = engine(data, replace(prev.params, pi=pi), opts,
+                           start=copy.deepcopy(prev.state))
+            assert_same_fit(fresh, res.params, res.state, res.elbo_trace)
+            assert (fresh.iterations, fresh.converged) \
+                == (res.iterations, res.converged)
+
+    @pytest.mark.parametrize("draw, warm_wins", [
+        (_grouped_low_wins, True), (_multitask_high_wins, True),
+        (_grouped_cold_wins, False), (_multitask_cold_wins, False)])
+    def test_far_endpoint_keeps_the_higher_bound(self, monkeypatch, draw,
+                                                 warm_wins):
+        fit, calls = self._traced(monkeypatch, draw(), 4)
+        (_, _, low, _), (_, _, high, _) = calls[:2]
+        far = 3 if low.elbo >= high.elbo else 0
+        cold, warm = (high if far else low), calls[-1][2]
+        assert calls[-1][0] == fit.pi_values[far]
+        assert (warm.elbo > cold.elbo) == warm_wins
+        assert fit.results[far] is (warm if warm_wins else cold)
+        assert fit.elbos[far] == max(warm.elbo, cold.elbo)
+
+    @pytest.mark.parametrize("draw", [_grouped_low_wins, _multitask_high_wins])
+    def test_runs_are_not_changed_by_later_steps(self, monkeypatch, draw):
+        _, calls = self._traced(monkeypatch, draw(), 5)
+        for _, _, res, as_returned in calls:
+            assert_same_fit(res, as_returned.params, as_returned.state,
+                            as_returned.elbo_trace)
+
+    def test_one_point_is_one_cold_fit(self, monkeypatch):
+        fit, calls = self._traced(monkeypatch, _grouped_low_wins(), 1)
+        assert [(pi, start) for pi, start, _, _ in calls] == [(0.5, None)]
+        assert fit.results == [calls[0][2]] and fit.weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize("draw", [_grouped_low_wins, _multitask_high_wins])
+    def test_two_points(self, monkeypatch, draw):
+        fit, calls = self._traced(monkeypatch, draw(), 2)
+        (_, _, low, _), (_, _, high, _), (pi, start, warm, _) = calls
+        near, far = (0, 1) if low.elbo >= high.elbo else (1, 0)
+        assert pi == fit.pi_values[far]
+        assert start is (low, high)[near].state
+        assert fit.results[near] is (low, high)[near]
+        assert fit.elbos[far] == max(warm.elbo, (low, high)[far].elbo)
+        assert fit.weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_max_iter_warning_names_kept_runs_only(self, monkeypatch, caplog):
+        # the far endpoint's cold run is marked stalled and loses to the
+        # warm run; point 2's warm run is marked stalled and is kept
+        def tamper(pi, start, res):
+            if start is None and pi == 0.5:
+                return replace(res, converged=False, elbo=res.elbo - 1.0)
+            if start is not None and pi == grid[2]:
+                return replace(res, converged=False)
+            return res
+        data = _grouped_low_wins()
+        grid = make_pi_grid(data.K, 5)
+        with caplog.at_level(logging.WARNING, logger="bivas"):
+            fit, _ = self._traced(monkeypatch, data, 5, tamper=tamper)
+        assert [res.converged for res in fit.results] \
+            == [True, True, False, True, True]
+        records = [r for r in caplog.records if r.name == "bivas"]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        assert message.startswith("1 of 5 grid points")
+        assert f"grid indices 2 (pi={grid[2]:.6g});" in message
+
+    @pytest.mark.parametrize("draw, direction", [
+        (_grouped_low_wins, "up from the low end"),
+        (_multitask_high_wins, "down from the high end")])
+    def test_one_debug_record_per_grid(self, monkeypatch, caplog, draw,
+                                       direction):
+        with caplog.at_level(logging.DEBUG, logger="bivas"):
+            fit, calls = self._traced(monkeypatch, draw(), 5)
+        records = [r for r in caplog.records if r.name == "bivas"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        message = records[0].getMessage()
+        sweeps = sum(res.iterations for _, _, res, _ in calls)
+        assert f"chain {direction}; {sweeps} sweeps in all runs" in message
+        assert f"{calls[0][2].elbo:.6f} (pi={fit.pi_values[0]:.6g})" in message
+        assert f"{calls[1][2].elbo:.6f} (pi=0.5)" in message
 
 
 class TestAggregate:
