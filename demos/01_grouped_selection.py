@@ -30,13 +30,13 @@ for pi, e, w, res in zip(fit.pi_values, fit.elbos, fit.weights, fit.results):
 summary = aggregate(fit)
 report = select(summary, threshold=0.05)
 true_groups = set(np.nonzero(truth.eta)[0].tolist())
-print(f"\nselected groups (fdr < 0.05): {report.groups.tolist()}")
+print(f"\nselected groups (fdr < 0.05): {np.flatnonzero(report.groups).tolist()}")
 print(f"truly active groups:          {sorted(true_groups)}")
 
 nonzero = truth.coef != 0.0
-fdr, power = fdr_power(report.variables, np.nonzero(nonzero)[0])
+fdr, power = fdr_power(report.variables, nonzero)
 score = summary.pi_tilde[design.group_of] * summary.alpha_tilde
-print(f"\nvariable selection: {len(report.variables)} picked, "
+print(f"\nvariable selection: {report.variables.sum()} picked, "
       f"empirical FDR {fdr:.3f}, power {power:.3f}")
 print(f"variable AUC {auc(score, nonzero):.3f}, "
       f"group AUC {auc(summary.pi_tilde, truth.eta > 0):.3f}")

@@ -48,14 +48,7 @@ from .group_fit import (
     initial_params,
     mstep_update,
 )
-from .multitask_fit import (
-    mt_elbo,
-    mt_em_fit,
-    mt_estep_sweep,
-    mt_initial_params,
-    mt_mstep_update,
-    mt_refresh_residual,
-)
+from .multitask_fit import mt_em_fit
 
 __version__ = "0.1.0"
 
@@ -79,12 +72,7 @@ __all__ = [
     "make_pi_grid",
     "metrics",
     "mstep_update",
-    "mt_elbo",
     "mt_em_fit",
-    "mt_estep_sweep",
-    "mt_initial_params",
-    "mt_mstep_update",
-    "mt_refresh_residual",
     "normalize_weights",
     "oracle",
     "predict",

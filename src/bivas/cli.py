@@ -241,7 +241,7 @@ def cmd_evaluate(args) -> int:
     eta = np.asarray(truth["eta"], float)
     pi_tilde, effect = summary.pi_tilde, summary.effect
     nonzero = coef != 0.0
-    fdr, power = fdr_power(np.argwhere(selected), np.argwhere(nonzero))
+    fdr, power = fdr_power(selected, nonzero)
     row = {
         "auc": _defined_auc(pi_tilde[summary.group_of] * summary.alpha_tilde,
                             nonzero),

@@ -230,7 +230,6 @@ class GroupedDesign:
         if np.any(sizes == 0):
             empty = np.nonzero(sizes == 0)[0]
             raise EmptyGroup(f"group ids with no members: {empty.tolist()}")
-        self.group_sizes = sizes
 
         self.group_labels = list(group_labels) if group_labels is not None \
             else list(range(self.K))

@@ -76,10 +76,6 @@ class GridFit:
     group_of: np.ndarray
 
     @property
-    def h(self) -> int:
-        return self.pi_values.shape[0]
-
-    @property
     def multitask(self) -> bool:
         return self.group_of.ndim == 2
 
@@ -203,28 +199,22 @@ def aggregate(gridfit: GridFit) -> PosteriorSummary:
 
 @dataclass
 class SelectionReport:
-    """Indices passing the local-fdr threshold, plus both fdr vectors."""
+    """What passes the local-fdr threshold, as boolean masks of the
+    model's layout: ``groups`` is (K,), ``variables`` has the shape of
+    ``group_of``, (p,) or (K, L)."""
 
     threshold: float
     groups: np.ndarray
-    variables: np.ndarray    # flat indices (grouped) or (k, task) pairs
-    group_fdr: np.ndarray
-    var_fdr: np.ndarray
+    variables: np.ndarray
 
 
 def select(summary: PosteriorSummary, threshold: float = 0.05) -> SelectionReport:
     """Groups and variables whose local fdr is strictly below ``threshold``."""
     if not 0.0 < threshold < 1.0:
         raise InvalidThreshold(f"threshold must be in (0, 1), got {threshold}")
-    groups = np.nonzero(summary.group_fdr < threshold)[0]
-    if summary.multitask:
-        variables = np.argwhere(summary.var_fdr < threshold)
-    else:
-        variables = np.nonzero(summary.var_fdr < threshold)[0]
-    return SelectionReport(threshold=threshold, groups=groups,
-                           variables=variables,
-                           group_fdr=summary.group_fdr.copy(),
-                           var_fdr=summary.var_fdr.copy())
+    return SelectionReport(threshold=threshold,
+                           groups=summary.group_fdr < threshold,
+                           variables=summary.var_fdr < threshold)
 
 
 def predict(summary: PosteriorSummary, Znew, Xnew, task: int | None = None):

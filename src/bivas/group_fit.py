@@ -48,6 +48,8 @@ from .designs import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+# the within-group prior inclusion probability every fit starts from
+INITIAL_ALPHA = 0.1
 
 
 def sigmoid(x: float) -> float:
@@ -128,11 +130,12 @@ def _ols_start(y, Z, cho, xtx, pi, alpha):
     return omega, sigma_e2, sigma_e2
 
 
-def initial_params(data, pi: float, alpha: float = 0.1):
+def initial_params(data, pi: float):
     """Deterministic, scale-aware starting parameters, :func:`_ols_start`
-    in each task, of the container's class (``data._params``)."""
-    return data._params.from_tasks(alpha, pi, [
-        _ols_start(*task, pi, alpha) for task in _tasks(data)])
+    in each task with alpha at ``INITIAL_ALPHA``, of the container's class
+    (``data._params``)."""
+    return data._params.from_tasks(INITIAL_ALPHA, pi, [
+        _ols_start(*task, pi, INITIAL_ALPHA) for task in _tasks(data)])
 
 
 def _slab_terms(state, data, params):

@@ -4,8 +4,9 @@ Data tables are CSV or TSV with a header row.  Predictor columns are
 declared either by a sidecar group map (two columns: predictor name, group
 label) or by an inline group row -- a row directly under the header whose
 response cell is the literal word ``group``; cells of that row name each
-predictor's group and empty cells mark covariates.  Every numeric value is
-written with ``repr``, which round-trips doubles exactly.
+predictor's group and empty cells mark covariates.  Every CSV file is
+written through one helper (:func:`_write_csv`), and every numeric value
+with ``repr``, which round-trips doubles exactly.
 """
 from __future__ import annotations
 
@@ -52,24 +53,18 @@ def _tee(lines, taken: list):
         yield line
 
 
-def read_table(path: str):
-    """Read a delimited table; returns (header, rows of raw strings)."""
-    with open(path, newline="") as fh:
-        rows = list(_rows(fh, path))
-    if not rows:
-        raise NonNumeric(f"{path}: empty table")
-    return rows[0], rows[1:]
-
-
 def read_group_map(path: str, response: str | None = None) -> dict:
     """Sidecar group map: name -> label, one predictor per row; a short
     row, a repeated name or a row naming the ``response`` column fails
     with its row number (non-blank rows, the header being row 1)."""
-    header, rows = read_table(path)
-    if len(header) < 2:
+    with open(path, newline="") as fh:
+        rows = list(_rows(fh, path))
+    if not rows:
+        raise NonNumeric(f"{path}: empty table")
+    if len(rows[0]) < 2:
         raise NonNumeric(f"{path}: group map needs two columns")
     labels, line_of = {}, {}
-    for line, row in enumerate(rows, start=2):
+    for line, row in enumerate(rows[1:], start=2):
         if len(row) < 2:
             raise NonNumeric(f"{path}: row {line} has one cell, expected "
                              f"two (predictor, group)")
@@ -289,28 +284,31 @@ def load_multitask(paths, *, response: str = "y") -> MultiTaskData:
                          covariate_names=[t.covariate_names for t in tables])
 
 
+def _write_csv(path: str, head: list, body, *, delimiter: str = ",",
+               mode: str = "w"):
+    """Write the rows of ``head`` and then those of ``body``, each a list
+    of cells, to the delimited file ``path``."""
+    with open(path, mode, newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerows(head)
+        writer.writerows(body)
+
+
 def write_design_csv(path: str, design: GroupedDesign, *, response: str = "y"):
     """Write a design back to CSV with an inline group row."""
     header = [response] + design.covariate_names + design.predictor_names
     marker = [GROUP_ROW_MARKER] + [""] * design.r \
-        + [str(design.group_labels[design.group_of[j]]) for j in range(design.p)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=_delimiter(path))
-        writer.writerow(header)
-        writer.writerow(marker)
-        for i in range(design.n):
-            row = [_fmt(design.y[i])]
-            row += [_fmt(v) for v in design.Z[i]]
-            row += [_fmt(v) for v in design.X[i]]
-            writer.writerow(row)
+        + [str(design.group_labels[k]) for k in design.group_of]
+    rows = ([_fmt(v) for v in (design.y[i], *design.Z[i], *design.X[i])]
+            for i in range(design.n))
+    _write_csv(path, [header, marker], rows, delimiter=_delimiter(path))
 
 
 def write_group_map(path: str, design: GroupedDesign):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=_delimiter(path))
-        writer.writerow(["predictor", "group"])
-        for j, name in enumerate(design.predictor_names):
-            writer.writerow([name, str(design.group_labels[design.group_of[j]])])
+    _write_csv(path, [["predictor", "group"]], (
+        [name, str(design.group_labels[k])]
+        for name, k in zip(design.predictor_names, design.group_of)),
+        delimiter=_delimiter(path))
 
 
 # ---------------------------------------------------------------------------
@@ -450,64 +448,44 @@ def read_model(path: str) -> dict:
 
 def write_posterior_csv(path: str, summary: PosteriorSummary, design):
     """Per-variable table: id, group, posteriors, effect, fdr columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "group", "pi_tilde", "alpha_tilde",
-                         "mu_tilde", "effect", "group_fdr", "var_fdr"])
-        for j in range(len(design.predictor_names)):
-            k = design.group_of[j]
-            writer.writerow([
-                design.predictor_names[j],
-                str(design.group_labels[k]),
-                _fmt(summary.pi_tilde[k]),
-                _fmt(summary.alpha_tilde[j]),
-                _fmt(summary.mu_tilde[j]),
-                _fmt(summary.effect[j]),
-                _fmt(summary.group_fdr[k]),
-                _fmt(summary.var_fdr[j]),
-            ])
+    _write_csv(path, [["id", "group", "pi_tilde", "alpha_tilde", "mu_tilde",
+                       "effect", "group_fdr", "var_fdr"]], (
+        [name, str(design.group_labels[k])] + [_fmt(v) for v in (
+            summary.pi_tilde[k], summary.alpha_tilde[j], summary.mu_tilde[j],
+            summary.effect[j], summary.group_fdr[k], summary.var_fdr[j])]
+        for j, (name, k) in enumerate(zip(design.predictor_names,
+                                          design.group_of))))
 
 
 def write_groups_csv(path: str, summary: PosteriorSummary, design):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "pi_tilde", "fdr"])
-        for k in range(summary.pi_tilde.shape[0]):
-            writer.writerow([str(design.group_labels[k]),
-                             _fmt(summary.pi_tilde[k]),
-                             _fmt(summary.group_fdr[k])])
+    _write_csv(path, [["group", "pi_tilde", "fdr"]], (
+        [str(design.group_labels[k]), _fmt(pi), _fmt(fdr)]
+        for k, (pi, fdr) in enumerate(zip(summary.pi_tilde,
+                                          summary.group_fdr))))
 
 
 def selection_to_dict(report: SelectionReport, summary: PosteriorSummary,
                       design) -> dict:
     """The selected groups and variables with their local fdr; a variable
     of a multi-task model names its task, and its group is its feature."""
-    if summary.multitask:
-        names = design.predictor_names
-        variables = [
-            {"predictor": names[k], "task": int(j),
-             "fdr": float(report.var_fdr[k, j])}
-            for k, j in report.variables
-        ]
-    else:
-        names = [str(lab) for lab in design.group_labels]
-        variables = [
-            {"predictor": design.predictor_names[j],
-             "fdr": float(report.var_fdr[j])}
-            for j in report.variables
-        ]
-    groups = [{"group": names[k], "fdr": float(report.group_fdr[k])}
-              for k in report.groups]
+    variables = []
+    for at in np.argwhere(report.variables):
+        entry = {"predictor": design.predictor_names[at[0]]}
+        if summary.multitask:
+            entry["task"] = int(at[1])
+        entry["fdr"] = float(summary.var_fdr[tuple(at)])
+        variables.append(entry)
+    names = design.predictor_names if summary.multitask \
+        else [str(lab) for lab in design.group_labels]
+    groups = [{"group": names[k], "fdr": float(summary.group_fdr[k])}
+              for k in np.flatnonzero(report.groups)]
     return {"threshold": report.threshold, "groups": groups,
             "variables": variables}
 
 
 def write_predictions_csv(path: str, yhat):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prediction"])
-        for v in np.asarray(yhat, float).ravel():
-            writer.writerow([_fmt(v)])
+    _write_csv(path, [["prediction"]],
+               ([_fmt(v)] for v in np.asarray(yhat, float).ravel()))
 
 
 def truth_to_dict(truth, extra: dict | None = None) -> dict:
@@ -520,10 +498,6 @@ def truth_to_dict(truth, extra: dict | None = None) -> dict:
 
 def append_metrics_csv(path: str, row: dict):
     """Append one metrics row, writing the header when the file is new."""
-    exists = os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if not exists:
-            writer.writerow(list(row))
-        writer.writerow([_fmt(v) if isinstance(v, float) else v
-                         for v in row.values()])
+    _write_csv(path, [] if os.path.exists(path) else [list(row)],
+               [[_fmt(v) if isinstance(v, float) else v for v in row.values()]],
+               mode="a")

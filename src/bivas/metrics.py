@@ -1,4 +1,8 @@
-"""Evaluation of fits against simulation truth."""
+"""Evaluation of fits against simulation truth.
+
+A selection and a truth are scored as boolean masks of one shape, the
+model's layout: (p,) for a grouped design and (K, L) for multi-task data.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -27,27 +31,22 @@ def auc(scores, labels) -> float:
 
 
 def fdr_power(selected, truth_nonzero):
-    """Empirical false discovery rate and power of a selected index set.
+    """Empirical false discovery rate and power of a selection.
 
-    ``selected`` and ``truth_nonzero`` are each an index array, an (m, d)
-    array of index rows or a 1-D boolean mask.  FDR = FP / max(1, FP + TP);
-    power counts the recovered fraction of true positives.
+    ``selected`` and ``truth_nonzero`` are boolean masks of one shape.
+    FDR = FP / max(1, FP + TP); power is TP over the true positives, 0.0
+    when there are none.
     """
-    selected = np.asarray(selected)
-    truth_nonzero = np.asarray(truth_nonzero)
-    if selected.dtype == bool:
-        selected = np.nonzero(selected)[0]
-    if truth_nonzero.dtype == bool:
-        truth_nonzero = np.nonzero(truth_nonzero)[0]
-    # rows of an (m, d) array of index rows become tuples; an empty one,
-    # (0, d), becomes the empty set
-    sel = {tuple(i) if isinstance(i, list) else i for i in selected.tolist()}
-    pos = {tuple(i) if isinstance(i, list) else i for i in truth_nonzero.tolist()}
-    tp = len(sel & pos)
-    fp = len(sel) - tp
-    fdr = fp / max(1, fp + tp)
-    power = tp / len(pos) if pos else 0.0
-    return fdr, power
+    selected, truth_nonzero = np.asarray(selected), np.asarray(truth_nonzero)
+    if selected.shape != truth_nonzero.shape \
+            or selected.dtype != bool or truth_nonzero.dtype != bool:
+        raise DimensionMismatch(
+            f"need two boolean masks of one shape, got {selected.dtype} "
+            f"{selected.shape} and {truth_nonzero.dtype} {truth_nonzero.shape}")
+    tp = int(np.sum(selected & truth_nonzero))
+    fp = int(np.sum(selected)) - tp
+    positives = int(np.sum(truth_nonzero))
+    return fp / max(1, fp + tp), tp / positives if positives else 0.0
 
 
 def coef_mse(estimated, true_coef) -> float:

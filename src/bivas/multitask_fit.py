@@ -22,7 +22,6 @@ from .group_fit import (
     _swept_fit_pass,
     elbo,
     estep_sweep,
-    initial_params,
     mstep_update,
     run_em,
 )
@@ -31,7 +30,6 @@ from .group_fit import (
 # its own (a tracer can then time the two engines apart)
 mt_estep_sweep = estep_sweep
 mt_refresh_residual = refresh_residual
-mt_initial_params = initial_params
 mt_mstep_update = mstep_update
 mt_elbo = elbo
 

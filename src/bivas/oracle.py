@@ -1,9 +1,9 @@
 """Exact enumeration of the spike-and-slab marginal likelihood and posteriors.
 
 Only feasible on tiny instances: all 2^(K+p) indicator configurations are
-enumerated, and for each one the slab coefficients integrate out to a
-closed-form Gaussian marginal.  Used as ground truth when testing the
-variational bound and posterior quality.
+enumerated once (:func:`_configurations`), and for each one the slab
+coefficients integrate out to a closed-form Gaussian marginal.  Used as
+ground truth when testing the variational bound and posterior quality.
 """
 from __future__ import annotations
 
@@ -30,8 +30,18 @@ def _check_budget(data: GroupedDesign):
         )
 
 
-def _config_iter(data: GroupedDesign, params: ModelParams):
-    """Yield (log prior, active column indices) over all (eta, gamma)."""
+def _configurations(data: GroupedDesign, params: ModelParams):
+    """Yield (log prior + log likelihood, eta, gamma, E[eta gamma beta | y,
+    eta, gamma]) over all (eta, gamma).
+
+    Given a configuration, y is Gaussian with mean Z omega and covariance
+    sigma_e2 I + sigma_beta2 X_active X_active'; one Cholesky factor of it
+    gives both the likelihood and the posterior mean of the active slabs.
+    """
+    _check_budget(data)
+    resid = data.y - data.Z @ params.omega
+    base = params.sigma_e2 * np.eye(data.n)
+    log_2pi_n = data.n * math.log(2.0 * math.pi)
     log_pi = math.log(params.pi)
     log_1mpi = math.log1p(-params.pi)
     log_a = math.log(params.alpha)
@@ -42,75 +52,30 @@ def _config_iter(data: GroupedDesign, params: ModelParams):
             lp = lp_eta + sum(log_a if g else log_1ma for g in gamma)
             active = [j for j in range(data.p)
                       if gamma[j] and eta[data.group_of[j]]]
-            yield lp, eta, gamma, active
-
-
-def _gaussian_logpdf(resid, cov):
-    """log N(resid | 0, cov) via Cholesky."""
-    n = resid.shape[0]
-    c, low = cho_factor(cov, lower=True)
-    logdet = 2.0 * float(np.log(np.diag(c)).sum())
-    quad = float(resid @ cho_solve((c, low), resid))
-    return -0.5 * (n * math.log(2.0 * math.pi) + logdet + quad)
+            Xa = data.X[:, active]
+            cov = base + params.sigma_beta2 * (Xa @ Xa.T) if active else base
+            c, low = cho_factor(cov, lower=True)
+            solved = cho_solve((c, low), resid)
+            logdet = 2.0 * float(np.log(np.diag(c)).sum())
+            mean = np.zeros(data.p)
+            mean[active] = params.sigma_beta2 * (Xa.T @ solved)
+            yield (lp - 0.5 * (log_2pi_n + logdet + float(resid @ solved)),
+                   eta, gamma, mean)
 
 
 def exact_log_marginal(data: GroupedDesign, params: ModelParams) -> float:
-    """log of the exact marginal likelihood, summed over all configurations.
-
-    Given a configuration, y is Gaussian with mean Z omega and covariance
-    sigma_e2 I + sigma_beta2 X_active X_active'.
-    """
-    _check_budget(data)
-    resid = data.y - data.Z @ params.omega
-    base = params.sigma_e2 * np.eye(data.n)
-    terms = []
-    for lp, _eta, _gamma, active in _config_iter(data, params):
-        if active:
-            Xa = data.X[:, active]
-            cov = base + params.sigma_beta2 * (Xa @ Xa.T)
-        else:
-            cov = base
-        terms.append(lp + _gaussian_logpdf(resid, cov))
-    return float(logsumexp(terms))
+    """log of the exact marginal likelihood, summed over all configurations."""
+    return float(logsumexp([lw for lw, *_ in _configurations(data, params)]))
 
 
 def exact_posteriors(data: GroupedDesign, params: ModelParams):
     """Exact Pr(eta_k = 1 | y), Pr(gamma_jk = 1 | y) and E[eta gamma beta | y].
 
-    Bayes-rule ratios over the same enumeration as
+    Bayes-rule ratios over the configurations of
     :func:`exact_log_marginal`.  Returns (group_prob, variable_prob,
     effect_mean) with shapes (K,), (p,), (p,).
     """
-    _check_budget(data)
-    resid = data.y - data.Z @ params.omega
-    base = params.sigma_e2 * np.eye(data.n)
-
-    log_w = []
-    etas = []
-    gammas = []
-    means = []
-    for lp, eta, gamma, active in _config_iter(data, params):
-        if active:
-            Xa = data.X[:, active]
-            cov = base + params.sigma_beta2 * (Xa @ Xa.T)
-        else:
-            cov = base
-        log_w.append(lp + _gaussian_logpdf(resid, cov))
-        etas.append(eta)
-        gammas.append(gamma)
-        mean = np.zeros(data.p)
-        if active:
-            c, low = cho_factor(cov, lower=True)
-            mean[active] = params.sigma_beta2 * (Xa.T @ cho_solve((c, low), resid))
-        means.append(mean)
-
-    log_w = np.asarray(log_w)
+    log_w, etas, gammas, means = (
+        np.asarray(col, float) for col in zip(*_configurations(data, params)))
     w = np.exp(log_w - logsumexp(log_w))
-    etas = np.asarray(etas, float)
-    gammas = np.asarray(gammas, float)
-    means = np.asarray(means)
-
-    group_prob = w @ etas
-    variable_prob = w @ gammas
-    effect_mean = w @ means
-    return group_prob, variable_prob, effect_mean
+    return w @ etas, w @ gammas, w @ means

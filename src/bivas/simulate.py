@@ -4,7 +4,9 @@ Predictor columns follow an AR(1) process across column index, so column j
 and j' correlate as rho^|j-j'| with unit marginal variance.  Coefficients
 are drawn from the bi-level prior (group indicator, variable indicator,
 standard normal slab) and the noise variance is set from a target
-signal-to-noise ratio var(X beta) / sigma_e2.
+signal-to-noise ratio var(X beta) / sigma_e2.  Grouped and multi-task
+draws go through one truth draw (:func:`_draw_truth`) and one noise step
+(:func:`_respond`), in the shape of the model's ``group_of``.
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ class SimTruth:
     eta: np.ndarray          # (K,)
     gamma: np.ndarray        # (p,) or (K, L)
     beta: np.ndarray         # (p,) or (K, L)
-    coef: np.ndarray         # eta * gamma * beta, same shape as beta
+    coef: np.ndarray         # eta[group_of] * gamma * beta, beta's shape
     sigma_e2: float | np.ndarray
 
 
@@ -75,6 +77,11 @@ def _ar1_matrix(n: int, p: int, rho: float, rng) -> np.ndarray:
     return X
 
 
+def _equal_groups(cfg: SimConfig) -> np.ndarray:
+    """Each column's group: K equal contiguous blocks of p / K columns."""
+    return np.repeat(np.arange(cfg.K), cfg.p // cfg.K)
+
+
 def gen_design(cfg: SimConfig, rng=None) -> GroupedDesign:
     """AR(1) predictors in equal contiguous groups; Z is an intercept column.
 
@@ -84,36 +91,42 @@ def gen_design(cfg: SimConfig, rng=None) -> GroupedDesign:
         rng = cfg.streams()[0]
     n = int(cfg.n)
     X = _ar1_matrix(n, cfg.p, cfg.rho, rng)
-    group_of = np.repeat(np.arange(cfg.K), cfg.p // cfg.K)
-    return GroupedDesign(np.zeros(n), np.ones((n, 1)), X, group_of)
+    return GroupedDesign(np.zeros(n), np.ones((n, 1)), X, _equal_groups(cfg))
+
+
+def _draw_truth(cfg: SimConfig, group_of: np.ndarray, rng) -> SimTruth:
+    """Draw (eta, gamma, beta) from the bi-level prior, gamma and beta in
+    ``group_of``'s shape, (p,) or (K, L); coef = eta[group_of] gamma beta."""
+    eta = (rng.random(cfg.K) < cfg.pi_true).astype(float)
+    gamma = (rng.random(group_of.shape) < cfg.alpha_true).astype(float)
+    beta = rng.standard_normal(group_of.shape)
+    return SimTruth(eta=eta, gamma=gamma, beta=beta,
+                    coef=eta[group_of] * gamma * beta, sigma_e2=0.0)
+
+
+def _respond(X: np.ndarray, coef: np.ndarray, snr: float, rng):
+    """(X coef + noise, sigma_e2) with sigma_e2 = var(X coef) / snr; an
+    all-zero signal falls back to sigma_e2 = 1."""
+    signal = X @ coef
+    var_signal = float(np.var(signal))
+    sigma_e2 = var_signal / snr if var_signal > 0.0 else 1.0
+    return signal + rng.normal(0.0, np.sqrt(sigma_e2), X.shape[0]), sigma_e2
 
 
 def gen_coefficients(cfg: SimConfig, rng=None) -> SimTruth:
-    """Draw (eta, gamma, beta) from the bi-level prior; coef = eta gamma beta."""
+    """Draw the truth of a grouped design (:func:`_draw_truth`)."""
     if rng is None:
         rng = cfg.streams()[1]
-    eta = (rng.random(cfg.K) < cfg.pi_true).astype(float)
-    gamma = (rng.random(cfg.p) < cfg.alpha_true).astype(float)
-    beta = rng.standard_normal(cfg.p)
-    group_of = np.repeat(np.arange(cfg.K), cfg.p // cfg.K)
-    coef = eta[group_of] * gamma * beta
-    return SimTruth(eta=eta, gamma=gamma, beta=beta, coef=coef, sigma_e2=0.0)
+    return _draw_truth(cfg, _equal_groups(cfg), rng)
 
 
 def gen_response(design: GroupedDesign, truth: SimTruth, snr: float, rng=None):
-    """y = X coef + noise with sigma_e2 = var(X coef) / snr.
-
-    All-zero signal falls back to sigma_e2 = 1.  Returns (y, sigma_e2) and
-    records sigma_e2 on the truth.
-    """
+    """y = X coef + noise (:func:`_respond`).  Returns (y, sigma_e2) and
+    records sigma_e2 on the truth."""
     if rng is None:
         rng = np.random.default_rng(0)
-    signal = design.X @ truth.coef
-    var_signal = float(np.var(signal))
-    sigma_e2 = var_signal / snr if var_signal > 0.0 else 1.0
-    y = signal + rng.normal(0.0, np.sqrt(sigma_e2), design.n)
-    truth.sigma_e2 = sigma_e2
-    return y, sigma_e2
+    y, truth.sigma_e2 = _respond(design.X, truth.coef, snr, rng)
+    return y, truth.sigma_e2
 
 
 def simulate_dataset(cfg: SimConfig):
@@ -136,25 +149,12 @@ def gen_multitask(cfg: SimConfig):
     if not isinstance(cfg.n, (list, tuple)):
         raise DimensionMismatch("gen_multitask needs a list of sample sizes")
     design_rng, coef_rng, noise_rng = cfg.streams()
-    L = len(cfg.n)
-    K = cfg.K
-
-    eta = (coef_rng.random(K) < cfg.pi_true).astype(float)
-    gamma = (coef_rng.random((K, L)) < cfg.alpha_true).astype(float)
-    beta = coef_rng.standard_normal((K, L))
-    coef = eta[:, None] * gamma * beta
-
-    tasks = []
-    sigma_e2 = np.empty(L)
-    for j, nj in enumerate(cfg.n):
-        nj = int(nj)
-        Xj = _ar1_matrix(nj, K, cfg.rho, design_rng)
-        signal = Xj @ coef[:, j]
-        var_signal = float(np.var(signal))
-        sigma_e2[j] = var_signal / cfg.snr if var_signal > 0.0 else 1.0
-        yj = signal + noise_rng.normal(0.0, np.sqrt(sigma_e2[j]), nj)
+    truth = _draw_truth(cfg, np.indices((cfg.K, len(cfg.n)))[0], coef_rng)
+    tasks, sigma_e2 = [], []
+    for j, nj in enumerate(map(int, cfg.n)):
+        Xj = _ar1_matrix(nj, cfg.K, cfg.rho, design_rng)
+        yj, s2 = _respond(Xj, truth.coef[:, j], cfg.snr, noise_rng)
         tasks.append((yj, np.ones((nj, 1)), Xj))
-
-    truth = SimTruth(eta=eta, gamma=gamma, beta=beta, coef=coef,
-                     sigma_e2=sigma_e2)
+        sigma_e2.append(s2)
+    truth.sigma_e2 = np.array(sigma_e2)
     return MultiTaskData(tasks), truth

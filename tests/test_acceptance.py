@@ -22,7 +22,6 @@ from bivas import (
     make_pi_grid,
     mstep_update,
     mt_em_fit,
-    mt_initial_params,
     normalize_weights,
     predict,
     run_grid,
@@ -102,7 +101,7 @@ def test_criterion_1_elbo_monotonicity():
         data = random_multitask(rng, L=int(rng.integers(2, 4)),
                                 K=int(rng.integers(3, 30)),
                                 n_range=(15, 120))
-        res = mt_em_fit(data, mt_initial_params(
+        res = mt_em_fit(data, initial_params(
             data, pi=float(rng.uniform(0.05, 0.6))), EmOptions(max_iter=25))
         check(res.elbo_trace)
 
@@ -143,7 +142,7 @@ def test_criterion_2_oracle_bound_and_l1_equivalence():
         md = MultiTaskData([(y, np.ones((n, 1)), X)])
         opts = EmOptions(max_iter=400, rel_tol=1e-10)
         g = em_fit(gd, initial_params(gd, pi=0.3), opts)
-        m = mt_em_fit(md, mt_initial_params(md, pi=0.3), opts)
+        m = mt_em_fit(md, initial_params(md, pi=0.3), opts)
         scale = 1.0 + abs(g.elbo)
         worst_eq = max(worst_eq,
                        abs(m.elbo - g.elbo) / scale,
@@ -255,7 +254,7 @@ def test_criterion_5_desk_scale_fdr_power_auc():
         summary = aggregate(fit)
         sel = select(summary, 0.05)
         nonzero = truth.coef != 0.0
-        fdr, power = fdr_power(sel.variables, np.nonzero(nonzero)[0])
+        fdr, power = fdr_power(sel.variables, nonzero)
         score = summary.pi_tilde[design.group_of] * summary.alpha_tilde
         rows.append((fdr, power, auc(score, nonzero),
                      auc(summary.pi_tilde, truth.eta > 0)))

@@ -23,16 +23,17 @@ from bivas import (
     initial_params,
     make_pi_grid,
     mstep_update,
-    mt_elbo,
     mt_em_fit,
-    mt_estep_sweep,
-    mt_initial_params,
-    mt_mstep_update,
-    mt_refresh_residual,
     refresh_residual,
 )
 from bivas.designs import clamp_prob, fit_pass, reindex_groups
 from bivas.group_fit import estep_sweep_python, run_em
+from bivas.multitask_fit import (
+    mt_elbo,
+    mt_estep_sweep,
+    mt_mstep_update,
+    mt_refresh_residual,
+)
 from bivas.oracle import exact_log_marginal
 
 from conftest import HAVE_COMPILER
@@ -102,18 +103,12 @@ def _close(got, want, tol):
     assert np.abs(got - want).max(initial=0.0) <= tol * scale
 
 
-def _start(data, pi):
-    if isinstance(data, MultiTaskData):
-        return mt_initial_params(data, pi)
-    return initial_params(data, pi)
-
-
 @pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
 @SETTINGS
 @given(data=st.one_of(grouped_designs(), multitask_data()),
        pi=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1))
 def test_compiled_and_python_sweeps_agree(data, pi, seed):
-    params = _start(data, pi)
+    params = initial_params(data, pi)
     compiled = _random_state(data, params, seed)
     python = compiled.copy()
     for _ in range(3):
@@ -133,7 +128,7 @@ def test_one_task_fit_equals_singleton_groups(design, pi):
     opts = EmOptions(max_iter=50)
     g = em_fit(single, initial_params(single, pi), opts)
     m = mt_em_fit(MultiTaskData([(design.y, design.Z, design.X)]),
-                  mt_initial_params(MultiTaskData(
+                  initial_params(MultiTaskData(
                       [(design.y, design.Z, design.X)]), pi), opts)
     assert g.iterations == m.iterations
     _close(m.elbo_trace, g.elbo_trace, 1e-12)
@@ -176,7 +171,7 @@ def _checked_fit(data, pi, fix_pi=False):
         refresh(state, data, params, fits=fits)
         check(state, params)
 
-    init = _start(data, pi)
+    init = initial_params(data, pi)
     return run_em(data, init, VariationalState.initial(data, init),
                   EmOptions(max_iter=100, fix_pi=fix_pi), checked_sweep,
                   fit_pass, mt_mstep_update if multitask else mstep_update,
@@ -280,7 +275,7 @@ def test_mstep_output_is_stationary(data, pi, seed):
     multitask = isinstance(data, MultiTaskData)
     sweep, mstep, bound = (mt_estep_sweep, mt_mstep_update, mt_elbo) \
         if multitask else (estep_sweep, mstep_update, elbo)
-    params = _start(data, pi)
+    params = initial_params(data, pi)
     state = _random_state(data, params, seed)
     sweep(state, data, params)
     params = mstep(state, data, params, EmOptions())
@@ -324,7 +319,7 @@ def test_bound_and_mstep_invariant_under_permuted_columns(data, pi, seed,
     multitask = isinstance(data, MultiTaskData)
     bound, mstep = (mt_elbo, mt_mstep_update) if multitask \
         else (elbo, mstep_update)
-    params = _start(data, pi)
+    params = initial_params(data, pi)
     state = _random_state(data, params, seed)
     moved, moved_params, rows, groups, blocks = _permuted(
         data, params, np.random.default_rng(seed), across)

@@ -46,3 +46,11 @@ def test_every_import_is_read():
              for p in sorted((root / d).glob("*.py"))]
     assert len(paths) > 20
     assert [line for p in paths for line in _unread_imports(p)] == []
+
+
+def test_no_exported_name_aliases_another():
+    first = {}
+    for name in bivas.__all__:
+        obj = getattr(bivas, name)
+        assert id(obj) not in first, f"{name} is {first[id(obj)]}"
+        first[id(obj)] = name

@@ -125,7 +125,7 @@ class TestRunGrid:
 
     def test_single_point_grid(self, design):
         fit = run_grid(design, make_pi_grid(design.K, 1), EmOptions())
-        assert fit.h == 1
+        assert len(fit.pi_values) == 1
         assert fit.weights.tolist() == [1.0]
 
     def test_pi_stays_fixed_per_run(self, design):
@@ -405,22 +405,23 @@ class TestSelect:
         s.group_fdr[1] = 0.049999
         s.var_fdr[:] = 1.0
         report = select(s, 0.05)
-        assert report.groups.tolist() == [1]
-        assert report.variables.size == 0
+        assert np.flatnonzero(report.groups).tolist() == [1]
+        assert report.variables.shape == s.group_of.shape
+        assert not report.variables.any()
 
     def test_high_posterior_group_selected(self):
         s = self._summary()
         s.group_fdr[:] = 1.0 - 0.5
         s.group_fdr[2] = 1.0 - 0.96
         report = select(s, 0.05)
-        assert 2 in report.groups.tolist()
+        assert report.groups.shape == (4,) and report.groups[2]
 
     def test_monotone_in_threshold(self):
         s = self._summary()
         strict = select(s, 0.01)
         loose = select(s, 0.2)
-        assert set(strict.groups.tolist()) <= set(loose.groups.tolist())
-        assert set(strict.variables.tolist()) <= set(loose.variables.tolist())
+        assert not (strict.groups & ~loose.groups).any()
+        assert not (strict.variables & ~loose.variables).any()
 
     def test_invalid_threshold(self):
         s = self._summary()
@@ -437,6 +438,15 @@ class TestSelect:
         report = select(aggregate(fit), 0.05)
         assert report.groups.size == 0
         assert report.variables.size == 0
+
+    def test_multitask_masks_take_the_model_layout(self):
+        data, _ = gen_multitask(SimConfig(n=[30, 25], p=6, K=6, pi_true=0.5,
+                                          alpha_true=0.8, snr=3.0, seed=4))
+        s = aggregate(run_grid(data, make_pi_grid(data.K, 3), EmOptions()))
+        report = select(s, 0.2)
+        assert report.groups.shape == (6,)
+        assert report.variables.shape == (6, 2)
+        np.testing.assert_array_equal(report.variables, s.var_fdr < 0.2)
 
 
 class TestPredict:

@@ -18,7 +18,6 @@ from bivas import (
     estep_sweep,
     initial_params,
     mstep_update,
-    mt_initial_params,
     refresh_residual,
 )
 from bivas import _sweep, designs, group_fit
@@ -103,10 +102,8 @@ class TestKernelBindings:
         libs = (_sweep.kernel(), _sweep.open_library(path))
         grouped = random_grouped(rng, n=13, sizes=[9, 1, 6, 2, 5, 3, 1, 17],
                                  rho=0.5, interleave=True)
-        for data, start in ((grouped, initial_params),
-                            (random_multitask(rng, L=3, K=9),
-                             mt_initial_params)):
-            params = start(data, pi=0.3)
+        for data in (grouped, random_multitask(rng, L=3, K=9)):
+            params = initial_params(data, pi=0.3)
             state = VariationalState.initial(data, params)
             state.mu[:] = rng.standard_normal(state.mu.shape)
             state.alpha_jk[:] = clamp_prob(rng.random(state.mu.shape))
@@ -695,6 +692,6 @@ class TestFitMemory:
                                    np.arange(50, 850)])
         group_of = np.random.default_rng(5).permutation(group_of)
         d = self._design(group_of, n)
-        multi = int((d.group_sizes > 1).sum())
+        multi = int((np.bincount(d.group_of) > 1).sum())
         assert multi == 50
         assert self._peak(d) <= 8 * n * multi + 256 * (d.p + n)

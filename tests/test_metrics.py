@@ -54,27 +54,36 @@ class TestAuc:
 
 
 class TestFdrPower:
+    @staticmethod
+    def _mask(shape, *selected):
+        mask = np.zeros(shape, bool)
+        for at in selected:
+            mask[at] = True
+        return mask
+
     def test_all_correct(self):
-        fdr, power = fdr_power([0, 1, 2], [0, 1, 2])
+        mask = np.ones(3, bool)
+        fdr, power = fdr_power(mask, mask)
         assert fdr == 0.0 and power == 1.0
 
     def test_empty_selection(self):
-        fdr, power = fdr_power([], [0, 1, 2])
+        fdr, power = fdr_power(np.zeros(3, bool), np.ones(3, bool))
         assert fdr == 0.0 and power == 0.0
 
     def test_half_false(self):
-        fdr, power = fdr_power([0, 99], list(range(10)))
+        fdr, power = fdr_power(self._mask(100, 0, 99),
+                               self._mask(100, *range(10)))
         assert fdr == 0.5
         assert power == pytest.approx(0.1)
 
     def test_count_identities(self):
         rng = np.random.default_rng(0)
-        truth = np.flatnonzero(rng.random(50) < 0.3)
-        selected = np.flatnonzero(rng.random(50) < 0.4)
+        truth = rng.random(50) < 0.3
+        selected = rng.random(50) < 0.4
         fdr, power = fdr_power(selected, truth)
-        tp = len(set(selected) & set(truth))
-        assert power * len(truth) == pytest.approx(tp)
-        assert fdr * max(1, len(selected)) == pytest.approx(len(selected) - tp)
+        tp = int((selected & truth).sum())
+        assert power * truth.sum() == pytest.approx(tp)
+        assert fdr * max(1, selected.sum()) == pytest.approx(selected.sum() - tp)
 
     def test_boolean_masks(self):
         sel = np.array([True, False, True, False])
@@ -82,20 +91,28 @@ class TestFdrPower:
         fdr, power = fdr_power(sel, tru)
         assert fdr == 0.5 and power == 0.5
 
-    def test_index_pairs_for_multitask(self):
-        sel = np.array([[0, 0], [1, 2]])
-        tru = np.array([[0, 0], [2, 1]])
+    def test_multitask_masks(self):
+        # (feature, task) masks of a multi-task model's (K, L) layout
+        sel = self._mask((3, 3), (0, 0), (1, 2))
+        tru = self._mask((3, 3), (0, 0), (2, 1))
         fdr, power = fdr_power(sel, tru)
         assert fdr == 0.5 and power == 0.5
 
-    def test_empty_index_pairs(self):
+    def test_empty_multitask_masks(self):
         # a multi-task selection of nothing, or a truth with no nonzero
-        # coefficient, is an empty (0, 2) array of pairs
-        empty = np.empty((0, 2), dtype=int)
-        pairs = np.array([[0, 1], [3, 0]])
+        # coefficient
+        empty = np.zeros((4, 2), bool)
+        pairs = self._mask((4, 2), (0, 1), (3, 0))
         assert fdr_power(empty, pairs) == (0.0, 0.0)
         assert fdr_power(pairs, empty) == (1.0, 0.0)
         assert fdr_power(empty, empty) == (0.0, 0.0)
+
+    def test_masks_of_one_shape_required(self):
+        with pytest.raises(DimensionMismatch):
+            fdr_power(np.zeros(6, bool), np.zeros((3, 2), bool))
+        # index arrays are not masks
+        with pytest.raises(DimensionMismatch):
+            fdr_power(np.array([0, 1, 2]), np.array([0, 1, 2]))
 
 
 class TestCoefMse:

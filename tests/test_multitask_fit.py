@@ -16,15 +16,16 @@ from bivas import (
     em_fit,
     initial_params,
     mstep_update,
-    mt_elbo,
     mt_em_fit,
-    mt_estep_sweep,
-    mt_initial_params,
-    mt_mstep_update,
-    mt_refresh_residual,
 )
 from bivas.designs import _solve_cho, clamp_prob
 from bivas.group_fit import _swept_fit_pass, estep_sweep_python, run_em
+from bivas.multitask_fit import (
+    mt_elbo,
+    mt_estep_sweep,
+    mt_mstep_update,
+    mt_refresh_residual,
+)
 from bivas.oracle import exact_log_marginal
 
 from conftest import (
@@ -54,7 +55,7 @@ class TestSingleTaskReduction:
     def test_single_sweep_matches_grouped(self, rng):
         mdata, gdesign = _singleton_pair(rng)
         pi0 = 0.3
-        mparams = mt_initial_params(mdata, pi=pi0)
+        mparams = initial_params(mdata, pi=pi0)
         gparams = initial_params(gdesign, pi=pi0)
         mstate = VariationalState.initial(mdata, mparams)
         from bivas import estep_sweep
@@ -68,7 +69,7 @@ class TestSingleTaskReduction:
     def test_full_fit_matches_grouped(self, rng):
         mdata, gdesign = _singleton_pair(rng)
         opts = EmOptions(max_iter=400, rel_tol=1e-10)
-        m = mt_em_fit(mdata, mt_initial_params(mdata, pi=0.3), opts)
+        m = mt_em_fit(mdata, initial_params(mdata, pi=0.3), opts)
         g = em_fit(gdesign, initial_params(gdesign, pi=0.3), opts)
         length = min(len(m.elbo_trace), len(g.elbo_trace))
         assert np.abs(m.elbo_trace[:length] - g.elbo_trace[:length]).max() \
@@ -80,7 +81,7 @@ class TestSingleTaskReduction:
 
     def test_elbo_matches_grouped_on_any_state(self, rng):
         mdata, gdesign = _singleton_pair(rng)
-        mparams = mt_initial_params(mdata, pi=0.4)
+        mparams = initial_params(mdata, pi=0.4)
         gparams = ModelParams(alpha=mparams.alpha, pi=mparams.pi,
                               sigma_beta2=float(mparams.sigma_beta2[0]),
                               sigma_e2=float(mparams.sigma_e2[0]),
@@ -135,7 +136,7 @@ class TestMtEstep:
         # the group logit's sum empties out, and pi_k returns the prior
         rng = np.random.default_rng(1)
         data = random_multitask(rng, L=2, K=3)
-        base = mt_initial_params(data, pi=0.27)
+        base = initial_params(data, pi=0.27)
         params = MultiTaskParams(alpha=0.0, pi=0.27,
                                  sigma_beta2=base.sigma_beta2,
                                  sigma_e2=base.sigma_e2, omega=base.omega)
@@ -166,7 +167,7 @@ class TestMtEstep:
                   self._wide_tasks(rng, (12, 8), 17)]
         assert all(data.K > min(data.n) for data in draws[4:])
         for data in draws:
-            params = mt_initial_params(data, pi=float(rng.uniform(0.2, 0.6)))
+            params = initial_params(data, pi=float(rng.uniform(0.2, 0.6)))
             state = VariationalState.initial(data, params)
             state.mu[:] = 0.4 * rng.standard_normal((data.K, data.L))
             state.alpha_jk[:] = clamp_prob(rng.random((data.K, data.L)))
@@ -216,7 +217,7 @@ class TestMtElbo:
         # the exact oracle covers the grouped model; use the L=1 reduction
         mdata, gdesign = _singleton_pair(rng, n=14, K=4)
         opts = EmOptions(max_iter=1000, rel_tol=1e-11)
-        m = mt_em_fit(mdata, mt_initial_params(mdata, pi=0.4), opts)
+        m = mt_em_fit(mdata, initial_params(mdata, pi=0.4), opts)
         gparams = ModelParams(alpha=m.params.alpha, pi=m.params.pi,
                               sigma_beta2=float(m.params.sigma_beta2[0]),
                               sigma_e2=float(m.params.sigma_e2[0]),
@@ -227,7 +228,7 @@ class TestMtElbo:
 class TestMtMstep:
     def test_alpha_averages_over_all_entries(self, rng):
         data = random_multitask(rng, L=3, K=4)
-        params = mt_initial_params(data, pi=0.3)
+        params = initial_params(data, pi=0.3)
         state = VariationalState.initial(data, params)
         state.alpha_jk[:] = 0.25
         mt_refresh_residual(state, data, params)
@@ -259,7 +260,7 @@ class TestMtMstep:
         # stationarity of the update given the state; convergence not needed
         for _ in range(3):
             data = random_multitask(rng, L=2, K=4, n_range=(15, 25))
-            res = mt_em_fit(data, mt_initial_params(data, pi=0.4),
+            res = mt_em_fit(data, initial_params(data, pi=0.4),
                             EmOptions(max_iter=15))
             state = res.state.copy()
             mt_estep_sweep(state, data, res.params)
@@ -307,7 +308,7 @@ class TestMtEmFit:
         Z, X = np.ones((30, 1)), np.empty((30, 0))
         if engine == "multitask":
             data = MultiTaskData([(y, Z, X), (y[:20], Z[:20], X[:20])])
-            fit, init = mt_em_fit, mt_initial_params(data, pi=0.2)
+            fit, init = mt_em_fit, initial_params(data, pi=0.2)
         else:
             data = GroupedDesign(y, Z, X, np.empty(0, dtype=int))
             fit, init = em_fit, initial_params(data, pi=0.2)
@@ -321,7 +322,7 @@ class TestMtEmFit:
     def test_trace_monotone(self, rng):
         for _ in range(4):
             data = random_multitask(rng)
-            res = mt_em_fit(data, mt_initial_params(data, pi=0.3), EmOptions())
+            res = mt_em_fit(data, initial_params(data, pi=0.3), EmOptions())
             diffs = np.diff(res.elbo_trace)
             assert np.all(diffs >= -1e-8 * (1.0 + np.abs(res.elbo_trace[1:])))
 
@@ -330,7 +331,7 @@ class TestMtEmFit:
         # its own, at the plain steps and at the extrapolated ones
         for data in (random_multitask(rng, L=3, K=6),
                      random_multitask(rng, L=2, K=30, n_range=(10, 20))):
-            init = mt_initial_params(data, pi=0.3)
+            init = initial_params(data, pi=0.3)
             opts = EmOptions(max_iter=60)
             res = mt_em_fit(data, init, opts)
             own = run_em(data, init, VariationalState.initial(data, init),
@@ -344,7 +345,7 @@ class TestMtEmFit:
         # parameters continue exactly as plain EM does
         for data in (random_multitask(rng, L=3, K=6),
                      random_multitask(rng, L=2, K=20, n_range=(40, 60))):
-            init = mt_initial_params(data, pi=0.3)
+            init = initial_params(data, pi=0.3)
             opts = EmOptions(max_iter=500)
             steps = Rejecting(mt_estep_sweep, _swept_fit_pass, mt_mstep_update,
                               mt_refresh_residual, mt_elbo)
@@ -360,7 +361,7 @@ class TestMtEmFit:
     def test_sweeps_capped_by_max_iter(self, rng):
         data = random_multitask(rng, L=2, K=20, n_range=(40, 60))
         for max_iter in range(1, 8):
-            res = mt_em_fit(data, mt_initial_params(data, pi=0.3),
+            res = mt_em_fit(data, initial_params(data, pi=0.3),
                             EmOptions(max_iter=max_iter, rel_tol=1e-12))
             assert res.iterations <= max_iter
             assert 1 <= res.elbo_trace.size <= res.iterations
@@ -370,7 +371,7 @@ class TestMtEmFit:
         # pi held fixed, as a grid point holds it
         for _ in range(6):
             data = random_multitask(rng, L=2, K=20, n_range=(40, 60))
-            init = mt_initial_params(data, pi=0.3)
+            init = initial_params(data, pi=0.3)
             opts = EmOptions(max_iter=5000, rel_tol=1e-10, fix_pi=True)
             res = mt_em_fit(data, init, opts)
             _, _, trace = manual_em(
@@ -387,7 +388,7 @@ class TestMtEmFit:
             X = rng.standard_normal((n, 30))
             tasks.append((rng.standard_normal(n), np.ones((n, 1)), X))
         data = MultiTaskData(tasks)
-        res = mt_em_fit(data, mt_initial_params(data, pi=0.3), EmOptions())
+        res = mt_em_fit(data, initial_params(data, pi=0.3), EmOptions())
         assert res.params.alpha * res.params.pi <= 0.1
 
     def test_shared_support_beats_lone_effect(self):
@@ -403,5 +404,5 @@ class TestMtEmFit:
             tasks.append([y, np.ones((n, 1)), X])
         tasks[0][0] = tasks[0][0] + 0.8 * tasks[0][2][:, lone_k]
         data = MultiTaskData([tuple(t) for t in tasks])
-        res = mt_em_fit(data, mt_initial_params(data, pi=0.2), EmOptions())
+        res = mt_em_fit(data, initial_params(data, pi=0.2), EmOptions())
         assert res.state.pi_k[shared_k] > res.state.pi_k[lone_k]

@@ -48,7 +48,7 @@ class TestGenDesign:
     def test_groups_are_equal_blocks(self):
         cfg = SimConfig(n=20, p=12, K=3, seed=0)
         d = gen_design(cfg)
-        assert d.group_sizes.tolist() == [4, 4, 4]
+        assert np.bincount(d.group_of).tolist() == [4, 4, 4]
         assert d.r == 1 and np.all(d.Z == 1.0)
 
     def test_indivisible_group_count_rejected(self):
@@ -170,6 +170,50 @@ class TestDeterminism:
         for j in range(da.L):
             np.testing.assert_array_equal(da.y[j], db.y[j])
         np.testing.assert_array_equal(ta.coef, tb.coef)
+
+    def test_grouped_draw_is_pinned(self):
+        # the values this seed drew when the draws were pinned; a change to
+        # the RNG calls or their order shows here
+        d, t = simulate_dataset(SimConfig(n=4, p=4, K=2, rho=0.3, pi_true=0.6,
+                                          alpha_true=0.6, snr=1.5, seed=6))
+        np.testing.assert_array_equal(t.eta, [0.0, 1.0])
+        np.testing.assert_array_equal(t.gamma, [0.0, 1.0, 1.0, 1.0])
+        np.testing.assert_allclose(
+            t.coef, [0.0, 0.0, -1.0064938867904119, -0.25436586569303216],
+            rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            d.y, [0.3782131301033745, 0.8025258432563174, 0.9904717129209035,
+                  0.38873275874322877], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d.X, [
+            [0.9383214897051809, -0.48284660166987514, -0.12905798125375212,
+             1.1355748859152315],
+            [-2.1374845008729793, -1.2580756242098907, -0.6319168917843676,
+             -1.1292438229362545],
+            [-1.6546607998580711, 0.171381025400751, -0.9321870831526674,
+             -0.7173111903789436],
+            [-0.2637027926283394, -0.546106778724315, -0.35690939862910476,
+             0.22704916023292032]], rtol=0, atol=1e-12)
+
+    def test_multitask_draw_is_pinned(self):
+        data, t = gen_multitask(SimConfig(n=[3, 2], p=3, K=3, rho=0.3,
+                                          pi_true=0.6, alpha_true=0.6,
+                                          snr=1.5, seed=5))
+        np.testing.assert_array_equal(t.eta, [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(t.gamma, [[1.0, 1.0], [0.0, 1.0],
+                                                [1.0, 1.0]])
+        np.testing.assert_allclose(
+            t.coef, [[-0.19734787126916323, 1.0189589495734153],
+                     [0.0, 0.68372992218822], [0.0, 0.0]], rtol=0, atol=1e-12)
+        ys = [[0.024824304195291996, 0.0829064842244274, -0.023595068421560554],
+              [-0.889256822524755, 4.2844270973081775]]
+        Xs = [[[-0.15761234320110798, -0.021144765525361858, 0.2526495968168886],
+               [-0.5118986506607516, 2.1005301308424977, 1.6079106668210428],
+               [0.071815024331182, 0.8580989691072501, 0.7146071843784804]],
+              [[0.007995235790625055, -0.7227152568331168, -1.595548893596744],
+               [2.3053723743691226, 1.1738861535547171, -0.3871378052530651]]]
+        for j in range(data.L):
+            np.testing.assert_allclose(data.y[j], ys[j], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(data.X[j], Xs[j], rtol=0, atol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
