@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -133,7 +134,7 @@ def _simulate_settings(args) -> list[int]:
                          f"got {args.p}")
     for flag, value, ok, bounds in (
             ("--rho", args.rho, -1.0 < args.rho < 1.0, "(-1, 1)"),
-            ("--snr", args.snr, args.snr > 0.0, "(0, inf)"),
+            ("--snr", args.snr, 0.0 < args.snr < math.inf, "(0, inf)"),
             ("--pi", args.pi, 0.0 <= args.pi <= 1.0, "[0, 1]"),
             ("--alpha", args.alpha, 0.0 <= args.alpha <= 1.0, "[0, 1]")):
         if not ok:

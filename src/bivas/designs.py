@@ -5,8 +5,8 @@ immutable after construction and safe to share across threads.  Each task
 (a grouped design has one) is checked and laid out by one helper, which
 also factors its Z'Z.  The containers cache everything the EM engine
 (:mod:`bivas.group_fit`) reads repeatedly: per-column squared norms, the
-Cholesky factors, the parameter class it fits, and one layout that the
-kernel, the Python sweep, the fit pass and the refresh read on either
+inverse Cholesky factors, the parameter class it fits, and one layout that
+the kernel, the Python sweep, the fit pass and the refresh read on either
 container: each coefficient lies in a row block (``block_of``; a task, or
 the one block of a grouped design) and is column ``column_of`` of its
 block's X; a multi-task feature is a group with one member per task.
@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 from . import _sweep
 from .exceptions import (
@@ -69,8 +67,8 @@ def _as_float_array(a, name):
 
 
 def _task(y, Z, X, where=""):
-    """One task's arrays, checked -> (y, Z, X, Cholesky factor of Z'Z or
-    None when r = 0): finite floats, y flat, Z in C and X in Fortran order
+    """One task's arrays, checked -> (y, Z, X, :func:`_cho_factor` of Z'Z
+    or None when r = 0): finite floats, y flat, Z in C and X in Fortran order
     (a vector is one column), rows agreeing, r < n and Z'Z of full rank
     (smallest eigenvalue at least _Z_RANK_RTOL x largest).  ``where``
     ("task t: ") starts every message."""
@@ -92,16 +90,24 @@ def _task(y, Z, X, where=""):
     if eigs[0] < _Z_RANK_RTOL * max(eigs[-1], 0.0) or eigs[0] <= 0.0:
         raise RankDeficientZ(f"{where}Z'Z smallest eigenvalue {eigs[0]:.3e} "
                              f"below {_Z_RANK_RTOL:g} x largest {eigs[-1]:.3e}")
-    return y, Z, X, cho_factor(gram)
+    return y, Z, X, _cho_factor(gram)
+
+
+def _cho_factor(a):
+    """R^-1 for the upper Cholesky factor R of a symmetric positive
+    definite ``a`` = R'R: all that :func:`_solve_cho` needs, formed once."""
+    return np.linalg.inv(np.linalg.cholesky(a)).T
 
 
 def _solve_cho(cho, rhs):
-    """Solve (Z'Z) w = rhs from ``cho``, the factor of :func:`_task`
-    (None when Z has no columns), through LAPACK's dpotrs, where
-    ``cho_solve`` ends, without its checks (the wrapper checks shapes)."""
+    """Solve a w = rhs from ``cho``, the :func:`_cho_factor` R^-1 of a
+    (None when a has no rows), as w = R^-1 (R^-T rhs): two small
+    products, no substitution loop.  For a 1 x 1 a that is
+    (rhs * (1 / sqrt(a))) * (1 / sqrt(a)), rounded as a LAPACK Cholesky
+    solve that multiplies by the reciprocal diagonal rounds it."""
     if cho is None:
         return np.zeros(0)
-    return dpotrs(cho[0], rhs, lower=cho[1])[0]
+    return cho.dot(rhs.dot(cho))
 
 
 @dataclass
@@ -194,7 +200,7 @@ class GroupedDesign:
         applied to X (recorded so predictions can apply the same one).
 
     Cached on construction and shared by :meth:`with_response`: ``xtx``
-    (per-column squared norms), the Cholesky factor of Z'Z and the
+    (per-column squared norms), Z'Z's :func:`_cho_factor` and the
     layout of one row block: ``block_of`` is 0 and ``column_of`` j for
     column j (int64).  ``members`` (int64) lists the columns group by
     group, in column order within a group, and group k holds
@@ -479,7 +485,7 @@ class MultiTaskData:
 
     Cached on construction: ``xtx``, the (K, L) squared column norms
     (column j for task j, the layout of the (K, L) state arrays), per task
-    j the Cholesky factor of Z_j'Z_j, and the layout.  Feature k is group
+    j the :func:`_cho_factor` of Z_j'Z_j, and the layout.  Feature k is group
     k, with one member per task: coefficient (k, j) lies in block j
     (``block_of``) and is column k (``column_of``) of X_j.  ``group_of``,
     ``block_of`` and ``column_of`` are (K, L) int64 like the state arrays,

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot
-from scipy.special import expit, logit
 
 from . import _sweep, designs
 from .designs import (
@@ -68,6 +66,10 @@ def sigmoid(x: float) -> float:
 
 def _logit(x: float) -> float:
     return math.log(x) - math.log1p(-x)
+
+
+# the logits of the probability clamp's bounds
+_LOGIT_LO, _LOGIT_HI = _logit(PROB_EPS), _logit(1.0 - PROB_EPS)
 
 
 @dataclass
@@ -208,15 +210,15 @@ def estep_sweep_python(state: VariationalState, data, params) -> VariationalStat
 
     * at most one member per block (every multi-task feature and every
       singleton group): P_k = 0, and member j's numerator is
-      x_j'r_b + b_j x_j'x_j (one ddot), b = pi_k alpha mu being its
+      x_j'r_b + b_j x_j'x_j (one dot), b = pi_k alpha mu being its
       weighted coefficient at the group's start.  After every member and
-      pi_k, each member takes r_b -= (b_new - b_old) x_j (one daxpy).
+      pi_k, each member takes r_b -= (b_new - b_old) x_j (one axpy).
       The group keeps no fit.
     * several members in one block: the residual buffer first takes back
       the group's kept fit, r += pi_k g_k, and a work vector starts at
       e = r - g_k.  Member j's numerator is then x_j'e + w_j x_j'x_j
-      (one ddot), w = alpha mu, and after its update
-      e -= (w_j_new - w_j_old) x_j (one daxpy), so e stays r less the
+      (one dot), w = alpha mu, and after its update
+      e -= (w_j_new - w_j_old) x_j (one axpy), so e stays r less the
       group's current fit.  After the members, r - e is that fit: it
       gives pi_k, and the residual gives back pi_k (r - e) with the new
       pi_k.  The group's row of ``group_fit`` then takes g_k = X_k w_k
@@ -262,7 +264,7 @@ def estep_sweep_python(state: VariationalState, data, params) -> VariationalStat
             # numerator; against r_b, a lone member has b = pi_k w
             old = a_t[c] * mu_t[c] if fit else pk * (a_t[c] * mu_t[c])
             if x2 > 0.0:
-                num = ddot(x, e if fit else rs[b]) + old * x2
+                num = x.dot(e if fit else rs[b]) + old * x2
                 mu_new = num * s2_c / sigma_e2[b]
             else:
                 mu_new = 0.0
@@ -274,13 +276,13 @@ def estep_sweep_python(state: VariationalState, data, params) -> VariationalStat
             if fit:
                 w_new = a_new * mu_new
                 diag_sum += w_new * w_new * x2
-                daxpy(x, e, a=-(w_new - old))
+                e -= (w_new - old) * x
             else:
                 lone.append((c, x, rs[b], old))
         if not fit:
             pi_k[k] = sigmoid(logit_pi + 0.5 * bracket_sum)
             for c, x, r_b, old in lone:
-                daxpy(x, r_b, a=-(pi_k[k] * (a_t[c] * mu_t[c]) - old))
+                r_b -= (pi_k[k] * (a_t[c] * mu_t[c]) - old) * x
             continue
         np.subtract(r, e, out=e)
         pi_k[k] = sigmoid(logit_pi + 0.5 * bracket_sum
@@ -400,20 +402,26 @@ def mstep_update(state: VariationalState, data, params, opts: EmOptions, *,
 
 
 def _pack(state, theta):
-    """theta = (mu, logit alpha_jk, logit pi_k), in place."""
+    """theta = (mu, logit alpha_jk, logit pi_k), in place; each logit as
+    :func:`_logit` takes it."""
     p = state.mu.size
     theta[:p] = state.mu.ravel()
-    logit(state.alpha_jk.ravel(), out=theta[p:2 * p])
-    logit(state.pi_k, out=theta[2 * p:])
+    for x, q in ((theta[p:2 * p], state.alpha_jk.ravel()),
+                 (theta[2 * p:], state.pi_k)):
+        np.subtract(np.log(q), np.log1p(-q), out=x)
 
 
 def _unpack(theta, state):
-    """Load theta into ``state``, probabilities clamped as
+    """Load theta into ``state``: each logit is clipped to the logits of
+    [PROB_EPS, 1 - PROB_EPS], so exp neither overflows nor underflows,
+    and its probability is :func:`sigmoid`'s, clamped as
     :func:`~bivas.designs.clamp_prob` clamps."""
     p = state.mu.size
     state.mu[...] = theta[:p].reshape(state.mu.shape)
     for q, x in ((state.alpha_jk, theta[p:2 * p]), (state.pi_k, theta[2 * p:])):
-        expit(x.reshape(q.shape), out=q)
+        x = np.clip(x.reshape(q.shape), _LOGIT_LO, _LOGIT_HI)
+        e = np.exp(-np.abs(x))
+        np.divide(np.where(x >= 0.0, 1.0, e), 1.0 + e, out=q)
         np.clip(q, PROB_EPS, 1.0 - PROB_EPS, out=q)
 
 

@@ -107,11 +107,11 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
     intercept column of ones is injected.  With ``require_response=False``
     a table without the response column loads with y = 0 (prediction-only
     data; needs the sidecar group map, since the inline marker lives in the
-    response cell).  No two header cells may hold the same name, and every
-    cell must parse as a finite number.  Data rows are parsed as they are
-    read (:func:`_read_rows`), so no row is held as strings.  y, and Z or X
-    when their columns are adjacent in the header, are views of the one
-    parsed block.
+    response cell).  No two header cells may hold the same name, at least
+    one data row must follow, and every cell must parse as a finite
+    number.  Data rows are parsed as they are read (:func:`_read_rows`),
+    so no row is held as strings.  y, and Z or X when their columns are
+    adjacent in the header, are views of the one parsed block.
     """
     with open(data_path, newline="") as fh:
         taken = []      # the lines csv has read since the header
@@ -150,11 +150,14 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
             )
         missing = [name for name in group_label_of if name not in column]
         if missing:
+            more = len(missing) - 5
             raise DimensionMismatch(
-                f"{data_path}: group map names absent from table: {missing}"
-            )
+                f"{data_path}: group map names absent from table: "
+                f"{missing[:5]}" + (f" and {more} more" if more > 0 else ""))
         parsed = _read_rows(itertools.chain(taken, fh), header, data_path,
                             first_line)
+    if not parsed.shape[0]:
+        raise DimensionMismatch(f"{data_path}: no data rows")
 
     pred_names = [name for name in header
                   if name != response and name in group_label_of]

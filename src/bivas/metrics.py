@@ -6,7 +6,6 @@ model's layout: (p,) for a grouped design and (K, L) for multi-task data.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .exceptions import DegenerateLabels, DimensionMismatch
 
@@ -25,9 +24,22 @@ def auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("need at least one positive and one negative")
-    ranks = rankdata(scores)
-    rank_sum = float(ranks[labels].sum())
+    if np.isnan(scores).any():      # NaN has no rank
+        return float("nan")
+    rank_sum = float(_average_ranks(scores)[labels].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values``, each run of ties given its mean rank:
+    a run filling sorted places start..end - 1 ranks (start + 1 + end) / 2."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def fdr_power(selected, truth_nonzero):

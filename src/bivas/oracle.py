@@ -11,11 +11,10 @@ import itertools
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
-from .designs import GroupedDesign, ModelParams
+from .designs import GroupedDesign, ModelParams, _cho_factor, _solve_cho
 from .exceptions import TooLarge
+from .grid import normalize_weights
 
 MAX_CONFIGS = 4096
 MAX_N = 64
@@ -35,8 +34,9 @@ def _configurations(data: GroupedDesign, params: ModelParams):
     eta, gamma]) over all (eta, gamma).
 
     Given a configuration, y is Gaussian with mean Z omega and covariance
-    sigma_e2 I + sigma_beta2 X_active X_active'; one Cholesky factor of it
-    gives both the likelihood and the posterior mean of the active slabs.
+    sigma_e2 I + sigma_beta2 X_active X_active'; one (inverse) Cholesky
+    factor of it gives both the likelihood and the posterior mean of the
+    active slabs.
     """
     _check_budget(data)
     resid = data.y - data.Z @ params.omega
@@ -54,9 +54,9 @@ def _configurations(data: GroupedDesign, params: ModelParams):
                       if gamma[j] and eta[data.group_of[j]]]
             Xa = data.X[:, active]
             cov = base + params.sigma_beta2 * (Xa @ Xa.T) if active else base
-            c, low = cho_factor(cov, lower=True)
-            solved = cho_solve((c, low), resid)
-            logdet = 2.0 * float(np.log(np.diag(c)).sum())
+            cho = _cho_factor(cov)
+            solved = _solve_cho(cho, resid)
+            logdet = -2.0 * float(np.log(np.diag(cho)).sum())
             mean = np.zeros(data.p)
             mean[active] = params.sigma_beta2 * (Xa.T @ solved)
             yield (lp - 0.5 * (log_2pi_n + logdet + float(resid @ solved)),
@@ -65,7 +65,9 @@ def _configurations(data: GroupedDesign, params: ModelParams):
 
 def exact_log_marginal(data: GroupedDesign, params: ModelParams) -> float:
     """log of the exact marginal likelihood, summed over all configurations."""
-    return float(logsumexp([lw for lw, *_ in _configurations(data, params)]))
+    log_w = np.array([lw for lw, *_ in _configurations(data, params)])
+    top = log_w.max()
+    return float(top + np.log(np.exp(log_w - top).sum()))
 
 
 def exact_posteriors(data: GroupedDesign, params: ModelParams):
@@ -77,5 +79,5 @@ def exact_posteriors(data: GroupedDesign, params: ModelParams):
     """
     log_w, etas, gammas, means = (
         np.asarray(col, float) for col in zip(*_configurations(data, params)))
-    w = np.exp(log_w - logsumexp(log_w))
+    w = normalize_weights(log_w)
     return w @ etas, w @ gammas, w @ means

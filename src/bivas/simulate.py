@@ -10,6 +10,7 @@ draws go through one truth draw (:func:`_draw_truth`) and one noise step
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class SimConfig:
     def __post_init__(self):
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
-        if self.snr <= 0.0:
-            raise ValueError("snr must be positive")
+        if not 0.0 < self.snr < math.inf:
+            raise ValueError("snr must be positive and finite")
         if not isinstance(self.n, (list, tuple)) and self.p % self.K != 0:
             raise DimensionMismatch(
                 f"p={self.p} not divisible by K={self.K} for equal groups"

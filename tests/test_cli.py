@@ -570,20 +570,53 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags, flag", [
         (["--rho", "1"], "--rho"),
         (["--snr", "0"], "--snr"),
+        (["--snr", "inf"], "--snr"),
+        (["--snr", "nan"], "--snr"),
         (["--n", "abc"], "--n"),
         (["--n", "50,1"], "--n"),
         (["--k-groups", "0"], "--k-groups"),
         (["--p", "10", "--k-groups", "3"], "--p"),
         (["--pi", "1.5"], "--pi"),
         (["--alpha", "-2"], "--alpha"),
-    ], ids=["rho", "snr", "n-text", "n-one", "k-groups", "p-not-multiple",
-            "pi", "alpha"])
+    ], ids=["rho", "snr", "snr-inf", "snr-nan", "n-text", "n-one", "k-groups",
+            "p-not-multiple", "pi", "alpha"])
     def test_simulate_bad_rho_exits_one_before_writing(self, tmp_path,
                                                        capsys, flags, flag):
         out = tmp_path / "never"
         code = run_cli("simulate", "--n", "50", *flags, "--out", str(out))
         assert code == 1
         self._assert_one_line_error(capsys, flag)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_header_only_table_exits_one_naming_it(self, sim_dir, fit_dir,
+                                                   tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_text((sim_dir / "data.csv").read_text().splitlines()[0]
+                        + "\n")
+        out = tmp_path / "never"
+        flags = {"fit": ["--grid-size", "2", "--threads", "1", "--out",
+                         str(out)],
+                 "predict": ["--model", str(fit_dir / "model.json"),
+                             "--out", str(out)]}[command]
+        code = run_cli(command, "--data", str(data),
+                       "--groups", str(sim_dir / "groups.csv"), *flags)
+        assert code == 1
+        self._assert_one_line_error(capsys, f"{data}: no data rows")
+        assert not out.exists()
+
+    def test_absent_group_names_listed_five_then_counted(self, sim_dir,
+                                                         tmp_path, capsys):
+        # the data file given as its own group map: its first column's 251
+        # cells below the header (the inline group row's marker and 250
+        # responses) name predictors the table does not have
+        data = str(sim_dir / "data.csv")
+        out = tmp_path / "never"
+        code = run_cli("fit", "--data", data, "--groups", data,
+                       "--grid-size", "2", "--threads", "1",
+                       "--out", str(out))
+        assert code == 1
+        self._assert_one_line_error(capsys, "and 246 more")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["short-map-row", "map-repeats-name",

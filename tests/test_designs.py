@@ -12,7 +12,7 @@ from bivas import (
     refresh_residual,
     validate_design,
 )
-from bivas.designs import group_fits, group_fits_python
+from bivas.designs import _solve_cho, group_fits, group_fits_python
 from bivas.exceptions import (
     DimensionMismatch,
     EmptyGroup,
@@ -323,6 +323,24 @@ class TestRefreshResidual:
         first = state.residual.copy()
         refresh_residual(state, d, params)
         np.testing.assert_array_equal(first, state.residual)
+
+
+class TestSolveCho:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_a_dense_solve(self, rng, r):
+        # the factor cached on the design solves Z'Z w = rhs; Z holds an
+        # intercept, and columns of unequal scale from r = 3 on
+        for _ in range(50):
+            n = int(rng.integers(r + 1, 40))
+            Z = np.column_stack([np.ones(n)] + [
+                rng.standard_normal(n) * 10.0 ** j for j in range(r - 1)])
+            d = GroupedDesign(rng.standard_normal(n), Z,
+                              rng.standard_normal((n, 2)), [0, 0])
+            rhs = rng.standard_normal(r) * 10.0 ** rng.uniform(-3, 3)
+            want = np.linalg.solve(Z.T @ Z, rhs)
+            got = _solve_cho(d._z_cho, rhs)
+            assert got.shape == (r,)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestMultiTaskData:

@@ -1,7 +1,10 @@
 """The package's export list names only what the package defines, and no
 module imports a name it does not read."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import bivas
 
@@ -54,3 +57,14 @@ def test_no_exported_name_aliases_another():
         obj = getattr(bivas, name)
         assert id(obj) not in first, f"{name} is {first[id(obj)]}"
         first[id(obj)] = name
+
+
+def test_package_and_cli_import_no_scipy():
+    # a fresh interpreter: this one may hold modules other tests loaded
+    src = str(pathlib.Path(bivas.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bivas, bivas.cli; print(sorted("
+         "m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,49 @@ class TestSigmoid:
     def test_symmetry(self):
         for x in (-7.3, -0.2, 0.9, 12.0):
             assert sigmoid(x) + sigmoid(-x) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSquaremTheta:
+    """theta = (mu, logit alpha_jk, logit pi_k), the point SQUAREM moves."""
+
+    @staticmethod
+    def _theta(state):
+        return np.empty(2 * state.mu.size + state.pi_k.size)
+
+    @pytest.mark.parametrize("multitask", [False, True])
+    def test_extreme_logits_unpack_clamped_without_warnings(self, rng,
+                                                            multitask):
+        d = random_multitask(rng) if multitask else random_grouped(rng)
+        state = VariationalState.initial(d, initial_params(d, 0.3))
+        theta = self._theta(state)
+        theta[:] = np.where(rng.random(theta.size) < 0.5, -1e3, 1e3)
+        p = state.mu.size    # both ends in each block of logits (K >= 2)
+        theta[[p, 2 * p - 1, 2 * p, -1]] = -1e3, 1e3, -1e3, 1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            group_fit._unpack(theta, state)
+        for q in (state.alpha_jk, state.pi_k):
+            assert PROB_EPS <= q.min() < 1e-11
+            assert 1.0 - 1e-11 < q.max() <= 1.0 - PROB_EPS
+        np.testing.assert_array_equal(state.mu.ravel(), theta[:state.mu.size])
+
+    @pytest.mark.parametrize("multitask", [False, True])
+    def test_pack_unpack_round_trip(self, rng, multitask):
+        d = random_multitask(rng) if multitask else random_grouped(rng)
+        state = VariationalState.initial(d, initial_params(d, 0.3))
+        state.mu[:] = rng.standard_normal(state.mu.shape)
+        for q in (state.alpha_jk, state.pi_k):
+            q[:] = clamp_prob(rng.random(q.shape))
+            q.flat[:2] = PROB_EPS, 1.0 - PROB_EPS
+        theta = self._theta(state)
+        group_fit._pack(state, theta)
+        back = state.copy()
+        for q in (back.mu, back.alpha_jk, back.pi_k):
+            q[...] = 0.5
+        group_fit._unpack(theta, back)
+        for field in ("mu", "alpha_jk", "pi_k"):
+            assert np.abs(getattr(back, field)
+                          - getattr(state, field)).max() <= 1e-12
 
 
 class TestKernelBindings:

@@ -24,6 +24,22 @@ class TestAuc:
         # one clean win, one tie -> (1 + 0.5) / 2
         assert auc([0.7, 0.7, 0.2], [1, 0, 0]) == pytest.approx(0.75)
 
+    @given(st.lists(st.integers(min_value=0, max_value=4), min_size=2,
+                    max_size=40),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_pairwise_definition_on_ties(self, levels, seed):
+        # five score levels, so most positive-negative pairs tie
+        labels = np.random.default_rng(seed).integers(0, 2, len(levels)) > 0
+        labels[:2] = True, False
+        scores = np.asarray(levels, float) / 4.0
+        pos, neg = scores[labels][:, None], scores[~labels][None, :]
+        want = np.mean(pos > neg) + 0.5 * np.mean(pos == neg)
+        assert auc(scores, labels) == pytest.approx(want, abs=1e-12)
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auc([0.9, np.nan, 0.1], [1, 0, 0]))
+
     def test_degenerate_labels(self):
         with pytest.raises(DegenerateLabels):
             auc([0.1, 0.2], [1, 1])

@@ -55,6 +55,12 @@ class TestGenDesign:
         with pytest.raises(DimensionMismatch):
             SimConfig(n=20, p=10, K=3)
 
+    @pytest.mark.parametrize("snr", [0.0, -1.0, float("inf"), float("nan")])
+    def test_snr_outside_open_positive_range_rejected(self, snr):
+        # an infinite snr would draw y without noise, sigma_e2 = 0
+        with pytest.raises(ValueError, match="snr"):
+            SimConfig(n=20, p=12, K=3, snr=snr)
+
 
 class TestGenCoefficients:
     def test_dense_and_empty_extremes(self):
