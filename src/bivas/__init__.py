@@ -24,6 +24,7 @@ from .designs import (
     ModelParams,
     MultiTaskData,
     MultiTaskParams,
+    Posterior,
     VariationalState,
     refresh_residual,
     validate_design,
@@ -60,6 +61,7 @@ __all__ = [
     "ModelParams",
     "MultiTaskData",
     "MultiTaskParams",
+    "Posterior",
     "PosteriorSummary",
     "SelectionReport",
     "VariationalState",

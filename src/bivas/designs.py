@@ -15,7 +15,9 @@ several members in a block (only a grouped design has them) keep a fit
 row.  The sweep reads each coefficient's column from X, which each
 container holds once, and nothing of size p * n is kept beside it.
 :class:`VariationalState` is the single mutable object, on both
-containers; one EM run owns one state exclusively.
+containers: a :class:`Posterior` with the working caches the sweep
+maintains.  One EM run owns one state, and what the run returns, or a
+later run starts from, is its posterior alone.
 """
 from __future__ import annotations
 
@@ -318,8 +320,20 @@ def validate_design(y, Z, X, groups, *, standardize=False,
     )
 
 
+class Posterior(NamedTuple):
+    """The variational posterior of one fit, shaped as
+    :class:`VariationalState`'s fields of the same names: what an EM run
+    returns and what a warm start copies."""
+
+    mu: np.ndarray
+    s2: np.ndarray
+    alpha_jk: np.ndarray
+    pi_k: np.ndarray
+
+
 class VariationalState:
-    """Per-coefficient variational posterior plus maintained fit caches.
+    """A :class:`Posterior`'s fields plus the fit caches the sweep
+    maintains; one EM run's working object.
 
     Fields
     ------
@@ -337,32 +351,37 @@ class VariationalState:
         group keeps a fit.
     """
 
-    def __init__(self, mu, s2, alpha_jk, pi_k, residual, group_fit):
-        self.mu = np.asarray(mu, float).copy()
-        self.s2 = np.asarray(s2, float).copy()
-        self.alpha_jk = clamp_prob(np.asarray(alpha_jk, float)).copy()
-        self.pi_k = clamp_prob(np.asarray(pi_k, float)).copy()
-        self.residual = copy.deepcopy(residual)
-        self.group_fit = np.array(group_fit, float, order="C")
+    def __init__(self, data, posterior: Posterior):
+        """A copy of ``posterior`` (alpha_jk and pi_k clamped as
+        :func:`clamp_prob` clamps) with caches sized for ``data`` and not
+        yet filled: the residual is y and the group fits are 0;
+        :meth:`initial` fills them."""
+        self.mu = np.array(posterior.mu, float)
+        self.s2 = np.array(posterior.s2, float)
+        self.alpha_jk = clamp_prob(np.asarray(posterior.alpha_jk, float))
+        self.pi_k = clamp_prob(np.asarray(posterior.pi_k, float))
+        self.residual = copy.deepcopy(data.y)
+        self.group_fit = np.zeros((data.fit_groups.size,
+                                   data.per_block(data.y)[0].size))
 
     @classmethod
-    def initial(cls, data, params):
-        """Zero-mean start: mu = 0, alpha_jk = alpha, pi_k = pi, and each
-        block's residual y - Z omega."""
+    def initial(cls, data, params, start: Posterior | None = None):
+        """A run's first state for ``params``: a copy of the posterior
+        ``start`` whose caches one from-scratch :func:`refresh_residual`
+        builds (``start`` is not changed), or when None the zero-mean
+        start: mu = 0, alpha_jk = alpha, pi_k = pi, and each block's
+        residual y - Z omega."""
+        if start is not None:
+            return refresh_residual(cls(data, start), data, params)
         shape = data.group_of.shape
-        state = cls(mu=np.zeros(shape), s2=slab_variances(data, params),
-                    alpha_jk=np.full(shape, params.alpha),
-                    pi_k=np.full(data.K, params.pi), residual=data.y,
-                    group_fit=np.zeros((data.fit_groups.size,
-                                        data.per_block(data.y)[0].size)))
+        state = cls(data, Posterior(
+            np.zeros(shape), slab_variances(data, params),
+            np.full(shape, params.alpha), np.full(data.K, params.pi)))
         for r, Z, omega in zip(data.per_block(state.residual),
                                data.per_block(data.Z),
                                data.per_block(params.omega)):
             r -= Z @ omega
         return state
-
-    def copy(self):
-        return copy.deepcopy(self)
 
 
 def slab_variances(data, params):

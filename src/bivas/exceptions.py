@@ -30,7 +30,7 @@ class InvalidCount(BivasError):
 
 
 class InvalidThreshold(BivasError):
-    """A probability threshold is outside (0, 1)."""
+    """A probability threshold or prior value is outside (0, 1)."""
 
 
 class TooLarge(BivasError):

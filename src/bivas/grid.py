@@ -70,7 +70,7 @@ class GridFit:
     container's ``group_of``, (p,) or (K, L) like the variable arrays."""
 
     pi_values: np.ndarray
-    results: list            # EmResult per grid point
+    results: list            # EmResult per grid point: params and posterior
     elbos: np.ndarray
     weights: np.ndarray
     group_of: np.ndarray
@@ -88,7 +88,7 @@ def run_grid(data, pi_values, opts: EmOptions | None = None,
     same time when ``threads`` >= 2; no more than two runs are ever
     independent).  One chain then walks from the endpoint with the higher
     bound (the low end on a tie) to the other: each point starts from a
-    copy of the previous run's state, with its parameters and this
+    copy of the previous run's posterior, with its parameters and this
     point's pi.  At the far endpoint the run with the higher bound is
     kept, the cold one on a tie.  Every run is deterministic, so the
     result is identical for any thread count.  One DEBUG record on the
@@ -96,13 +96,23 @@ def run_grid(data, pi_values, opts: EmOptions | None = None,
     the sweeps of all runs, the discarded one included.  When any kept
     run stops at ``max_iter`` without converging, one WARNING names those
     grid points, their pi values and the total weight they carry; the
-    results are unchanged.
+    results are unchanged.  A grid that is empty, not 1-D or holds a
+    value that is not finite in (0, 1) is rejected before any fit.
     """
     if threads < 1:
         raise InvalidCount(f"threads must be >= 1, got {threads}")
     run_opts = replace(opts if opts is not None else EmOptions(), fix_pi=True)
-    pi_values = np.asarray(pi_values)
+    pi_values = np.asarray(pi_values, dtype=float)
+    if pi_values.ndim != 1:
+        raise DimensionMismatch(
+            f"pi grid must be 1-D, got shape {pi_values.shape}")
     h = pi_values.shape[0]
+    if h < 1:
+        raise InvalidCount(f"grid size must be >= 1, got {h}")
+    bad = np.flatnonzero(~((pi_values > 0.0) & (pi_values < 1.0)))
+    if bad.size:
+        raise InvalidThreshold(f"pi grid value {bad[0]} is "
+                               f"{pi_values[bad[0]]}, not finite in (0, 1)")
 
     def fit_one(i: int, warm: EmResult | None = None) -> EmResult:
         fit = mt_em_fit if isinstance(data, MultiTaskData) else em_fit
@@ -172,8 +182,9 @@ class PosteriorSummary:
 
 
 def _weighted_sum(w, values):
-    """sum_i w_i values_i, elementwise through lists (per-task vectors)."""
-    if isinstance(values[0], list):
+    """sum_i w_i values_i, elementwise through lists (per-task vectors)
+    and tuples (posteriors)."""
+    if isinstance(values[0], (list, tuple)):
         return [_weighted_sum(w, column) for column in zip(*values)]
     return sum(wi * v for wi, v in zip(w, values))
 
@@ -181,11 +192,9 @@ def _weighted_sum(w, values):
 def aggregate(gridfit: GridFit) -> PosteriorSummary:
     """Average per-run posteriors and parameters under the grid weights."""
     w = gridfit.weights
-    states = [res.state for res in gridfit.results]
+    mu_tilde, _, alpha_tilde, pi_tilde = _weighted_sum(
+        w, [res.state for res in gridfit.results])
     plist = [res.params for res in gridfit.results]
-    pi_tilde = _weighted_sum(w, [st.pi_k for st in states])
-    alpha_tilde = _weighted_sum(w, [st.alpha_jk for st in states])
-    mu_tilde = _weighted_sum(w, [st.mu for st in states])
     params = type(plist[0])(**{
         f.name: _weighted_sum(w, [getattr(p, f.name) for p in plist])
         for f in fields(plist[0])})

@@ -38,6 +38,7 @@ from .designs import (
     GroupedDesign,
     GroupFits,
     ModelParams,
+    Posterior,
     VariationalState,
     _solve_cho,
     fit_pass,
@@ -94,13 +95,15 @@ class EmOptions:
 
 @dataclass
 class EmResult:
-    """Converged parameters, variational state and the bound trajectory.
+    """Converged parameters, posterior and the bound trajectory.
 
-    ``iterations`` counts coordinate sweeps; ``elbo_trace`` holds the
-    bounds of the steps the loop kept, so it may be shorter."""
+    ``state`` is the run's :class:`~bivas.designs.Posterior`: its working
+    state's arrays, whose caches went with the run.  ``iterations``
+    counts coordinate sweeps; ``elbo_trace`` holds the bounds of the
+    steps the loop kept, so it may be shorter."""
 
     params: ModelParams
-    state: VariationalState
+    state: Posterior
     elbo: float
     elbo_trace: np.ndarray
     iterations: int
@@ -452,11 +455,13 @@ def run_em(data, params, state, opts: EmOptions | None,
     plain steps do.  ``opts.max_iter`` caps the sweeps, rejected ones
     included, and ``iterations`` counts them.  Convergence is declared
     when the relative change |dL| / (1 + |L|) between consecutive trace
-    entries drops below ``opts.rel_tol``.
+    entries drops below ``opts.rel_tol``.  The run owns ``state``: the
+    result's ``state`` is its :class:`~bivas.designs.Posterior`, the
+    same arrays, and the caches are dropped with it.
     """
     opts = EmOptions() if opts is None else opts
     theta0, r, v = np.empty((3, 2 * state.mu.size + state.pi_k.size))
-    raw = (state.mu, state.alpha_jk, state.s2, state.pi_k)
+    raw = Posterior(state.mu, state.s2, state.alpha_jk, state.pi_k)
     kept = [a.copy() for a in raw]
     trace, sweeps, converged = [], 0, False
 
@@ -512,7 +517,7 @@ def run_em(data, params, state, opts: EmOptions | None,
                 for live, saved in zip(raw, kept):
                     np.copyto(live, saved)
                 refresh(state, data, params, fits=designs.fit_pass(state, data))
-    return EmResult(params=params, state=state, elbo=trace[-1],
+    return EmResult(params=params, state=raw, elbo=trace[-1],
                     elbo_trace=np.asarray(trace), iterations=sweeps,
                     converged=converged)
 
@@ -523,31 +528,19 @@ def _swept_fit_pass(state, data):
     return fit_pass(state, data, state.group_fit)
 
 
-def _start_state(data, params, start: VariationalState | None,
-                refresh) -> VariationalState:
-    """A run's first state: :meth:`VariationalState.initial` when
-    ``start`` is None, and otherwise a copy of ``start`` whose residual
-    and group fits ``refresh`` rebuilds for ``params`` from one
-    from-scratch :func:`~bivas.designs.fit_pass`; ``start`` is not
-    changed."""
-    if start is None:
-        return VariationalState.initial(data, params)
-    state = start.copy()
-    return refresh(state, data, params, fits=designs.fit_pass(state, data))
-
-
 def em_fit(data: GroupedDesign, init: ModelParams,
            opts: EmOptions | None = None,
-           start: VariationalState | None = None) -> EmResult:
+           start: Posterior | None = None) -> EmResult:
     """Alternate coordinate sweeps and M-steps until the bound stalls
     (:func:`run_em`), from the zero-mean start or, when ``start`` is
-    given, from a copy of that state (:func:`_start_state`; a grid's warm
-    runs pass the previous point's).  The fit pass reads the group fits
+    given, from a copy of that posterior
+    (:meth:`~bivas.designs.VariationalState.initial`; a grid's warm runs
+    pass the previous point's).  The fit pass reads the group fits
     the sweep leaves in ``state.group_fit``, bit for bit those of
     :func:`~bivas.designs.group_fits`, so it makes no pass over X of its
     own.  The returned trace is non-decreasing up to 1e-8 * (1 + |L|)
     slack.
     """
-    return run_em(data, init, _start_state(data, init, start, refresh_residual),
+    return run_em(data, init, VariationalState.initial(data, init, start),
                   opts, estep_sweep, _swept_fit_pass, mstep_update,
                   refresh_residual, elbo)

@@ -12,13 +12,13 @@ from __future__ import annotations
 from .designs import (
     MultiTaskData,
     MultiTaskParams,
+    Posterior,
     VariationalState,
     refresh_residual,
 )
 from .group_fit import (
     EmOptions,
     EmResult,
-    _start_state,
     _swept_fit_pass,
     elbo,
     estep_sweep,
@@ -36,11 +36,11 @@ mt_elbo = elbo
 
 def mt_em_fit(data: MultiTaskData, init: MultiTaskParams,
               opts: EmOptions | None = None,
-              start: VariationalState | None = None) -> EmResult:
+              start: Posterior | None = None) -> EmResult:
     """The grouped engine's loop (:func:`~bivas.group_fit.run_em`) over the
-    multi-task steps, from the zero-mean start or a copy of ``start``
-    (:func:`~bivas.group_fit._start_state`); monotone bound trace."""
-    return run_em(data, init,
-                  _start_state(data, init, start, mt_refresh_residual), opts,
-                  mt_estep_sweep, _swept_fit_pass, mt_mstep_update,
+    multi-task steps, from the zero-mean start or a copy of the posterior
+    ``start`` (:meth:`~bivas.designs.VariationalState.initial`); monotone
+    bound trace."""
+    return run_em(data, init, VariationalState.initial(data, init, start),
+                  opts, mt_estep_sweep, _swept_fit_pass, mt_mstep_update,
                   mt_refresh_residual, mt_elbo)

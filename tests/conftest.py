@@ -14,6 +14,7 @@ from bivas import (
     EmOptions,
     GroupedDesign,
     MultiTaskData,
+    Posterior,
     VariationalState,
     em_fit,
     initial_params,
@@ -245,11 +246,11 @@ def own_fit_passes(sweep, mstep, refresh, bound):
 
 
 def assert_same_fit(res, params, state, trace):
-    """An EM result equals a loop's (params, state, trace) bit for bit; a
-    per-task list is compared task by task."""
+    """An EM result equals a loop's (params, state, trace) bit for bit:
+    the trace, the posterior fields and the parameters, a per-task list
+    compared task by task."""
     assert np.array_equal(res.elbo_trace, trace)
-    for got, want, names in ((res.state, state, ("mu", "s2", "alpha_jk", "pi_k",
-                                                 "residual", "group_fit")),
+    for got, want, names in ((res.state, state, Posterior._fields),
                              (res.params, params, ("alpha", "pi", "sigma_beta2",
                                                    "sigma_e2", "omega"))):
         for name in names:

@@ -5,6 +5,7 @@ seeded, so every criterion is deterministic.  The heavy criteria (5, 6
 and 8) dominate the runtime; the whole module finishes in about two
 minutes on a 2-vCPU machine (1 min 38 s to 2 min 40 s over three runs).
 """
+import copy
 import math
 import os
 
@@ -14,6 +15,7 @@ from bivas import (
     EmOptions,
     GroupedDesign,
     ModelParams,
+    VariationalState,
     aggregate,
     elbo,
     em_fit,
@@ -164,7 +166,7 @@ def test_criterion_3_stationarity_and_coordinate_optimality():
         d = random_grouped(rng, n_range=(20, 41), K_range=(2, 5),
                            max_group=3, with_covariate=True)
         warm = em_fit(d, initial_params(d, pi=0.4), EmOptions(max_iter=12))
-        state = warm.state.copy()
+        state = VariationalState.initial(d, warm.params, start=warm.state)
         estep_sweep(state, d, warm.params)
         params = mstep_update(state, d, warm.params, EmOptions())
         base = elbo(state, d, params)
@@ -198,15 +200,15 @@ def test_criterion_3_stationarity_and_coordinate_optimality():
         allowed = 1e-8 * (1.0 + abs(base))
         for j in range(d.p):
             for eps in (1e-3, -1e-3):
-                pert = state.copy()
+                pert = copy.deepcopy(state)
                 pert.alpha_jk[j] = clamp_prob(state.alpha_jk[j] + eps)
                 coord_worst = max(coord_worst, elbo(pert, d, params) - base)
-                pert = state.copy()
+                pert = copy.deepcopy(state)
                 pert.mu[j] = state.mu[j] + eps
                 coord_worst = max(coord_worst, elbo(pert, d, params) - base)
         for k in range(d.K):
             for eps in (1e-3, -1e-3):
-                pert = state.copy()
+                pert = copy.deepcopy(state)
                 pert.pi_k[k] = clamp_prob(state.pi_k[k] + eps)
                 coord_worst = max(coord_worst, elbo(pert, d, params) - base)
         assert coord_worst <= allowed

@@ -6,6 +6,8 @@ column order, and multi-task data of 1-3 tasks of unequal size.  The
 draws are derandomized and no example database is kept, so the suite
 sees the same examples on every run.
 """
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,7 +112,7 @@ def _close(got, want, tol):
 def test_compiled_and_python_sweeps_agree(data, pi, seed):
     params = initial_params(data, pi)
     compiled = _random_state(data, params, seed)
-    python = compiled.copy()
+    python = copy.deepcopy(compiled)
     for _ in range(3):
         estep_sweep(compiled, data, params)
         estep_sweep_python(python, data, params)

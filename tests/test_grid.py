@@ -2,6 +2,7 @@
 selection."""
 import copy
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,47 @@ class TestRunGrid:
     def test_invalid_threads(self, design):
         with pytest.raises(InvalidCount):
             run_grid(design, make_pi_grid(design.K, 2), threads=0)
+
+    @pytest.mark.parametrize("pi_values, error, message", [
+        ([], InvalidCount, r"^grid size must be >= 1, got 0$"),
+        ([[0.2, 0.3]], DimensionMismatch,
+         r"^pi grid must be 1-D, got shape \(1, 2\)$"),
+        (0.3, DimensionMismatch, r"^pi grid must be 1-D, got shape \(\)$"),
+        ([0.0, 0.5], InvalidThreshold, r"^pi grid value 0 is 0\.0, "),
+        ([0.2, float("nan")], InvalidThreshold, r"^pi grid value 1 is nan, "),
+        ([0.2, 0.5, 1.0, 2.0], InvalidThreshold, r"^pi grid value 2 is 1\.0, "),
+        ([-float("inf"), 0.5], InvalidThreshold, r"^pi grid value 0 is -inf, "),
+        ([0.5, float("inf")], InvalidThreshold,
+         r"^pi grid value 1 is inf, not finite in \(0, 1\)$"),
+    ])
+    def test_bad_grid_rejected_before_any_fit(self, design, monkeypatch,
+                                              pi_values, error, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+        monkeypatch.setattr(grid_module, "em_fit", no_fit)
+        with pytest.raises(error, match=message):
+            run_grid(design, pi_values)
+
+    def test_grid_keeps_no_caches(self):
+        # the bytes a grid's result holds: a posterior (4 arrays of p
+        # doubles) per point and small change, not each run's residual and
+        # (M, n) group fits, which stay inside the run
+        n, p, h = 400, 200, 10
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((n, p))
+        y = X[:, :20] @ rng.standard_normal(20) + rng.standard_normal(n)
+        d = GroupedDesign(y, np.ones((n, 1)), X,
+                          np.repeat(np.arange(p // 10), 10))
+        grid = make_pi_grid(d.K, h)
+        run_grid(d, grid)          # first-call allocations
+        tracemalloc.start()
+        try:
+            fit = run_grid(d, grid)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(fit.results) == h
+        assert retained < 2 * h * (4 * p * 8)
 
     def test_max_weight_at_max_elbo(self, design):
         fit = run_grid(design, make_pi_grid(design.K, 6), EmOptions())

@@ -1,4 +1,5 @@
 """Coordinate sweep, bound evaluation, M-step and EM loop for the grouped model."""
+import copy
 import ctypes
 import math
 import re
@@ -92,7 +93,7 @@ class TestSquaremTheta:
             q.flat[:2] = PROB_EPS, 1.0 - PROB_EPS
         theta = self._theta(state)
         group_fit._pack(state, theta)
-        back = state.copy()
+        back = copy.deepcopy(state)
         for q in (back.mu, back.alpha_jk, back.pi_k):
             q[...] = 0.5
         group_fit._unpack(theta, back)
@@ -153,7 +154,7 @@ class TestKernelBindings:
             state.alpha_jk[:] = clamp_prob(rng.random(state.mu.shape))
             state.pi_k[:] = clamp_prob(rng.random(data.K))
             refresh_residual(state, data, params)
-            swept = [state.copy() for _ in libs]
+            swept = [copy.deepcopy(state) for _ in libs]
             for lib, s in zip(libs, swept):
                 monkeypatch.setattr(_sweep, "_loaded", lib)
                 for _ in range(3):
@@ -287,7 +288,7 @@ class TestEstepSweep:
                 d = GroupedDesign(d.y, d.Z, X, d.group_of)
             params = initial_params(d, pi=float(rng.uniform(0.2, 0.7)))
             state = random_state(rng, d, params)
-            reference = state.copy()
+            reference = copy.deepcopy(state)
             sweep(state, d, params)
             direct_sweep(reference, d, params)
             for got, want in ((state.mu, reference.mu),
@@ -297,7 +298,7 @@ class TestEstepSweep:
                 scale = 1.0 + np.abs(want).max()
                 assert np.abs(got - want).max() / scale < 1e-10
             # the maintained caches equal a rebuild from the swept state
-            swept = state.copy()
+            swept = copy.deepcopy(state)
             refresh_residual(state, d, params)
             for got, want in ((swept.group_fit, state.group_fit),
                               (swept.residual, state.residual)):
@@ -479,7 +480,7 @@ class TestMstep:
         for _ in range(4):
             d = random_grouped(rng, with_covariate=True)
             res = em_fit(d, initial_params(d, pi=0.4), EmOptions(max_iter=15))
-            state = res.state.copy()
+            state = VariationalState.initial(d, res.params, start=res.state)
             estep_sweep(state, d, res.params)
             params = mstep_update(state, d, res.params, EmOptions())
             base = elbo(state, d, params)
@@ -545,20 +546,21 @@ class TestEmFit:
         d, result = fitted_tiny(rng, n_range=(15, 30), K_range=(2, 4),
                                 max_group=3)
         params = result.params
-        state = converge_estep(result.state, d, params)
+        state = converge_estep(
+            VariationalState.initial(d, params, start=result.state), d, params)
         base = elbo(state, d, params)
         allowed = 1e-8 * (1.0 + abs(base))
         for j in range(d.p):
             for eps in (1e-3, -1e-3):
-                pert = state.copy()
+                pert = copy.deepcopy(state)
                 pert.alpha_jk[j] = clamp_prob(state.alpha_jk[j] + eps)
                 assert elbo(pert, d, params) - base <= allowed
-                pert = state.copy()
+                pert = copy.deepcopy(state)
                 pert.mu[j] = state.mu[j] + eps
                 assert elbo(pert, d, params) - base <= allowed
         for k in range(d.K):
             for eps in (1e-3, -1e-3):
-                pert = state.copy()
+                pert = copy.deepcopy(state)
                 pert.pi_k[k] = clamp_prob(state.pi_k[k] + eps)
                 assert elbo(pert, d, params) - base <= allowed
 

@@ -1,4 +1,5 @@
 """Multi-task engine: task-coupled sweeps, bound, M-step and the L=1 reduction."""
+import copy
 import math
 import warnings
 
@@ -173,7 +174,7 @@ class TestMtEstep:
             state.alpha_jk[:] = clamp_prob(rng.random((data.K, data.L)))
             state.pi_k[:] = clamp_prob(rng.random(data.K))
             mt_refresh_residual(state, data, params)
-            reference = state.copy()
+            reference = copy.deepcopy(state)
             sweep(state, data, params)
             mt_direct_sweep(reference, data, params)
             for got, want in ((state.mu, reference.mu),
@@ -262,7 +263,8 @@ class TestMtMstep:
             data = random_multitask(rng, L=2, K=4, n_range=(15, 25))
             res = mt_em_fit(data, initial_params(data, pi=0.4),
                             EmOptions(max_iter=15))
-            state = res.state.copy()
+            state = VariationalState.initial(data, res.params,
+                                             start=res.state)
             mt_estep_sweep(state, data, res.params)
             params = mt_mstep_update(state, data, res.params, EmOptions())
             base = mt_elbo(state, data, params)
