@@ -49,6 +49,7 @@ _SIGNATURES = {
     "sweep": (ctypes.c_int, [_i64, _i64] + [_ptr] * 11 + [_f64] * 2 + [_ptr] * 5),
     "group_fits": (None, [_i64, _i64] + [_ptr] * 6),
     "parse_row": (ctypes.c_int, [_ptr, _i64, _i64, _i64, _ptr]),
+    "parse_rows": (ctypes.c_int, [_ptr] + [_i64] * 4 + [_ptr, _i64, _ptr]),
 }
 
 _lock = threading.Lock()

@@ -392,10 +392,10 @@ def slab_variances(data, params):
     return np.where(data.xtx > 0.0, params.sigma_e2 / denom, params.sigma_beta2)
 
 
-def group_fits(data, w):
+def group_fits(data, w, out=None):
     """The fit g_k = X_k w_k (without its pi_k weight) of every group that
-    keeps one, as the rows of a new (M, n) C-order array, row
-    ``fit_row[k]`` for group k; ``w`` is alpha mu, shaped like
+    keeps one, as the rows of ``out`` (a new (M, n) C-order array when
+    None), row ``fit_row[k]`` for group k; ``w`` is alpha mu, shaped like
     ``data.group_of``.  Only a grouped design, one block, has such groups.
 
     One call of the compiled ``group_fits`` (``_sweep.c``, outside the
@@ -404,22 +404,24 @@ def group_fits(data, w):
     """
     lib = _sweep.kernel()
     if lib is None or not data.fit_groups.size:   # the loop does nothing then
-        return group_fits_python(data, w)
+        return group_fits_python(data, w, out)
     w = np.ascontiguousarray(w, dtype=np.float64)
     if w.shape != data.group_of.shape:
         raise ValueError(f"w has shape {w.shape}, expected {data.group_of.shape}")
-    out = np.empty((data.fit_groups.size, data.n))
+    out = np.empty((data.fit_groups.size, data.n)) if out is None else out
     lib.group_fits(data.n, out.shape[0], data.X.ctypes.data, w.ctypes.data,
                    data.members.ctypes.data, data.group_ptr.ctypes.data,
-                   data.fit_groups.ctypes.data, out.ctypes.data)
+                   data.fit_groups.ctypes.data,
+                   _sweep.address(out, (data.fit_groups.size, data.n)))
     return out
 
 
-def group_fits_python(data, w):
+def group_fits_python(data, w, out=None):
     """:func:`group_fits` as one gemv per group over its columns of X: the
     fallback and the tests' reference."""
     X = data.per_block(data.X)[0]
-    out = np.empty((data.fit_groups.size, X.shape[0]))
+    if out is None:
+        out = np.empty((data.fit_groups.size, X.shape[0]))
     for row, k in enumerate(data.fit_groups):
         idx = data.group_members[k]
         out[row] = X[:, idx] @ w[idx]
@@ -434,20 +436,22 @@ class GroupFits(NamedTuple):
     cross: list             # per block, the bound's within-group cross term
 
 
-def fit_pass(state: VariationalState, data, group_fit=None) -> GroupFits:
+def fit_pass(state: VariationalState, data, group_fit=None, *,
+             out=None) -> GroupFits:
     """Every block's fit X pw, pw = pi_k w and w = alpha mu, with the
     fits g_k = X_k w_k of the groups that keep one, and the within-group
     cross term they give.
 
     ``group_fit`` holds the g_k when they are already formed from the
     state's w, as the sweep leaves them in ``state.group_fit``.  When
-    None, one :func:`group_fits` call forms them, and the pass is
-    evaluated from (mu, alpha_jk, pi_k) alone: the maintained
-    ``state.group_fit`` and ``state.residual`` are not read, so a bound
-    built on it stays a pure function of the state.  The groups that keep
-    no fit enter their blocks' fits through one gemv per block over their
-    coefficients (skipped when every group keeps a fit); a group that
-    keeps one enters through pi_k g_k.  The cross term is
+    None, one :func:`group_fits` call forms them, into ``out`` when given
+    (a pass whose fits the state's caches take next passes
+    ``state.group_fit``), and the pass is evaluated from (mu, alpha_jk,
+    pi_k) alone: the maintained ``state.group_fit`` and ``state.residual``
+    are not read, so a bound built on it stays a pure function of the
+    state.  The groups that keep no fit enter their blocks' fits through
+    one gemv per block over their coefficients (skipped when every group
+    keeps a fit); a group that keeps one enters through pi_k g_k.  The cross term is
 
         sum_k (pi_k - pi_k^2) sum_{j != j'} w_j w_j' x_j'x_j'
           = sum_k (pi_k - pi_k^2) (|g_k|^2 - sum_{j in k} w_j^2 x_j'x_j)
@@ -456,7 +460,7 @@ def fit_pass(state: VariationalState, data, group_fit=None) -> GroupFits:
     member per block.
     """
     w = state.alpha_jk * state.mu
-    fits = group_fits(data, w) if group_fit is None else group_fit
+    fits = group_fits(data, w, out) if group_fit is None else group_fit
     kept = fits.shape[0]        # the groups that keep a fit
     lone = state.pi_k[data.group_of] * w
     if kept:
@@ -478,13 +482,15 @@ def refresh_residual(state: VariationalState, data, params, *,
                      fits: GroupFits | None = None) -> VariationalState:
     """Recompute ``group_fit`` and every block's ``residual`` =
     y - Z omega - X pw from scratch, in place, from ``fits`` (the
-    iteration's :func:`fit_pass`; run here when None).
+    iteration's :func:`fit_pass`; run here when None, forming the group
+    fits straight into ``state.group_fit``).
 
     Idempotent; used to wash out floating-point drift accumulated by the
     incremental updates inside the coordinate sweeps.
     """
-    fits = fit_pass(state, data) if fits is None else fits
-    state.group_fit[:] = fits.group_fit
+    fits = fit_pass(state, data, out=state.group_fit) if fits is None else fits
+    if fits.group_fit is not state.group_fit:
+        state.group_fit[:] = fits.group_fit
     for r, y, Z, omega, fit in zip(
             data.per_block(state.residual), data.per_block(data.y),
             data.per_block(data.Z), data.per_block(params.omega), fits.fit):

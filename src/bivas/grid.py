@@ -97,12 +97,16 @@ def run_grid(data, pi_values, opts: EmOptions | None = None,
     run stops at ``max_iter`` without converging, one WARNING names those
     grid points, their pi values and the total weight they carry; the
     results are unchanged.  A grid that is empty, not 1-D or holds a
-    value that is not finite in (0, 1) is rejected before any fit.
+    value that is not a number finite in (0, 1) is rejected before any
+    fit.
     """
     if threads < 1:
         raise InvalidCount(f"threads must be >= 1, got {threads}")
     run_opts = replace(opts if opts is not None else EmOptions(), fix_pi=True)
-    pi_values = np.asarray(pi_values, dtype=float)
+    try:
+        pi_values = np.asarray(pi_values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidThreshold(f"pi grid must hold numbers: {exc}") from None
     if pi_values.ndim != 1:
         raise DimensionMismatch(
             f"pi grid must be 1-D, got shape {pi_values.shape}")

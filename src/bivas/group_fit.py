@@ -450,14 +450,16 @@ def run_em(data, params, state, opts: EmOptions | None,
     there), and one stabilising plain step follows.  That step is kept
     when its bound is at least theta2's; otherwise theta2's (mu,
     alpha_jk, s2, pi_k) and parameters come back, and one from-scratch
-    fit pass rebuilds its caches.  When a >= -1 (or v = 0) the cycle ends
-    at theta2.  The trace holds the kept bounds only, so it rises as the
-    plain steps do.  ``opts.max_iter`` caps the sweeps, rejected ones
-    included, and ``iterations`` counts them.  Convergence is declared
-    when the relative change |dL| / (1 + |L|) between consecutive trace
-    entries drops below ``opts.rel_tol``.  The run owns ``state``: the
-    result's ``state`` is its :class:`~bivas.designs.Posterior`, the
-    same arrays, and the caches are dropped with it.
+    fit pass rebuilds its caches.  Both from-scratch passes form the
+    group fits straight into ``state.group_fit``.  When a >= -1 (or
+    v = 0) the cycle ends at theta2.  The trace holds the kept bounds
+    only, so it rises as the plain steps do.  ``opts.max_iter`` caps the
+    sweeps, rejected ones included, and ``iterations`` counts them.
+    Convergence is declared when the relative change |dL| / (1 + |L|)
+    between consecutive trace entries drops below ``opts.rel_tol``.  The
+    run owns ``state``: the result's ``state`` is its
+    :class:`~bivas.designs.Posterior`, the same arrays, and the caches are
+    dropped with it.
     """
     opts = EmOptions() if opts is None else opts
     theta0, r, v = np.empty((3, 2 * state.mu.size + state.pi_k.size))
@@ -475,7 +477,7 @@ def run_em(data, params, state, opts: EmOptions | None,
         return params, bound(state, data, params, fits=fits)
 
     def settle(params):     # its own frame: the fits go before the next sweep
-        fits = designs.fit_pass(state, data)
+        fits = designs.fit_pass(state, data, out=state.group_fit)
         params = mstep(state, data, params, opts, fits=fits)
         refresh(state, data, params, fits=fits)
         return params
@@ -516,7 +518,8 @@ def run_em(data, params, state, opts: EmOptions | None,
             else:
                 for live, saved in zip(raw, kept):
                     np.copyto(live, saved)
-                refresh(state, data, params, fits=designs.fit_pass(state, data))
+                refresh(state, data, params, fits=designs.fit_pass(
+                    state, data, out=state.group_fit))
     return EmResult(params=params, state=raw, elbo=trace[-1],
                     elbo_trace=np.asarray(trace), iterations=sweeps,
                     converged=converged)

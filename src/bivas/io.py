@@ -10,11 +10,16 @@ with ``repr``, which round-trips doubles exactly.
 """
 from __future__ import annotations
 
+import codecs
 import csv
+import ctypes
 import dataclasses
-import itertools
 import json
+import locale
+import math
 import os
+import re
+import stat
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +36,7 @@ from .exceptions import BivasError, DimensionMismatch, NaNPresent, NonNumeric
 from .grid import GridFit, PosteriorSummary, SelectionReport
 
 GROUP_ROW_MARKER = "group"
+CHUNK_BYTES = 1 << 16       # bytes of a data table read at a time
 
 
 def _delimiter(path: str) -> str:
@@ -46,11 +52,59 @@ def _rows(fh, path: str):
     return (row for row in csv.reader(fh, delimiter=_delimiter(path)) if row)
 
 
-def _tee(lines, taken: list):
-    """Yield ``lines``, appending each to ``taken``."""
-    for line in lines:
-        taken.append(line)
-        yield line
+class _Lines:
+    """The lines of the binary file ``fh``, after the bytes ``start``,
+    split and decoded as ``open(path, newline="")`` splits and decodes
+    them: each ends at "\\n", "\\r\\n" or a lone "\\r" and keeps its
+    ending.  With ``keep``, ``taken`` holds the bytes of the lines yielded
+    since it was last cleared, and :meth:`rest` gives them back with the
+    bytes read and not yet yielded, so that a caller can read on from
+    there as bytes."""
+
+    _END = re.compile(rb"\r\n?|\n")
+
+    def __init__(self, fh, start: bytes = b"", *, keep: bool = False):
+        self.fh, self.pending, self.pos, self.eof = fh, start, 0, False
+        self.taken = [] if keep else None
+        self.decode = codecs.getincrementaldecoder(
+            locale.getpreferredencoding(False))().decode
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        while True:
+            end = self._END.search(self.pending, self.pos)
+            # a "\r" at the end of the bytes read may begin a "\r\n"
+            if end and (self.eof or end.end() < len(self.pending)
+                        or end.group() != b"\r"):
+                line = self.pending[self.pos:end.end()]
+                break
+            if self.eof:
+                line = self.pending[self.pos:]
+                if not line:
+                    self.decode(b"", True)      # a truncated character fails
+                    raise StopIteration
+                break
+            # 8 KiB at a time, as open()'s text files read, or as many
+            # bytes as an unfinished line holds, so that a long line is
+            # read in linear time
+            rest = self.pending[self.pos:]
+            more = self.fh.read(max(min(CHUNK_BYTES, 8192), len(rest)))
+            self.pending, self.pos = rest + more, 0
+            self.eof = not more
+        self.pos += len(line)
+        if self.taken is not None:
+            self.taken.append(line)
+        return self.decode(line)
+
+    def rest(self) -> bytes:
+        """The bytes of the lines in ``taken``, then those read and not yet
+        yielded, handed over: both are dropped here."""
+        rest = b"".join(self.taken) + self.pending[self.pos:]
+        self.taken.clear()
+        self.pending, self.pos = b"", 0
+        return rest
 
 
 def read_group_map(path: str, response: str | None = None) -> dict:
@@ -109,13 +163,16 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
     data; needs the sidecar group map, since the inline marker lives in the
     response cell).  No two header cells may hold the same name, at least
     one data row must follow, and every cell must parse as a finite
-    number.  Data rows are parsed as they are read (:func:`_read_rows`),
-    so no row is held as strings.  y, and Z or X when their columns are
-    adjacent in the header, are views of the one parsed block.
+    number.  The header and the inline group row are read as text, as
+    ``open(data_path, newline="")`` reads them; the data rows are parsed
+    from the file's bytes a chunk at a time as they are read
+    (:func:`_read_rows`), so neither the file nor any row is held as
+    strings.  y, and Z or X when their columns are adjacent in the header,
+    are views of the one parsed block.
     """
-    with open(data_path, newline="") as fh:
-        taken = []      # the lines csv has read since the header
-        rows = _rows(_tee(fh, taken), data_path)
+    with open(data_path, "rb") as fh:
+        lines = _Lines(fh, keep=True)
+        rows = _rows(lines, data_path)
         header = next(rows, None)
         if header is None:
             raise NonNumeric(f"{data_path}: empty table")
@@ -132,14 +189,14 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
 
         inline: dict = {}
         first_line = 2      # row number of the first data row, for messages
-        taken.clear()
+        lines.taken.clear()
         first = next(rows, [])
         if resp_idx is not None \
                 and first[resp_idx:resp_idx + 1] == [GROUP_ROW_MARKER]:
             inline = {name: cell for name, cell in zip(header, first)
                       if name != response and cell != ""}
             first_line = 3
-            taken.clear()
+            lines.taken.clear()
         if groups_path is not None:
             group_label_of = read_group_map(groups_path, response)   # sidecar wins
         elif inline:
@@ -154,8 +211,7 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
             raise DimensionMismatch(
                 f"{data_path}: group map names absent from table: "
                 f"{missing[:5]}" + (f" and {more} more" if more > 0 else ""))
-        parsed = _read_rows(itertools.chain(taken, fh), header, data_path,
-                            first_line)
+        parsed = _read_rows(fh, lines.rest(), header, data_path, first_line)
     if not parsed.shape[0]:
         raise DimensionMismatch(f"{data_path}: no data rows")
 
@@ -183,42 +239,99 @@ def _columns(parsed: np.ndarray, idx: list) -> np.ndarray:
     return parsed[:, idx]
 
 
-def _read_rows(lines, header, path: str, first_line: int) -> np.ndarray:
-    """The data rows in the physical ``lines`` of a table as an
-    (n, len(header)) float array; the first row is row ``first_line``.
+def _read_rows(fh, start: bytes, header, path: str,
+               first_line: int) -> np.ndarray:
+    """The data rows in the bytes ``start`` and then the rest of the binary
+    file ``fh`` as an (n, len(header)) float array; the first row is row
+    ``first_line``.
 
-    The compiled kernel parses each line while it is a row of plain finite
-    numbers (``parse_row`` in ``_sweep.c`` says which are plain), giving
-    the doubles ``float()`` gives: it rounds most cells itself, in integer
-    arithmetic, and hands the rest to ``strtod``.  From the first line it
-    does not take, or from the start when there is no kernel,
-    :func:`_parse_rows` reads on, so every message comes from it.  Both
-    write each row straight into one block (:func:`_room`).
+    The file is read ``CHUNK_BYTES`` at a time, and one call of the
+    compiled ``parse_rows`` (``_sweep.c``) parses the whole rows of plain
+    finite numbers in each chunk (``parse_row`` there says which are
+    plain), giving the doubles ``float()`` gives, and skips blank lines as
+    csv does; the unfinished row at a chunk's end is carried into the next
+    read.  From the first row it does not take, or from the start when
+    there is no kernel, :func:`_parse_rows` reads on: the bytes not yet
+    parsed and then the rest of the file, as text (:class:`_Lines`), so
+    every message comes from it and the file is never read twice.  Both
+    write each row straight into one block, trimmed at the end.  When the
+    file has a size, the block is sized from it and the first row's
+    length (again from the mean row length if rows remain); otherwise it
+    grows by an eighth (:func:`_room`).
     """
-    width, n = len(header), 0
-    block = np.empty((64, width))
+    block, n = np.empty((0, len(header))), 0
     lib = _sweep.kernel()
     if lib is not None:
-        parse, delim = lib.parse_row, ord(_delimiter(path))
-        base = block.ctypes.data
-        for line in lines:
-            if n == block.shape[0]:
-                base = _room(block, n).ctypes.data
-            raw = line.encode()
-            if parse(raw, len(raw), delim, width,
-                     base + block.strides[0] * n) != 0:
-                lines = itertools.chain([line], lines)
-                break
-            n += 1
-    return _parse_rows(_rows(lines, path), header, path, first_line + n,
-                       block, n)
+        block, n, start = _parse_chunks(lib, fh, start, len(header),
+                                        ord(_delimiter(path)))
+    return _parse_rows(_rows(_Lines(fh, start), path), header, path,
+                       first_line + n, block, n)
+
+
+def _parse_chunks(lib, fh, start: bytes, width: int, delim: int):
+    """Parse the plain rows of ``start`` and then of ``fh``, one
+    ``parse_rows`` call per chunk read, until a row that is not plain or
+    the end of the file.  Returns the block they were written to, the rows
+    parsed and the bytes read and not parsed."""
+    size = os.fstat(fh.fileno())
+    size = size.st_size if stat.S_ISREG(size.st_mode) else None
+    offset = fh.tell() - len(start) if size is not None else 0  # of buf[0]
+    block, n = np.empty((0, width)), 0
+    buf = bytearray(start + b"\0")     # the bytes, and a NUL after them
+    base, pos, have, at_eof = _address(buf), 0, len(start), False
+    done = (ctypes.c_int64 * 2)()
+    while True:
+        status = lib.parse_rows(base + pos, have - pos, at_eof, delim, width,
+                                block.ctypes.data + block.strides[0] * n,
+                                block.shape[0] - n, done)
+        n, pos = n + done[0], pos + done[1]
+        if status == 1:             # block full: a whole row waits at pos
+            if not n:
+                first = offset + pos
+            rows = _grown(n)
+            left = size - offset - pos if size is not None else 0
+            if left > 0:            # the rows left, at the mean row length
+                per_row = ((offset + pos - first) / n if n else
+                           (buf.find(b"\n", pos, have) + 1 or have) - pos)
+                rows = n + max(1, math.ceil(left / per_row))
+            if n:
+                block.resize((rows, width), refcheck=False)
+            else:       # resize would write zeros over the whole new block
+                block = np.empty((rows, width))
+            continue
+        if status == -1 or at_eof:
+            return block, n, bytes(buf[pos:have])
+        # an unfinished row at pos: move it to the front, and read at least
+        # as much again after it
+        tail, room = have - pos, max(CHUNK_BYTES, have - pos)
+        if tail + room + 1 > len(buf):
+            grown = bytearray(2 * room + 1)
+            ctypes.memmove(_address(grown), base + pos, tail)
+            buf, base = grown, _address(grown)
+        else:
+            ctypes.memmove(base, base + pos, tail)
+        offset, pos = offset + pos, 0
+        got = fh.readinto(memoryview(buf)[tail:tail + room])
+        at_eof, have = not got, tail + got
+        buf[have] = 0
+
+
+def _address(buf: bytearray) -> int:
+    """The address of ``buf``'s bytes, which stay where they are while no
+    call changes its length."""
+    return ctypes.addressof((ctypes.c_char * len(buf)).from_buffer(buf))
+
+
+def _grown(n: int) -> int:
+    """The rows of a block of ``n`` rows grown by an eighth, at least 64."""
+    return max(64, n + n // 8)
 
 
 def _room(block: np.ndarray, n: int) -> np.ndarray:
-    """``block``, grown in place by an eighth when row ``n`` is past its
-    end.  No view of it may be held across the call."""
+    """``block``, grown in place (:func:`_grown`) when row ``n`` is past
+    its end.  No view of it may be held across the call."""
     if n == block.shape[0]:
-        block.resize((n + n // 8, block.shape[1]), refcheck=False)
+        block.resize((_grown(n), block.shape[1]), refcheck=False)
     return block
 
 

@@ -1,14 +1,19 @@
 """Validation, group re-indexing, group fits and residual cache maintenance."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bivas import (
+    EmOptions,
     GroupedDesign,
     ModelParams,
     MultiTaskData,
     VariationalState,
+    elbo,
     estep_sweep,
     initial_params,
+    mstep_update,
     refresh_residual,
     validate_design,
 )
@@ -323,6 +328,39 @@ class TestRefreshResidual:
         first = state.residual.copy()
         refresh_residual(state, d, params)
         np.testing.assert_array_equal(first, state.residual)
+
+    def test_forms_group_fits_in_place(self, kernel_path):
+        # a from-scratch refresh forms the (M, n) group fits straight into
+        # the state's array: traced from before the state is built, the
+        # peak holds that array once, not a second one beside it
+        rng = np.random.default_rng(3)
+        n, p = 1000, 1000
+        d = GroupedDesign(rng.standard_normal(n), np.ones((n, 1)),
+                          rng.standard_normal((n, p)), np.arange(p) // 10)
+        params = initial_params(d, pi=0.3)
+        refresh_residual(random_state(rng, d, params), d, params)   # warm
+        posterior = random_state(rng, d, params)
+        tracemalloc.start()
+        try:
+            state = VariationalState(d, posterior)
+            refresh_residual(state, d, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(state.group_fit, posterior.group_fit)
+        assert peak < 1.5 * state.group_fit.nbytes
+
+    def test_bound_and_mstep_leave_the_state(self, rng):
+        # a standalone bound or M-step forms its own group fits
+        d = random_grouped(rng)
+        params = initial_params(d, pi=0.3)
+        state = random_state(rng, d, params)
+        estep_sweep(state, d, params)
+        caches = state.group_fit.copy(), state.residual.copy()
+        elbo(state, d, params)
+        mstep_update(state, d, params, EmOptions())
+        np.testing.assert_array_equal(state.group_fit, caches[0])
+        np.testing.assert_array_equal(state.residual, caches[1])
 
 
 class TestSolveCho:

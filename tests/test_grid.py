@@ -150,6 +150,10 @@ class TestRunGrid:
         ([-float("inf"), 0.5], InvalidThreshold, r"^pi grid value 0 is -inf, "),
         ([0.5, float("inf")], InvalidThreshold,
          r"^pi grid value 1 is inf, not finite in \(0, 1\)$"),
+        (["a", "b"], InvalidThreshold,
+         r"^pi grid must hold numbers: could not convert string to float: "
+         r"'a'$"),
+        ([0.2, {}], InvalidThreshold, r"^pi grid must hold numbers: "),
     ])
     def test_bad_grid_rejected_before_any_fit(self, design, monkeypatch,
                                               pi_values, error, message):

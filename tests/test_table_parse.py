@@ -1,12 +1,16 @@
 """The compiled row parse of a data table against the Python parser.
 
 Plain rows (numbers as ``repr`` writes them, the table's delimiter, the
-header's width) are parsed by ``parse_row`` in ``_sweep.c``; from the
-first row that is not plain, ``io._parse_rows`` reads on.  Both must give
-the same doubles, and every other input the same table or the same error.
+header's width) are parsed chunk by chunk by ``parse_rows`` in
+``_sweep.c``, each by ``parse_row``; from the first row that is not
+plain, ``io._parse_rows`` reads on.  Both must give the same doubles, and
+every other input the same table or the same error, wherever the chunks
+end.
 """
+import io
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -178,6 +182,31 @@ class TestExactConversion:
             cells += [text, "-" + text, f"{text}e{int(rng.integers(-9, 9))}"]
         same_as_float(cells)
 
+    def test_eight_digit_runs(self):
+        # runs of 7, 8, 9 and 15-20 significant digits, which the kernel
+        # reads 8 at a time and then one by one, after runs of 0-17
+        # leading zeros that end on either side of an 8-byte boundary; in
+        # the integer part, in the fraction, and split by the point at
+        # every place
+        rng = np.random.default_rng(5)
+        cells = ["99999999", "100000000", "10000000.00000001",
+                 "12345678901234567890", "0.1234567812345678",
+                 "00000000" * 3 + "1", "0." + "00000000" * 3 + "1"]
+        for nd in (7, 8, 9, 15, 16, 17, 18, 19, 20):
+            for lead in range(18):
+                zeros = "0" * lead
+                for _ in range(8):
+                    digits = str(rng.integers(1, 10)) + "".join(
+                        map(str, rng.integers(0, 10, nd - 1)))
+                    k = int(rng.integers(0, nd + 1))
+                    cells += [zeros + digits, "0." + zeros + digits,
+                              f"-{zeros}{digits[:k] or '0'}.{digits[k:] or '0'}",
+                              f"{zeros}{digits}e-{lead + nd}",
+                              f"{zeros}{digits[:k] or '0'}."
+                              f"{(zeros + digits[k:]) or '0'}"
+                              f"E{int(rng.integers(-30, 31))}"]
+        same_as_float(cells)
+
     def test_zeros_keep_their_sign(self):
         cells = ["-0.0", "-0e5", "0e-400", "0", "+0", "-0", "0.000",
                  "-000.000e999", "0e99999999999999999999", "+0.0E-0"]
@@ -277,13 +306,17 @@ class TestBothPaths:
         "crlf": ("1.0,2.0,3.0,4.0\r\n5.0,6.0,7.0,8.0\r\n", BASE),
         "no-final-newline": ("1.0,2.0,3.0,4.0\n5.0,6.0,7.0,8.0", BASE),
         "blank-lines": ("1.0,2.0,3.0,4.0\n\n\n5.0,6.0,7.0,8.0\n\n", BASE),
+        "blank-crlf-lines": ("\r\n1.0,2.0,3.0,4.0\r\n\r\n5.0,6.0,7.0,8.0\r\n"
+                             "\r\n", BASE),
+        "lone-cr-ending": ("1.0,2.0,3.0,4.0\r5.0,6.0,7.0,8.0\n", BASE),
+        "cr-cr-lf-ending": ("1.0,2.0,3.0,4.0\r\r\n5.0,6.0,7.0,8.0\n", BASE),
         "short-last-row": ("1.0,2.0,3.0,4.0\n5.0,6.0,7.0\n",
                            (DimensionMismatch, "row {2} has 3 cells, "
                                                "expected 4")),
         "text": ("1.0,2.0,3.0,4.0\n5.0,6.0,abc,8.0\n",
                  (NonNumeric, "row {2}: cannot parse 'abc' as a number")),
     }
-    PLAIN = ("crlf", "no-final-newline")
+    PLAIN = ("crlf", "no-final-newline", "blank-lines", "blank-crlf-lines")
 
     @pytest.mark.parametrize("inline", [True, False], ids=["inline", "sidecar"])
     @pytest.mark.parametrize("header", ["y,z,x0,x1", 'y,z,"x0",x1'],
@@ -324,3 +357,216 @@ class TestBothPaths:
         np.testing.assert_array_equal(table.y, [1.0, 4.0, 7.0])
         np.testing.assert_array_equal(table.X, [[2.0, 3.0], [5.0, 6.5],
                                                 [8.0, 9.0]])
+
+
+class TestBothPathsInSmallChunks(TestBothPaths):
+    """Every case above again with the table read a few bytes at a time, so
+    that rows, "\\r\\n" endings and blank lines fall across the edges of the
+    chunks, and of the text reads of the header and the Python parser."""
+
+    @pytest.fixture(autouse=True, params=[1, 3, 8])
+    def small_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(bio, "CHUNK_BYTES", request.param)
+
+
+def parse_rows(data, width, room, at_eof=True, delimiter=","):
+    """The kernel's parse of the rows in ``data``: (status, the rows it
+    wrote, the bytes it took)."""
+    raw = data.encode() + b"\0"
+    out = np.empty((max(room, 1), width))
+    done = np.zeros(2, np.int64)
+    status = _sweep.kernel().parse_rows(raw, len(raw) - 1, at_eof,
+                                        ord(delimiter), width, out.ctypes.data,
+                                        room, done.ctypes.data)
+    return status, out[:done[0]].tolist(), int(done[1])
+
+
+@needs_kernel
+class TestParseRows:
+    def test_blank_lines_are_skipped(self):
+        data = "\n\r\n1.0,2.0\n\n\r\n3.0,4.0\r\n\n"
+        assert parse_rows(data, 2, 5) == (0, [[1.0, 2.0], [3.0, 4.0]],
+                                          len(data))
+
+    def test_stops_when_the_block_is_full(self):
+        # at the next whole row, after the blank lines before it
+        assert parse_rows("1.0,2.0\n\n3.0,4.0\n", 2, 1) == (1, [[1.0, 2.0]], 9)
+        assert parse_rows("\n1.0,2.0\n", 2, 0) == (1, [], 1)
+
+    def test_waits_for_the_rest_of_a_row(self):
+        for tail in ("3.0", "3.0,4.0", "3.0,4.0\r", "\r"):
+            assert parse_rows("1.0,2.0\n" + tail, 2, 5, at_eof=False) \
+                == (0, [[1.0, 2.0]], 8)
+        # at the end of the file, the last row needs no ending
+        assert parse_rows("1.0,2.0\n3.0,4.0", 2, 5) \
+            == (0, [[1.0, 2.0], [3.0, 4.0]], 15)
+
+    @pytest.mark.parametrize("at_eof", [True, False])
+    @pytest.mark.parametrize("bad", ["3.0,4.0\r5.0,6.0\n", "3.0,4.0\r\r\n",
+                                     "\r3.0,4.0\n", '3.0,"4.0"\n', "3.0\n"])
+    def test_stops_at_a_row_that_is_not_plain(self, bad, at_eof):
+        # a "\r" that no "\n" follows is a line ending only csv reads
+        assert parse_rows("1.0,2.0\n\n" + bad, 2, 5, at_eof) \
+            == (-1, [[1.0, 2.0]], 9)
+
+    def test_lone_cr_at_the_end_of_the_file(self):
+        assert parse_rows("1.0,2.0\r", 2, 5) == (-1, [], 0)
+
+
+def _table(rows, ending="\n"):
+    """A csv table of y, z, x0 and x1 with an inline group row, and its
+    values; row i holds repr'd doubles of about 20 characters."""
+    values = np.random.default_rng(len(rows)).standard_normal((len(rows), 4))
+    lines = ["y,z,x0,x1", "group,,a,a"] + [
+        row if isinstance(row, str) else ",".join(map(repr, values[i].tolist()))
+        for i, row in enumerate(rows)]
+    return ending.join(lines) + ending, values
+
+
+class TestChunkEdges:
+    """Tables whose rows, line endings and first non-plain row fall at or
+    across the edges of the chunks the kernel parses."""
+
+    def test_row_longer_than_a_chunk(self, tmp_path, monkeypatch, kernel_path):
+        rng = np.random.default_rng(9)
+        p = bio.CHUNK_BYTES // 8        # about 20 bytes a cell
+        values = rng.standard_normal((3, p + 1))
+        path, groups = _write(
+            tmp_path, ",".join(["y"] + [f"x{j}" for j in range(p)]),
+            "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()),
+            inline=False)
+        assert os.path.getsize(path) > 3 * 2 * bio.CHUNK_BYTES
+        if kernel_path == "compiled":
+            _refuse_python_parser(monkeypatch)
+        table = bio.read_design_table(path, groups)
+        assert bits(table.X.ravel()) == bits(values[:, 1:].ravel())
+        assert bits(table.y) == bits(values[:, 0])
+
+    @needs_kernel
+    def test_crlf_and_blank_lines_at_every_chunk_edge(self, tmp_path,
+                                                      monkeypatch):
+        # every chunk size up to two rows puts a chunk's edge between some
+        # "\r" and its "\n", and at each side of a blank line
+        text, values = _table([None, "", None, "", "", None, None],
+                              ending="\r\n")
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        values = values[[0, 2, 5, 6]]
+        _refuse_python_parser(monkeypatch)
+        for chunk in range(1, 2 * len(text) // 9):
+            monkeypatch.setattr(bio, "CHUNK_BYTES", chunk)
+            table = bio.read_design_table(str(path))
+            assert bits(np.column_stack([table.y, table.Z, table.X]).ravel()) \
+                == bits(values.ravel()), chunk
+
+    @staticmethod
+    def _read_from(source, text, path):
+        """Read the table ``text`` from a file at ``path`` or from a pipe;
+        the pipe's writer runs in a thread, since the table may not fit in
+        its buffer, and stops when the reader closes its end early."""
+        if source == "file":
+            path.write_bytes(text.encode())
+            return bio.read_design_table(str(path))
+        r, w = os.pipe()
+
+        def write():
+            with open(w, "wb") as fh:
+                try:
+                    fh.write(text.encode())
+                except BrokenPipeError:
+                    pass
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            return bio.read_design_table(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_non_plain_row_in_a_later_chunk(self, tmp_path, monkeypatch,
+                                            kernel_path, source):
+        # 4000 rows of about 80 bytes span several chunks: the kernel
+        # parses the rows before the quoted one, the Python parser from it
+        rows = [None] * 4000
+        rows[3000] = '"1.5",2.5,3.5,4.5'
+        text, values = _table(rows)
+        values[3000] = [1.5, 2.5, 3.5, 4.5]
+        assert len(text) > 3 * bio.CHUNK_BYTES
+        handed = []
+        python_parser = bio._parse_rows
+
+        def spy(rows, header, path, first_line, block, n):
+            handed.append(n)
+            return python_parser(rows, header, path, first_line, block, n)
+        monkeypatch.setattr(bio, "_parse_rows", spy)
+        table = self._read_from(source, text, tmp_path / "t.csv")
+        assert bits(np.column_stack([table.y, table.Z, table.X]).ravel()) \
+            == bits(values.ravel())
+        assert handed == [3000 if kernel_path == "compiled" else 0]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("bad, error, message", [
+        ("1.0,2.0,abc,4.0", NonNumeric,
+         "row 3003: cannot parse 'abc' as a number"),
+        ("1.0,2.0,3.0", DimensionMismatch, "row 3003 has 3 cells, expected 4"),
+        ("1.0,nan,3.0,4.0", NaNPresent,
+         "row 3003, column 'z' holds 'nan', not a finite number"),
+    ], ids=["text", "short", "nan"])
+    def test_error_in_a_later_chunk(self, tmp_path, kernel_path, source, bad,
+                                    error, message):
+        # row numbers count the header, the group row and the blank-free
+        # rows the kernel parsed before the bad one
+        rows = [None] * 4000
+        rows[3000] = bad
+        text, _ = _table(rows)
+        with pytest.raises(error) as info:
+            self._read_from(source, text, tmp_path / "t.csv")
+        assert str(info.value).endswith(": " + message)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8192])
+    def test_text_lines_split_as_open_splits(self, monkeypatch, chunk):
+        # the header, the group row and the Python parser's lines: the
+        # lines a text file opened with newline="" gives, "\r\n" kept
+        # whole when a read ends between its two bytes
+        monkeypatch.setattr(bio, "CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(chunk)
+        for _ in range(50):
+            data = bytes(rng.choice(list(b"\r\na,\xc3\xa9"),
+                                    int(rng.integers(0, 40))).tolist())
+            data = data.decode("utf-8", "ignore").encode()
+            want = list(io.TextIOWrapper(io.BytesIO(data), newline=""))
+            assert list(bio._Lines(io.BytesIO(data))) == want, data
+
+    def test_lone_cr_line_endings(self, tmp_path, kernel_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"y,z,x0,x1\rgroup,,a,a\r1.0,2.0,3.0,4.0\r"
+                         b"5.0,6.0,7.0,8.0\r")
+        table = bio.read_design_table(str(path))
+        np.testing.assert_array_equal(
+            np.column_stack([table.y, table.Z, table.X]), BASE)
+        assert table.predictor_names == ["x0", "x1"]
+
+    @needs_kernel
+    def test_lone_cr_table_goes_to_python_unread(self, tmp_path, monkeypatch):
+        # the kernel gives such a table up at its first data row, before
+        # it reads a chunk of it: the file is not buffered whole first
+        text, values = _table([None] * 4000, ending="\r")
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        unparsed = []
+        parse_chunks = bio._parse_chunks
+
+        def spy(*args):
+            block, n, rest = parse_chunks(*args)
+            unparsed.append((n, len(rest)))
+            return block, n, rest
+        monkeypatch.setattr(bio, "_parse_chunks", spy)
+        table = bio.read_design_table(str(path))
+        assert bits(np.column_stack([table.y, table.Z, table.X]).ravel()) \
+            == bits(values.ravel())
+        assert len(unparsed) == 1 and unparsed[0][0] == 0
+        assert unparsed[0][1] <= bio.CHUNK_BYTES < len(text) // 4
