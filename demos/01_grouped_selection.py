@@ -19,7 +19,7 @@ print(f"simulated: n={design.n}, p={design.p}, K={design.K}, "
       f"sigma_e2={truth.sigma_e2:.3f}")
 
 grid = make_pi_grid(design.K, h=15)
-fit = run_grid(design, grid, EmOptions(), threads=2)
+fit = run_grid(design, grid, EmOptions())
 
 print("\npi grid, bound and normalized weight per run:")
 for pi, e, w, res in zip(fit.pi_values, fit.elbos, fit.weights, fit.results):

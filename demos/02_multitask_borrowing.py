@@ -18,8 +18,7 @@ active = int(truth.eta.sum())
 print(f"simulated L={data.L} tasks, K={data.K} shared features, "
       f"{active} active features, sample sizes {data.n}")
 
-joint = aggregate(run_grid(data, make_pi_grid(data.K, 10), EmOptions(),
-                           threads=2))
+joint = aggregate(run_grid(data, make_pi_grid(data.K, 10), EmOptions()))
 
 print("\nper-task coefficient MSE, joint fit vs separate fits:")
 print(f"{'task':>6} {'n_j':>6} {'joint':>10} {'separate':>10} {'gain':>7}")
@@ -28,7 +27,7 @@ for j in range(data.L):
     single = GroupedDesign(data.y[j], data.Z[j], data.X[j],
                            np.arange(data.K))
     sep = aggregate(run_grid(single, make_pi_grid(single.K, 10),
-                             EmOptions(), threads=2))
+                             EmOptions()))
     mse_sep = coef_mse(sep.effect, truth.coef[:, j])
     print(f"{j:>6} {data.n[j]:>6} {mse_joint:>10.5f} {mse_sep:>10.5f} "
           f"{mse_sep / mse_joint:>6.2f}x")

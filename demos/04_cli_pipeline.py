@@ -20,7 +20,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     main(["fit", "--data", str(sim / "data.csv"),
           "--groups", str(sim / "groups.csv"),
-          "--grid-size", "8", "--threads", "2", "--fdr", "0.05",
+          "--grid-size", "8", "--fdr", "0.05",
           "--out", str(fit_dir)])
     print("fit wrote:     ", sorted(p.name for p in fit_dir.iterdir()))
 

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on validation errors (bad values, shapes,
 rank-deficient covariates), 2 on IO and usage errors (missing flags or
-files, unreadable tables).
+files, files that do not decode as text or as JSON).
 """
 from __future__ import annotations
 
@@ -29,25 +29,9 @@ from .metrics import auc, coef_mse, fdr_power
 from .simulate import SimConfig, gen_multitask, simulate_dataset
 
 
-def _default_threads() -> int:
-    env = os.environ.get("BIVAS_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InvalidCount(
-                f"BIVAS_THREADS must be an integer >= 1, got {env!r}") from None
-        if threads < 1:
-            raise InvalidCount(f"BIVAS_THREADS must be >= 1, got {threads}")
-        return threads
-    return 1
-
-
-def _fit_settings(args) -> tuple[int, EmOptions]:
-    """Check the fit flags before any data is read or written.
-
-    Returns the thread count and the EM options.
-    """
+def _fit_settings(args) -> EmOptions:
+    """Check the fit flags before any data is read or written, and
+    return the EM options."""
     if not 0.0 < args.fdr < 1.0:
         raise InvalidThreshold(f"--fdr must be in (0, 1), got {args.fdr}")
     if args.max_iter < 1:
@@ -56,19 +40,17 @@ def _fit_settings(args) -> tuple[int, EmOptions]:
         raise BivasError(f"--tol must be > 0, got {args.tol}")
     if args.grid_size < 1:
         raise InvalidCount(f"grid size must be >= 1, got {args.grid_size}")
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
-        raise InvalidCount(f"threads must be >= 1, got {threads}")
-    return threads, EmOptions(max_iter=args.max_iter, rel_tol=args.tol)
+    if args.threads < 1:
+        raise InvalidCount(f"threads must be >= 1, got {args.threads}")
+    return EmOptions(max_iter=args.max_iter, rel_tol=args.tol)
 
 
 def _add_fit_flags(sub):
     sub.add_argument("--grid-size", type=int, default=20,
                      help="number of group-sparsity grid points (default 20)")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads for the grid's two cold endpoint "
-                          "fits; more than two change nothing (default: "
-                          "BIVAS_THREADS or 1)")
+    sub.add_argument("--threads", type=int, default=1,
+                     help="no effect: the grid runs in one thread; kept for "
+                          "existing scripts, and checked >= 1 (default 1)")
     sub.add_argument("--fdr", type=float, default=0.05,
                      help="local fdr selection threshold (default 0.05)")
     sub.add_argument("--tol", type=float, default=1e-5,
@@ -80,11 +62,10 @@ def _add_fit_flags(sub):
     sub.add_argument("--out", default=".", help="output directory")
 
 
-def _fit_and_write(args, data, threads, em_options, **options) -> int:
+def _fit_and_write(args, data, em_options, **options) -> int:
     """Fit the grid on either container and write its artifacts to
     ``args.out``; ``options`` go into model.json after the fit flags."""
-    gridfit = run_grid(data, make_pi_grid(data.K, args.grid_size),
-                       em_options, threads=threads)
+    gridfit = run_grid(data, make_pi_grid(data.K, args.grid_size), em_options)
     os.makedirs(args.out, exist_ok=True)
     summary = aggregate(gridfit)
     report = select(summary, args.fdr)
@@ -103,18 +84,18 @@ def _fit_and_write(args, data, threads, em_options, **options) -> int:
 
 
 def cmd_fit(args) -> int:
-    threads, em_options = _fit_settings(args)
+    em_options = _fit_settings(args)
     design = bio.load_design(args.data, args.groups, response=args.response,
                              standardize=args.standardize)
-    return _fit_and_write(args, design, threads, em_options,
+    return _fit_and_write(args, design, em_options,
                           standardize=bool(args.standardize),
                           response=args.response)
 
 
 def cmd_multifit(args) -> int:
-    threads, em_options = _fit_settings(args)
+    em_options = _fit_settings(args)
     data = bio.load_multitask(args.task_data, response=args.response)
-    return _fit_and_write(args, data, threads, em_options,
+    return _fit_and_write(args, data, em_options,
                           response=args.response, tasks=len(args.task_data))
 
 
@@ -238,8 +219,14 @@ def cmd_evaluate(args) -> int:
         j = name_idx[v["predictor"]]
         selected[(j, task) if summary.multitask else j] = True
     truth = bio.read_json(args.truth, ("coef", "eta"))
-    coef = np.asarray(truth["coef"], float)
-    eta = np.asarray(truth["eta"], float)
+    want = (summary.group_of.shape, summary.pi_tilde.shape)
+    try:
+        coef, eta = (np.asarray(truth[key], float) for key in ("coef", "eta"))
+        if (coef.shape, eta.shape) != want:
+            raise ValueError(f"want coef of shape {want[0]} and eta of shape "
+                             f"{want[1]}; got {coef.shape} and {eta.shape}")
+    except (TypeError, ValueError) as exc:
+        raise BivasError(f"{args.truth}: malformed truth: {exc}") from None
     pi_tilde, effect = summary.pi_tilde, summary.effect
     nonzero = coef != 0.0
     fdr, power = fdr_power(selected, nonzero)
@@ -267,7 +254,7 @@ def cmd_report(args) -> int:
     values: dict[str, list[float]] = {}
     order: list[str] = []
     for path in args.metrics:
-        with open(path, newline="") as fh:
+        with open(path, newline="") as fh, bio.decoding(path):
             reader = _csv.DictReader(fh)
             for row in reader:
                 for key, val in row.items():

@@ -6,16 +6,15 @@ equally spaced on [-log10 K, 0]) with pi held fixed, and the per-run
 posteriors are averaged under weights proportional to exp(elbo).  Only the
 two endpoints are fit cold; every other point, and the far endpoint once
 more, is one link of a chain of warm runs, each started from its
-neighbour's fit (Carbonetto & Stephens 2012).  The chain is serial, so at
-most the two cold runs are independent.  Grid points that stop at
-``max_iter`` are reported through the "bivas" logger.  A grid is the array
-of its pi values; the fit and its summary keep the container's
-``group_of``, whose shape tells the two models apart.
+neighbour's fit (Carbonetto & Stephens 2012).  The runs follow one
+another in the calling thread.  Grid points that stop at ``max_iter`` are
+reported through the "bivas" logger.  A grid is the array of its pi
+values; the fit and its summary keep the container's ``group_of``, whose
+shape tells the two models apart.
 """
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -84,21 +83,20 @@ def run_grid(data, pi_values, opts: EmOptions | None = None,
              threads: int = 1) -> GridFit:
     """Fit the model once per pi in ``pi_values``, the group prior held fixed.
 
-    The two endpoints are fit cold, from :func:`initial_params` (at the
-    same time when ``threads`` >= 2; no more than two runs are ever
-    independent).  One chain then walks from the endpoint with the higher
-    bound (the low end on a tie) to the other: each point starts from a
-    copy of the previous run's posterior, with its parameters and this
-    point's pi.  At the far endpoint the run with the higher bound is
-    kept, the cold one on a tie.  Every run is deterministic, so the
-    result is identical for any thread count.  One DEBUG record on the
-    "bivas" logger gives the chain's direction, the endpoint bounds and
-    the sweeps of all runs, the discarded one included.  When any kept
-    run stops at ``max_iter`` without converging, one WARNING names those
-    grid points, their pi values and the total weight they carry; the
-    results are unchanged.  A grid that is empty, not 1-D or holds a
-    value that is not a number finite in (0, 1) is rejected before any
-    fit.
+    The two endpoints are fit cold, from :func:`initial_params`.  One
+    chain then walks from the endpoint with the higher bound (the low end
+    on a tie) to the other: each point starts from a copy of the previous
+    run's posterior, with its parameters and this point's pi.  At the far
+    endpoint the run with the higher bound is kept, the cold one on a
+    tie.  Every run is deterministic and runs in the calling thread;
+    ``threads`` has no effect and is kept for existing callers, but must
+    still be >= 1.  One DEBUG record on the "bivas" logger gives the
+    chain's direction, the endpoint bounds and the sweeps of all runs,
+    the discarded one included.  When any kept run stops at ``max_iter``
+    without converging, one WARNING names those grid points, their pi
+    values and the total weight they carry; the results are unchanged.
+    A grid that is empty, not 1-D or holds a value that is not a number
+    finite in (0, 1) is rejected before any fit.
     """
     if threads < 1:
         raise InvalidCount(f"threads must be >= 1, got {threads}")
@@ -127,11 +125,7 @@ def run_grid(data, pi_values, opts: EmOptions | None = None,
                    start=warm.state)
 
     ends = sorted({0, h - 1})
-    if threads == 1 or h == 1:
-        cold = [fit_one(i) for i in ends]
-    else:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            cold = list(pool.map(fit_one, ends))
+    cold = [fit_one(i) for i in ends]
     results = [cold[0]] * h
     results[-1] = cold[-1]
     sweeps = sum(res.iterations for res in cold)

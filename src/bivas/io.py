@@ -11,9 +11,11 @@ with ``repr``, which round-trips doubles exactly.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import ctypes
 import dataclasses
+import errno
 import json
 import locale
 import math
@@ -45,6 +47,17 @@ def _delimiter(path: str) -> str:
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+@contextlib.contextmanager
+def decoding(path: str):
+    """Raise a decode error in the block as an OSError (EILSEQ) naming
+    ``path``, as a file that cannot be read is named."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, f"byte 0x{exc.object[exc.start]:02x} is "
+                      f"not {exc.encoding} text", path) from None
 
 
 def _rows(fh, path: str):
@@ -111,7 +124,7 @@ def read_group_map(path: str, response: str | None = None) -> dict:
     """Sidecar group map: name -> label, one predictor per row; a short
     row, a repeated name or a row naming the ``response`` column fails
     with its row number (non-blank rows, the header being row 1)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, decoding(path):
         rows = list(_rows(fh, path))
     if not rows:
         raise NonNumeric(f"{path}: empty table")
@@ -170,7 +183,7 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
     strings.  y, and Z or X when their columns are adjacent in the header,
     are views of the one parsed block.
     """
-    with open(data_path, "rb") as fh:
+    with open(data_path, "rb") as fh, decoding(data_path):
         lines = _Lines(fh, keep=True)
         rows = _rows(lines, data_path)
         header = next(rows, None)
@@ -510,7 +523,7 @@ def require_keys(path: str, obj, keys, where: str = ""):
 
 def read_json(path: str, required=()) -> dict:
     """Read a JSON file whose top-level object must hold ``required``."""
-    with open(path) as fh:
+    with open(path) as fh, decoding(path):
         payload = json.load(fh)
     require_keys(path, payload, required)
     return payload

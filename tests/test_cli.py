@@ -440,15 +440,6 @@ class TestEvaluateMultifit:
         assert not (tmp_path / "metrics.csv").exists()
 
 
-class TestThreadsDefault:
-    def test_env_var_fallback(self, monkeypatch):
-        from bivas.cli import _default_threads
-        monkeypatch.setenv("BIVAS_THREADS", "3")
-        assert _default_threads() == 3
-        monkeypatch.delenv("BIVAS_THREADS")
-        assert _default_threads() == 1
-
-
 class TestExitCodes:
     def test_missing_required_flag_exits_two(self):
         # argparse reports the missing flag on stderr and exits 2
@@ -514,20 +505,6 @@ class TestExitCodes:
                        "--tol", "-1", "--out", str(tmp_path / "o"))
         assert code == 1
         self._assert_one_line_error(capsys, "--tol")
-
-    def test_non_integer_threads_env_exits_one_before_parsing(
-            self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BIVAS_THREADS", "x")
-        code = run_cli("fit", "--data", str(tmp_path / "absent.csv"),
-                       "--out", str(tmp_path / "o"))
-        assert code == 1
-        self._assert_one_line_error(capsys, "BIVAS_THREADS")
-        monkeypatch.setenv("BIVAS_THREADS", "0")
-        code = run_cli("fit", "--data", str(tmp_path / "absent.csv"),
-                       "--out", str(tmp_path / "o"))
-        assert code == 1
-        self._assert_one_line_error(capsys, "BIVAS_THREADS")
-        assert not (tmp_path / "o").exists()
 
     def test_standardize_flag(self, sim_dir, tmp_path):
         out = tmp_path / "std"
@@ -798,3 +775,62 @@ class TestExitCodes:
         self._assert_one_line_error(
             capsys, f"{fit / 'selection.json'}: predictor 'nope'")
         assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("case", ["header", "data-row", "group-map",
+                                      "model", "metrics"])
+    def test_undecodable_file_exits_two_naming_it(self, sim_dir, fit_dir,
+                                                  tmp_path, capsys, case):
+        # 0xe9 followed by a comma or a digit, and 0xff, are not UTF-8
+        data, groups = str(sim_dir / "data.csv"), str(sim_dir / "groups.csv")
+        rows = (sim_dir / "data.csv").read_bytes().splitlines(keepends=True)
+        bad = tmp_path / ("model.json" if case == "model" else "bad.csv")
+        out = tmp_path / "never"
+        if case == "header":
+            rows[0] = rows[0].replace(b",", b"\xe9,", 1)
+        elif case == "data-row":
+            # the compiled parse takes the first data row and stops at the
+            # second, which the Python parser then decodes
+            rows[3] = rows[3].replace(b",", b",\xe9", 1)
+        bad.write_bytes({
+            "group-map": (sim_dir / "groups.csv").read_bytes() + b"x\xe9,a\n",
+            "model": (fit_dir / "model.json").read_bytes().replace(
+                b'"model"', b'"mod\xffel"', 1),
+            "metrics": b"auc,fdr\n0.9,\xe90.1\n",
+        }.get(case, b"".join(rows)))
+        argv = {
+            "header": ["fit", "--data", str(bad)],
+            "data-row": ["fit", "--data", str(bad)],
+            "group-map": ["fit", "--data", data, "--groups", str(bad)],
+            "model": ["predict", "--model", str(bad), "--data", data,
+                      "--groups", groups],
+            "metrics": ["report", "--metrics", str(bad)],
+        }[case]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        byte = "0xff" if case == "model" else "0xe9"
+        assert err.startswith("io error: ")
+        assert f"byte {byte} is not utf-8 text: '{bad}'" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("coef", "abc", "could not convert string to float: 'abc'"),
+        ("coef", "short", "want coef of shape (60,) and eta of shape (6,)"),
+        ("eta", "short", "got (60,) and (5,)"),
+        ("eta", None, "got (60,) and ()"),
+    ], ids=["text-coef", "short-coef", "short-eta", "null-eta"])
+    def test_evaluate_malformed_truth_exits_one(self, sim_dir, fit_dir,
+                                                tmp_path, capsys, key, value,
+                                                where):
+        truth = json.loads((sim_dir / "truth.json").read_text())
+        truth[key] = truth[key][:-1] if value == "short" else value
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(truth))
+        metrics = tmp_path / "metrics.csv"
+        code = run_cli("evaluate", "--fit", str(fit_dir), "--truth", str(path),
+                       "--out", str(metrics))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed truth: ")
+        assert where in err and len(err.strip().splitlines()) == 1
+        assert not metrics.exists()

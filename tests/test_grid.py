@@ -2,6 +2,7 @@
 selection."""
 import copy
 import logging
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -123,6 +124,14 @@ class TestRunGrid:
                 assert np.abs(a.state.alpha_jk - b.state.alpha_jk).max() \
                     <= 1e-12
                 assert np.abs(a.state.mu - b.state.mu).max() <= 1e-12
+
+    def test_starts_no_thread(self, design, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"run_grid started thread {thread.name}")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        fit = run_grid(design, make_pi_grid(design.K, 4), EmOptions(),
+                       threads=4)
+        assert len(fit.results) == 4
 
     def test_single_point_grid(self, design):
         fit = run_grid(design, make_pi_grid(design.K, 1), EmOptions())
