@@ -7,7 +7,6 @@ files, files that do not decode as text or as JSON).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -21,9 +20,8 @@ from .exceptions import (
     DegenerateLabels,
     InvalidCount,
     InvalidThreshold,
-    NonNumeric,
 )
-from .grid import aggregate, make_pi_grid, predict, run_grid, select
+from .grid import aggregate, make_pi_grid, predict, run_grid, select, task_coefs
 from .group_fit import EmOptions
 from .metrics import auc, coef_mse, fdr_power
 from .simulate import SimConfig, gen_multitask, simulate_dataset
@@ -153,41 +151,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _align_predictors(table, names, data_path):
-    """Reorder the table's predictor columns to the model's order; a model
-    predictor the table lacks fails, naming the first one."""
-    if table.predictor_names == names:
-        return table.X
-    column = {nm: j for j, nm in enumerate(table.predictor_names)}
-    lacking = next((nm for nm in names if nm not in column), None)
-    if lacking is not None:
-        raise BivasError(f"{data_path}: no predictor column {lacking!r}, "
-                         f"which the model needs")
-    return table.X[:, [column[nm] for nm in names]]
-
-
 def cmd_predict(args) -> int:
-    model = bio.read_model(args.model)
+    model, summary = bio.read_model(args.model)
+    task_coefs(summary, args.task)      # a bad --task fails before any read
+    covariates = model["covariates"][args.task] if summary.multitask \
+        else model["covariates"]
     table = bio.read_design_table(args.data, args.groups,
                                   response=args.response,
                                   require_response=False)
     # a matrix product rounds by the layout of its operands, and a design
     # holds its columns in Fortran order: predict from the same layout
-    X = np.array(_align_predictors(table, model["predictors"], args.data),
-                 order="F")
+    X = bio.columns_by_name(table.X, table.predictor_names,
+                            model["predictors"], args.data, "predictor")
+    Z = bio.columns_by_name(table.Z, table.covariate_names, covariates,
+                            args.data, "covariate")
     std = model.get("standardize")
     if std is not None:
         X -= np.asarray(std["center"])
         X /= np.asarray(std["scale"])
-    yhat = predict(bio.summary_from_model(model), np.asfortranarray(table.Z),
-                   X, task=args.task)
+    yhat = predict(summary, Z, X, task=args.task)
     bio.write_predictions_csv(args.out, yhat)
     return 0
-
-
-# metrics that `evaluate` leaves empty when a replicate's truth makes them
-# undefined; an empty cell in any other column is a broken file
-OPTIONAL_METRICS = ("auc", "group_auc")
 
 
 def _defined_auc(scores, labels):
@@ -199,8 +183,7 @@ def _defined_auc(scores, labels):
 
 
 def cmd_evaluate(args) -> int:
-    model = bio.read_model(os.path.join(args.fit, "model.json"))
-    summary = bio.summary_from_model(model)
+    model, summary = bio.read_model(os.path.join(args.fit, "model.json"))
     selection_path = os.path.join(args.fit, "selection.json")
     selection = bio.read_json(selection_path, ("variables",))
     name_idx = {nm: j for j, nm in enumerate(model["predictors"])}
@@ -246,40 +229,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Aggregate replicate metrics files into a mean/sd table.  An empty
-    AUC cell (undefined for its replicate) is skipped, so ``n`` counts the
-    rows that hold a value."""
-    import csv as _csv
-
-    values: dict[str, list[float]] = {}
-    order: list[str] = []
-    for path in args.metrics:
-        with open(path, newline="") as fh, bio.decoding(path):
-            reader = _csv.DictReader(fh)
-            for row in reader:
-                for key, val in row.items():
-                    if key not in values:
-                        values[key] = []
-                        order.append(key)
-                    if val == "" and key in OPTIONAL_METRICS:
-                        continue
-                    try:
-                        values[key].append(float(val))
-                    except (TypeError, ValueError):
-                        raise NonNumeric(
-                            f"{path}: line {reader.line_num}, column {key!r} "
-                            f"holds {val!r}, not a number") from None
-    with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["metric", "mean", "sd", "n"])
-        for key in order:
-            arr = np.asarray(values[key])
-            if arr.size == 0:
-                writer.writerow([key, "", "", 0])
-                continue
-            writer.writerow([key, repr(float(arr.mean())),
-                             repr(float(arr.std(ddof=1) if arr.size > 1 else 0.0)),
-                             arr.size])
+    """Aggregate replicate metrics files into a mean/sd table."""
+    bio.write_report_csv(args.out, bio.read_metrics(args.metrics))
     return 0
 
 
@@ -348,14 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BivasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
 

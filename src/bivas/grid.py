@@ -224,28 +224,29 @@ def select(summary: PosteriorSummary, threshold: float = 0.05) -> SelectionRepor
                            variables=summary.var_fdr < threshold)
 
 
-def predict(summary: PosteriorSummary, Znew, Xnew, task: int | None = None):
-    """Posterior-mean prediction Z omega + X effect on new data.
-
-    For multi-task summaries ``task``, an index in [0, L), picks the task
-    whose fixed effects (and effect column) apply to the supplied design;
-    for grouped summaries it must be None.
-    """
-    Znew, Xnew = (a[:, None] if a.ndim == 1 else a for a in (
-        np.asarray(Znew, float), np.asarray(Xnew, float)))
-    if Znew.shape[0] != Xnew.shape[0]:
-        raise DimensionMismatch("Znew and Xnew row counts disagree")
-
+def task_coefs(summary: PosteriorSummary, task: int | None = None):
+    """The fixed effects and effect sizes of task ``task`` in [0, L) of a
+    multi-task summary, or of a grouped summary, whose ``task`` is None."""
     omega, effect = summary.params.omega, summary.effect
     if summary.multitask:
         if task is None or not 0 <= task < len(omega):
             raise DimensionMismatch(
                 f"multi-task prediction needs a task index in "
                 f"[0, {len(omega)}), got {task}")
-        omega, effect = omega[task], effect[:, task]
-    elif task is not None:
+        return omega[task], effect[:, task]
+    if task is not None:
         raise DimensionMismatch("task index only applies to multi-task fits")
+    return omega, effect
 
+
+def predict(summary: PosteriorSummary, Znew, Xnew, task: int | None = None):
+    """Posterior-mean prediction Z omega + X effect on new data, with the
+    coefficients of ``task`` (:func:`task_coefs`)."""
+    Znew, Xnew = (a[:, None] if a.ndim == 1 else a for a in (
+        np.asarray(Znew, float), np.asarray(Xnew, float)))
+    if Znew.shape[0] != Xnew.shape[0]:
+        raise DimensionMismatch("Znew and Xnew row counts disagree")
+    omega, effect = task_coefs(summary, task)
     for name, new, coef in (("Znew", Znew, omega), ("Xnew", Xnew, effect)):
         if new.shape[1] != coef.shape[0]:
             raise DimensionMismatch(

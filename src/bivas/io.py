@@ -39,6 +39,9 @@ from .grid import GridFit, PosteriorSummary, SelectionReport
 
 GROUP_ROW_MARKER = "group"
 CHUNK_BYTES = 1 << 16       # bytes of a data table read at a time
+# metrics that `bivas evaluate` leaves empty when a replicate's truth makes
+# them undefined; an empty cell in any other column is a broken file
+OPTIONAL_METRICS = ("auc", "group_auc")
 
 
 def _delimiter(path: str) -> str:
@@ -51,13 +54,16 @@ def _fmt(x) -> str:
 
 @contextlib.contextmanager
 def decoding(path: str):
-    """Raise a decode error in the block as an OSError (EILSEQ) naming
-    ``path``, as a file that cannot be read is named."""
+    """Raise a decode error in the block, bytes that are not text or text
+    that is not JSON, as an OSError (EILSEQ) naming ``path``, as a file
+    that cannot be read is named."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise OSError(errno.EILSEQ, f"byte 0x{exc.object[exc.start]:02x} is "
                       f"not {exc.encoding} text", path) from None
+    except json.JSONDecodeError as exc:
+        raise OSError(errno.EILSEQ, f"not JSON: {exc}", path) from None
 
 
 def _rows(fh, path: str):
@@ -146,13 +152,6 @@ def read_group_map(path: str, response: str | None = None) -> dict:
     return labels
 
 
-def _parse_cell(cell: str, where: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise NonNumeric(f"{where}: cannot parse {cell!r} as a number") from None
-
-
 class DesignTable(NamedTuple):
     """A data table split into response, covariates and predictors."""
 
@@ -197,8 +196,7 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
         resp_idx = column.get(response)
         if resp_idx is None and require_response:
             raise DimensionMismatch(
-                f"{data_path}: no response column named {response!r}"
-            )
+                f"{data_path}: no response column named {response!r}")
 
         inline: dict = {}
         first_line = 2      # row number of the first data row, for messages
@@ -216,8 +214,7 @@ def read_design_table(data_path: str, groups_path: str | None = None, *,
             group_label_of = inline
         else:
             raise DimensionMismatch(
-                f"{data_path}: no group map given and no inline group row found"
-            )
+                f"{data_path}: no group map given and no inline group row found")
         missing = [name for name in group_label_of if name not in column]
         if missing:
             more = len(missing) - 5
@@ -250,6 +247,19 @@ def _columns(parsed: np.ndarray, idx: list) -> np.ndarray:
     if idx and idx == list(range(idx[0], idx[0] + len(idx))):
         return parsed[:, idx[0]:idx[0] + len(idx)]
     return parsed[:, idx]
+
+
+def columns_by_name(block: np.ndarray, have, names, path: str, kind: str):
+    """The columns of ``block``, named ``have``, that ``names`` name, in
+    that order, as one Fortran-ordered copy (the transpose of a gather of
+    the transpose's rows), as a design holds them; the first name ``have``
+    lacks fails, naming the table ``path`` and the ``kind`` of column."""
+    column = {nm: j for j, nm in enumerate(have)}
+    for nm in names:
+        if nm not in column:
+            raise BivasError(f"{path}: no {kind} column {nm!r}, which the "
+                             f"model needs")
+    return block.T[[column[nm] for nm in names]].T
 
 
 def _read_rows(fh, start: bytes, header, path: str,
@@ -370,7 +380,11 @@ def _parse_rows(rows, header, path: str, first_line: int,
             values = np.fromiter(map(float, row), np.float64, width)
         except ValueError:
             for cell in row:
-                _parse_cell(cell, where)
+                try:
+                    float(cell)
+                except ValueError:
+                    raise NonNumeric(f"{where}: cannot parse {cell!r} as a "
+                                     f"number") from None
         if bad is None and not np.isfinite(values).all():
             j = int(np.argmin(np.isfinite(values)))
             bad = (line, header[j], row[j])
@@ -406,8 +420,7 @@ def load_multitask(paths, *, response: str = "y") -> MultiTaskData:
     for t, p in zip(tables, paths):
         if t.predictor_names != names:
             raise DimensionMismatch(
-                f"{p}: predictor columns disagree with the first task"
-            )
+                f"{p}: predictor columns disagree with the first task")
     return MultiTaskData([(t.y, t.Z, t.X) for t in tables],
                          predictor_names=names,
                          covariate_names=[t.covariate_names for t in tables])
@@ -444,13 +457,6 @@ def write_group_map(path: str, design: GroupedDesign):
 # model artifacts
 # ---------------------------------------------------------------------------
 
-def _standardize_record(design: GroupedDesign):
-    if design.x_center is None:
-        return None
-    return {"center": design.x_center.tolist(),
-            "scale": design.x_scale.tolist()}
-
-
 def _to_json(value):
     """Arrays and lists of arrays as nested lists; scalars unchanged."""
     if isinstance(value, np.ndarray):
@@ -483,7 +489,8 @@ def model_to_dict(gridfit: GridFit, summary: PosteriorSummary,
     if not gridfit.multitask:
         model["group_labels"] = [str(lab) for lab in design.group_labels]
         model["group_of"] = design.group_of.tolist()
-        model["standardize"] = _standardize_record(design)
+        model["standardize"] = None if design.x_center is None else {
+            "center": design.x_center.tolist(), "scale": design.x_scale.tolist()}
     model["posterior"] = {
         name: getattr(summary, name).tolist()
         for name in ("pi_tilde", "alpha_tilde", "mu_tilde", "effect")
@@ -533,10 +540,13 @@ def _check_layout(summary: PosteriorSummary, model: dict):
     """Raise a ValueError unless ``group_of`` is (predictors,), or
     (predictors, tasks) for a multi-task model, the variable arrays share
     its shape and it holds integers in [0, K) reaching K - 1, K being the
-    length of ``pi_tilde``."""
-    group_of, K = summary.group_of, summary.pi_tilde.shape
-    want = (len(model["predictors"]),) + (
-        (len(summary.params.omega),) if model["model"] == "multitask" else ())
+    length of ``pi_tilde``, and ``covariates`` lists one name per entry of
+    ``params.omega`` (per task, one list per task)."""
+    multitask = model["model"] == "multitask"
+    group_of, K, omega = summary.group_of, summary.pi_tilde.shape, summary.params.omega
+    tasks, names = (omega, model["covariates"]) if multitask \
+        else ([omega], [model["covariates"]])
+    want = (len(model["predictors"]),) + ((len(omega),) if multitask else ())
     shapes = [getattr(summary, a).shape for a in ("alpha_tilde", "mu_tilde", "effect")]
     if group_of.shape != want or shapes != [want] * 3 or len(K) != 1 \
             or group_of.dtype.kind not in "iu" or not group_of.size \
@@ -546,15 +556,18 @@ def _check_layout(summary: PosteriorSummary, model: dict):
             f"group_of holding integers in [0, K) reaching K - 1 for the K "
             f"entries of pi_tilde; got shapes {group_of.shape}, "
             f"{', '.join(map(str, shapes))} and {K}")
+    if list(map(len, names)) != list(map(len, tasks)):
+        raise ValueError("want covariates to name each entry of params.omega")
 
 
-def read_model(path: str) -> dict:
+def read_model(path: str) -> tuple[dict, PosteriorSummary]:
     """Read a ``model.json``, checking every key that
     :func:`summary_from_model` and the CLI read from it, and that its
     values build a summary of one layout (:func:`_check_layout`) and a
     standardization of one number per predictor: a malformed file fails
-    with one line naming it."""
-    model = read_json(path, ("model", "params", "posterior", "predictors"))
+    with one line naming it.  Returns the model and its summary."""
+    model = read_json(path, ("model", "params", "posterior", "predictors",
+                             "covariates"))
     multitask = model["model"] == "multitask"
     require_keys(path, model, () if multitask else ("group_of",))
     params = MultiTaskParams if multitask else ModelParams
@@ -566,13 +579,14 @@ def read_model(path: str) -> dict:
     if std is not None:
         require_keys(path, std, ("center", "scale"), "standardize.")
     try:
-        _check_layout(summary_from_model(model), model)
+        summary = summary_from_model(model)
+        _check_layout(summary, model)
         for key in ("center", "scale") if std is not None else ():
             if np.asarray(std[key], float).shape != (len(model["predictors"]),):
                 raise ValueError(f"standardize.{key} needs one number per predictor")
     except (TypeError, ValueError, IndexError) as exc:
         raise BivasError(f"{path}: malformed model: {exc}") from None
-    return model
+    return model, summary
 
 
 def write_posterior_csv(path: str, summary: PosteriorSummary, design):
@@ -630,3 +644,35 @@ def append_metrics_csv(path: str, row: dict):
     _write_csv(path, [] if os.path.exists(path) else [list(row)],
                [[_fmt(v) if isinstance(v, float) else v for v in row.values()]],
                mode="a")
+
+
+def read_metrics(paths) -> dict:
+    """Each metric's values over the metrics files ``paths``, in the order
+    they first appear; an empty cell of an ``OPTIONAL_METRICS`` metric is
+    skipped, and any other cell that is not a number fails, naming its
+    file, line and column."""
+    values: dict[str, list[float]] = {}
+    for path in paths:
+        with open(path, newline="") as fh, decoding(path):
+            reader = csv.DictReader(fh)
+            for row in reader:
+                for key, val in row.items():
+                    column = values.setdefault(key, [])
+                    if val == "" and key in OPTIONAL_METRICS:
+                        continue
+                    try:
+                        column.append(float(val))
+                    except (TypeError, ValueError):
+                        raise NonNumeric(
+                            f"{path}: line {reader.line_num}, column {key!r} "
+                            f"holds {val!r}, not a number") from None
+    return values
+
+
+def write_report_csv(path: str, values: dict):
+    """One row per metric: the mean, sd (0 for one value) and count of its
+    ``values``, or empty cells and a count of 0 when it has none."""
+    _write_csv(path, [["metric", "mean", "sd", "n"]], (
+        [key, _fmt(np.mean(v)), _fmt(np.std(v, ddof=1) if len(v) > 1 else 0.0),
+         len(v)] if v else [key, "", "", 0]
+        for key, v in values.items()))

@@ -50,6 +50,25 @@ def mt_dirs(tmp_path_factory):
     return sim, fit
 
 
+@pytest.fixture(scope="module")
+def cov_dirs(sim_dir, tmp_path_factory):
+    """The simulated table with a second covariate, z1, after z0, and a fit
+    on it with the simulation's group map."""
+    sim = tmp_path_factory.mktemp("covsim")
+    lines = (sim_dir / "data.csv").read_text().strip().splitlines()
+    z1 = ["z1", ""] + [repr(float(v)) for v in
+                       np.random.default_rng(7).normal(size=len(lines) - 2)]
+    (sim / "data.csv").write_text("".join(
+        ",".join(cells[:2] + [cell] + cells[2:]) + "\n"
+        for cells, cell in zip((line.split(",") for line in lines), z1)))
+    shutil.copy(sim_dir / "groups.csv", sim / "groups.csv")
+    fit = tmp_path_factory.mktemp("covfit")
+    assert run_cli("fit", "--data", str(sim / "data.csv"),
+                   "--groups", str(sim / "groups.csv"), "--grid-size", "2",
+                   "--out", str(fit)) == 0
+    return sim, fit
+
+
 class TestSimulate:
     def test_artifacts_exist(self, sim_dir):
         for name in ("data.csv", "groups.csv", "truth.json"):
@@ -207,6 +226,97 @@ class TestPredict:
         assert err == (f"error: {data}: no predictor column 'x0', which the "
                        f"model needs\n")
         assert not out.exists()
+
+    @staticmethod
+    def _predict(fit, data, groups, out):
+        return run_cli("predict", "--model", str(fit / "model.json"),
+                       "--data", str(data), "--groups", str(groups),
+                       "--out", str(out))
+
+    def test_swapped_covariate_columns(self, cov_dirs, tmp_path):
+        sim, fit = cov_dirs
+        header = (sim / "data.csv").read_text().split("\n", 1)[0].split(",")
+        assert header[1:3] == ["z0", "z1"]
+        preds_out = []
+        for name, order in (("ordered", header),
+                            ("swapped", [header[0], "z1", "z0"] + header[3:])):
+            data = tmp_path / f"{name}.csv"
+            self._rewrite(sim, data, order)
+            out = tmp_path / f"pred_{name}.csv"
+            assert self._predict(fit, data, sim / "groups.csv", out) == 0
+            preds_out.append(out.read_bytes())
+        assert preds_out[0] == preds_out[1]
+
+    def test_unused_covariate_column_ignored(self, sim_dir, fit_dir, cov_dirs,
+                                             tmp_path):
+        # the model's one covariate is z0; the table's z1 plays no part
+        sim, _ = cov_dirs
+        outs = [tmp_path / "plain.csv", tmp_path / "extra.csv"]
+        assert self._predict(fit_dir, sim_dir / "data.csv",
+                             sim_dir / "groups.csv", outs[0]) == 0
+        assert self._predict(fit_dir, sim / "data.csv",
+                             sim / "groups.csv", outs[1]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_missing_covariate_exits_one(self, sim_dir, cov_dirs, tmp_path,
+                                         capsys):
+        _, fit = cov_dirs
+        data, out = sim_dir / "data.csv", tmp_path / "pred.csv"
+        assert self._predict(fit, data, sim_dir / "groups.csv", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: no covariate column 'z1', which the model needs\n")
+        assert not out.exists()
+
+    def test_model_without_covariates_needs_table_without(self, sim_dir,
+                                                          tmp_path, capsys):
+        # fit without covariates, the model's one fixed effect is the
+        # injected intercept; a table with a covariate column does not
+        # supply it
+        header = (sim_dir / "data.csv").read_text().split("\n", 1)[0].split(",")
+        data, groups = tmp_path / "plain.csv", sim_dir / "groups.csv"
+        self._rewrite(sim_dir, data, [nm for nm in header if nm != "z0"])
+        fit = tmp_path / "fit"
+        assert run_cli("fit", "--data", str(data), "--groups", str(groups),
+                       "--grid-size", "2", "--out", str(fit)) == 0
+        assert bio.read_json(str(fit / "model.json"))["covariates"] \
+            == ["intercept"]
+        assert self._predict(fit, data, groups, tmp_path / "ok.csv") == 0
+        capsys.readouterr()
+        out = tmp_path / "pred.csv"
+        assert self._predict(fit, sim_dir / "data.csv", groups, out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {sim_dir / 'data.csv'}: no covariate column 'intercept', "
+            f"which the model needs\n")
+        assert not out.exists()
+
+    def test_reordered_predictors_copied_once(self, tmp_path):
+        # the model's predictors come out of the parsed table as one
+        # Fortran-ordered copy, in the model's order, and nothing else of
+        # X's size is held beside the two
+        import tracemalloc
+
+        n, p = 1000, 200
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        assert run_cli("simulate", "--n", str(n), "--p", str(p),
+                       "--k-groups", "10", "--out", str(sim)) == 0
+        assert run_cli("fit", "--data", str(sim / "data.csv"),
+                       "--groups", str(sim / "groups.csv"), "--grid-size", "1",
+                       "--out", str(fit)) == 0
+        header = (sim / "data.csv").read_text().split("\n", 1)[0].split(",")
+        preds = [name for name in header if name.startswith("x")]
+        others = [name for name in header if not name.startswith("x")]
+        data = tmp_path / "reversed.csv"
+        self._rewrite(sim, data, others + preds[::-1])
+        tracemalloc.start()
+        try:
+            code = self._predict(fit, data, sim / "groups.csv",
+                                 tmp_path / "pred.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        block, X = 8 * n * len(header), 8 * n * p
+        assert peak < block + 1.3 * X
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_exits_one(self, sim_dir, fit_dir, tmp_path,
@@ -417,6 +527,27 @@ class TestEvaluateMultifit:
             assert err.startswith(f"error: {path}: malformed model: ")
             assert "of shape (8, 2)" in err and "got shapes (8,), (8,)" in err
             assert len(err.strip().splitlines()) == 1
+            assert not out.exists()
+
+    def test_short_task_covariates_exit_one(self, mt_dirs, tmp_path, capsys):
+        # one covariate list per task, one name per fixed effect of its task
+        sim, fit_dir = mt_dirs
+        fit = tmp_path / "fit"
+        shutil.copytree(fit_dir, fit)
+        path = fit / "model.json"
+        model = json.loads(path.read_text())
+        model["covariates"] = model["covariates"][:1]
+        path.write_text(json.dumps(model))
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        for command in (["predict", "--model", str(path), "--task", "0",
+                         "--data", str(sim / "task0.csv")],
+                        ["evaluate", "--fit", str(fit),
+                         "--truth", str(sim / "truth.json")]):
+            assert run_cli(*command, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err == (f"error: {path}: malformed model: want covariates "
+                           f"to name each entry of params.omega\n")
             assert not out.exists()
 
     @pytest.mark.parametrize("task", ["a", 2, -1, 1.0, True])
@@ -670,11 +801,15 @@ class TestExitCodes:
         self._assert_one_line_error(capsys, f"{metrics}: line 2, column 'fdr'")
         assert not report.exists()
 
-    @pytest.mark.parametrize("case", ["bare", "standardize"])
+    @pytest.mark.parametrize("case", ["bare", "covariates", "standardize"])
     def test_predict_incomplete_model_exits_one(self, sim_dir, fit_dir,
                                                 tmp_path, capsys, case):
         if case == "bare":
             model, missing = {"model": "group"}, "params"
+        elif case == "covariates":
+            model = json.loads((fit_dir / "model.json").read_text())
+            del model["covariates"]
+            missing = "covariates"
         else:
             model = json.loads((fit_dir / "model.json").read_text())
             model["standardize"] = {"center": [0.0] * len(model["predictors"])}
@@ -697,8 +832,11 @@ class TestExitCodes:
         ("short-pi_tilde", "(60,) and (5,)"),
         ("group_of-99", "integers in [0, K) reaching K - 1"),
         ("fractional-group_of", "integers in [0, K) reaching K - 1"),
+        ("extra-covariate", "want covariates to name each entry of "
+                            "params.omega"),
     ], ids=["short-center", "extra-param", "text-omega", "short-group_of",
-            "short-pi_tilde", "group_of-99", "fractional-group_of"])
+            "short-pi_tilde", "group_of-99", "fractional-group_of",
+            "extra-covariate"])
     def test_malformed_model_exits_one(self, sim_dir, tmp_path, capsys, case,
                                        where):
         fit = tmp_path / "fit"
@@ -719,6 +857,8 @@ class TestExitCodes:
             model["posterior"]["pi_tilde"].pop()
         elif case == "group_of-99":
             model["group_of"] = [99] * len(model["group_of"])
+        elif case == "extra-covariate":
+            model["covariates"].append("z1")
         else:
             model["group_of"][-1] -= 0.5
         path = fit / "model.json"
@@ -812,6 +952,28 @@ class TestExitCodes:
         assert f"byte {byte} is not utf-8 text: '{bad}'" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["model.json", "selection.json",
+                                      "truth.json"])
+    def test_json_syntax_error_exits_two_naming_it(self, sim_dir, fit_dir,
+                                                   tmp_path, capsys, name):
+        fit, truth = tmp_path / "fit", tmp_path / "truth.json"
+        shutil.copytree(fit_dir, fit)
+        shutil.copy(sim_dir / "truth.json", truth)
+        bad = truth if name == "truth.json" else fit / name
+        bad.write_text('{"model": ')
+        commands = [["evaluate", "--fit", str(fit), "--truth", str(truth)]]
+        if name == "model.json":
+            commands.append(["predict", "--model", str(bad),
+                             "--data", str(sim_dir / "data.csv"),
+                             "--groups", str(sim_dir / "groups.csv")])
+        out = tmp_path / "never"
+        for argv in commands:
+            assert run_cli(*argv, "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("io error: ")
+            assert err.endswith(f": '{bad}'\n") and err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("key, value, where", [
         ("coef", "abc", "could not convert string to float: 'abc'"),
